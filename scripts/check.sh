@@ -131,136 +131,78 @@ plain_build() {
   cmake --build "$BUILD_DIR" -j "$JOBS"
 }
 
-# Bench smoke: the micro benches in their fast configuration. Fails on any
-# crash, and on non-deterministic stdout — bench_fig8_micro reports virtual
-# time only on stdout (wall-clock goes to stderr), so two runs must be
-# byte-identical. bench_micro_components reports wall-clock, so it only gets
-# the crash check.
-bench_smoke() {
-  local build_dir="$1"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_fig8_micro" --quick --sweep >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_fig8_micro" --quick --sweep >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "bench smoke FAILED: bench_fig8_micro stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
+# Runs a command twice and fails unless both stdouts are byte-identical.
+# Every command run this way prints virtual-time results only on stdout
+# (wall-clock goes to stderr, which is dropped); gtest's own "(N ms total)"
+# wall-clock summary is the one stdout number normalized before the diff.
+# A non-empty second argument must also appear in the first run's stdout.
+#   same_stdout_twice LABEL MUST_CONTAIN CMD [ARGS...]
+same_stdout_twice() {
+  local label="$1" must_contain="$2" out_a out_b
+  shift 2
+  out_a="$("$@" 2>/dev/null | sed 's/([0-9]* ms total)/(ms total)/')"
+  out_b="$("$@" 2>/dev/null | sed 's/([0-9]* ms total)/(ms total)/')"
+  if [[ -n "$must_contain" && "$out_a" != *"$must_contain"* ]]; then
+    echo "$label FAILED: output lacks '$must_contain'" >&2
+    printf '%s\n' "$out_a" >&2
     exit 1
   fi
-  rm -f "$out_a" "$out_b"
-  "$build_dir/bench/bench_micro_components" --benchmark_min_time=0.01 >/dev/null
+  if ! diff -u <(printf '%s\n' "$out_a") <(printf '%s\n' "$out_b"); then
+    echo "$label FAILED: stdout differs between runs" >&2
+    exit 1
+  fi
+}
+
+# Bench smoke: bench_fig8_micro's quick sweeps twice, plus a crash-only run
+# of bench_micro_components (it reports wall-clock, so nothing to diff).
+bench_smoke() {
+  same_stdout_twice "bench smoke: bench_fig8_micro" "" \
+    "$1/bench/bench_fig8_micro" --quick --sweep
+  "$1/bench/bench_micro_components" --benchmark_min_time=0.01 >/dev/null
   echo "bench smoke passed (deterministic stdout, no crashes)"
 }
 
-# Congestion smoke: one seed of the CC+straggler chaos storm — bench_scale
-# --quick with bounded queues, ECN, DCQCN and the straggler knob live under
-# RdmaCheck, run twice with stdout diffed. The full seed sweep lives in the
-# --congestion mode; this keeps the default flow honest about the congested
-# path without its runtime.
+# Congestion seed run: bench_scale --quick with bounded queues, ECN, DCQCN
+# and the straggler knob live under RdmaCheck, for one chaos seed.
 congestion_seed_run() {
-  local build_dir="$1" seed="$2"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_scale" --quick --check="$seed" --congestion >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_scale" --quick --check="$seed" --congestion >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "congestion sweep FAILED: seed $seed stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
+  same_stdout_twice "congestion sweep: seed $2" "" \
+    "$1/bench/bench_scale" --quick --check="$2" --congestion
 }
 
 # Exploration smoke: the bench_explore report (POR state reduction, seeded
-# mutation detection, clean baselines) run twice with stdout diffed. The
-# explorer enumerates schedules from a deterministic DFS over commutation
-# points, so pruning counts, detection schedules and minimized repro sizes
-# must be byte-identical across runs; wall-clock throughput goes to stderr.
+# mutation detection, clean baselines); the explorer's DFS over commutation
+# points is deterministic, so pruning counts, detection schedules and
+# minimized repro sizes must replay byte-identically.
 explore_smoke() {
-  local build_dir="$1"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_explore" >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_explore" >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "explore smoke FAILED: bench_explore stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
+  same_stdout_twice "explore smoke: bench_explore" "" "$1/bench/bench_explore"
   echo "explore smoke passed (schedule exploration deterministic, mutations caught)"
 }
 
-# GDR seed run: the device-resident chaos pair (GdrChaosSweepTest — a model
-# whose tensors live in GPU arenas with GPUDirect D2D routes on, under seeded
-# link chaos, with RdmaCheck installed) run twice per seed and the stdout
-# diffed. gtest's harness prints its own wall-clock in the "(N ms total)"
-# summary line, so that one number is normalized before the diff; every byte
-# the tests themselves emit must be identical across runs (the suite also
-# trace-diffs two in-process replays of the same seed).
+# GDR seed run: the device-resident chaos pair (GdrChaosSweepTest: tensors
+# in GPU arenas with GPUDirect D2D routes on, under seeded link chaos, with
+# RdmaCheck installed) must pass, and every byte the tests emit must replay
+# (the suite also trace-diffs two in-process replays of the same seed).
 gdr_seed_run() {
-  local build_dir="$1" seed="$2"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 "$build_dir/tests/fault_test" \
-    --gtest_brief=1 --gtest_filter='GdrChaosSweepTest.*' 2>/dev/null \
-    | sed 's/([0-9]* ms total)/(ms total)/' >"$out_a"
-  RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 "$build_dir/tests/fault_test" \
-    --gtest_brief=1 --gtest_filter='GdrChaosSweepTest.*' 2>/dev/null \
-    | sed 's/([0-9]* ms total)/(ms total)/' >"$out_b"
-  if ! grep -q 'PASSED' "$out_a"; then
-    echo "gdr sweep FAILED: seed $seed device-resident chaos pair did not pass" >&2
-    cat "$out_a" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "gdr sweep FAILED: seed $seed stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
+  same_stdout_twice "gdr sweep: seed $2" PASSED \
+    env RDMADL_FAULT_SEED="$2" RDMADL_CHECK=1 "$1/tests/fault_test" \
+    --gtest_brief=1 --gtest_filter='GdrChaosSweepTest.*'
 }
 
 # GDR smoke: the bench_table3_gdr quick gates (staged vs GDR-host vs GDR-D2D
 # route ordering, the >= 2x D2D-over-staged ratio at >= 8 MiB, the >= 4x
-# SG-WR doorbell reduction — the binary aborts if any gate fails) run twice
-# with stdout diffed; all its stdout is virtual-time derived, wall-clock goes
-# to stderr and the JSON. Part of the default (no-flag) flow.
+# SG-WR doorbell reduction; the binary aborts if any gate fails).
 gdr_smoke() {
-  local build_dir="$1"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_table3_gdr" --quick --json=/dev/null >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_table3_gdr" --quick --json=/dev/null >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "gdr smoke FAILED: bench_table3_gdr stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
+  same_stdout_twice "gdr smoke: bench_table3_gdr" "" \
+    "$1/bench/bench_table3_gdr" --quick --json=/dev/null
   echo "gdr smoke passed (route + doorbell gates hold, stdout deterministic)"
 }
 
 # Cluster-scale smoke: bench_scale --smoke runs a 256-host ring all-reduce
-# and a 256-host colocated-PS training step, with RdmaCheck installed and a
-# seeded chaos storm (latency spikes + link-down windows — delay-only, so the
-# run must still complete) on the fabric. The binary itself fails on any
-# checker diagnostic or per-NIC QP-cap overflow; running it twice and diffing
-# stdout (virtual times and QP counters only — wall-clock goes to stderr)
-# gates determinism under pooling + chaos.
+# and a 256-host colocated-PS training step with RdmaCheck installed and a
+# seeded delay-only chaos storm; the binary itself fails on any checker
+# diagnostic or per-NIC QP-cap overflow.
 scale_smoke() {
-  local build_dir="$1"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_scale" --smoke --check=1 >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_scale" --smoke --check=1 >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "scale smoke FAILED: bench_scale stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
+  same_stdout_twice "scale smoke: bench_scale" "" "$1/bench/bench_scale" --smoke --check=1
   echo "scale smoke passed (256-host step deterministic and checker-clean)"
 }
 
@@ -398,9 +340,9 @@ case "$MODE" in
     # GPUDirect route sweep (ISSUE 10). The SG-WR verbs contract (one
     # doorbell / one CQE per WQE, list-order delivery, shared-fate
     # validation, retry-restarts-every-extent), the gather route planner with
-    # lane striping and the device/host MR-cache domains, and the SG
-    # diagnostics matrix (sg-extent-out-of-order, flag-in-sg-list) run plain
-    # and with the protocol checker installed; the device-resident chaos pair
+    # lane striping and the MR cache, and the SG diagnostics matrix
+    # (sg-extent-out-of-order, flag-in-sg-list) run plain and with the
+    # protocol checker installed; the device-resident chaos pair
     # sweeps the fault seeds under RdmaCheck with a per-seed two-run stdout
     # diff; the quick bench gates route ordering and doorbell reduction; and
     # an ASan+UBSan pass covers the SG posting/delivery paths — multi-extent

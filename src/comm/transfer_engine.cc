@@ -515,14 +515,12 @@ void TransferEngine::ResetTransientState() {
 void TransferEngine::BeginEpoch(int64_t epoch) { epoch_ = epoch; }
 
 StatusOr<TransferEngine::MrHandle> TransferEngine::GetOrRegisterMr(const void* addr,
-                                                                   uint64_t bytes,
-                                                                   MemDomain domain) {
+                                                                   uint64_t bytes) {
   if (addr == nullptr || bytes == 0) {
     return InvalidArgument("cannot cache-register an empty range");
   }
-  const uint32_t space = static_cast<uint32_t>(domain);
   const uint64_t a = reinterpret_cast<uint64_t>(addr);
-  if (auto* entry = mr_cache_.Lookup(space, a, bytes)) {
+  if (auto* entry = mr_cache_.Lookup(a, bytes)) {
     entry->value.epoch = epoch_;  // Pin against eviction this epoch.
     ++stats_.mr_cache_hits;
     MrHandle handle;
@@ -540,13 +538,11 @@ StatusOr<TransferEngine::MrHandle> TransferEngine::GetOrRegisterMr(const void* a
   const uint64_t end = (a + bytes + page - 1) / page * page;
 
   int evictions = 0;
-  auto evict_one = [this, &evictions, space]() {
+  auto evict_one = [this, &evictions]() {
     // Entries touched this epoch may be the target of an in-flight remote
     // read (§3.3 receiver side); only earlier epochs are evictable.
-    // Victims come from the requesting domain only: host churn must never
-    // shed a device MR that in-flight GDR traffic still targets.
-    auto victim = mr_cache_.EvictLru(
-        space, [this](const tensor::ExtentLruCache<CachedMr>::Entry& e) {
+    auto victim =
+        mr_cache_.EvictLru([this](const tensor::ExtentLruCache<CachedMr>::Entry& e) {
           return e.value.epoch < epoch_;
         });
     if (!victim.has_value()) return false;
@@ -555,7 +551,7 @@ StatusOr<TransferEngine::MrHandle> TransferEngine::GetOrRegisterMr(const void* a
     ++stats_.mr_cache_evictions;
     return true;
   };
-  while (static_cast<int>(mr_cache_.size_in(space)) >=
+  while (static_cast<int>(mr_cache_.size()) >=
          std::max(1, options_.mr_cache_capacity)) {
     if (!evict_one()) break;
   }
@@ -567,7 +563,7 @@ StatusOr<TransferEngine::MrHandle> TransferEngine::GetOrRegisterMr(const void* a
     mr_or = device_->nic()->RegisterMemory(reinterpret_cast<void*>(base), end - base);
   }
   if (!mr_or.ok()) return mr_or.status();
-  mr_cache_.Insert(space, base, end - base, CachedMr{*mr_or, epoch_});
+  mr_cache_.Insert(base, end - base, CachedMr{*mr_or, epoch_});
   MrHandle handle;
   handle.lkey = mr_or->lkey;
   handle.rkey = mr_or->rkey;

@@ -95,12 +95,6 @@ class TransferEngine {
   // WriteGather, whether it rode one SG-WR or one SG-WR per lane stripe.
   enum class Route { kDirect, kStriped, kCoalesced, kScatterGather };
 
-  // Which memory the MR registration cache is fronting. Host and device
-  // extents live in disjoint cache key spaces with independent eviction:
-  // shedding a host registration can never invalidate a device MR that
-  // in-flight GPUDirect traffic still targets (and vice versa).
-  enum class MemDomain { kHost = 0, kDevice = 1 };
-
   struct Stats {
     int64_t direct_writes = 0;
     int64_t striped_writes = 0;
@@ -170,17 +164,11 @@ class TransferEngine {
   // page-aligned extent on a miss (evicting LRU entries from earlier epochs
   // to respect capacity and the NIC MR limit). Fails with kResourceExhausted
   // when the NIC cannot hold another region; callers fall back to staging.
-  // |domain| selects the cache key space; eviction victims come from the
-  // requesting domain only, so host-cache churn never sheds device MRs.
-  StatusOr<MrHandle> GetOrRegisterMr(const void* addr, uint64_t bytes,
-                                     MemDomain domain = MemDomain::kHost);
+  StatusOr<MrHandle> GetOrRegisterMr(const void* addr, uint64_t bytes);
 
   const Stats& stats() const { return stats_; }
   device::RdmaDevice* device() const { return device_; }
   int mr_cache_size() const { return static_cast<int>(mr_cache_.size()); }
-  int mr_cache_size_in(MemDomain domain) const {
-    return static_cast<int>(mr_cache_.size_in(static_cast<uint32_t>(domain)));
-  }
 
   // Multi-level engine routing: caps the stripe fan-out per destination.
   // With a hierarchical fabric, stripes toward a cross-rack peer all funnel

@@ -28,6 +28,11 @@ namespace {
 //   [u64 payload_bytes][u8 flag]
 size_t MetadataBytes(int rank) { return 4 + 4 + 8 * rank + 8 + 4 + 8 + 1; }
 
+// Device-route payloads are carved into SG extents of at most this many
+// bytes; the extents ride one SG-WR per lane stripe (one doorbell, one CQE
+// each).
+constexpr uint64_t kGdrSgExtentBytes = 1ull << 20;
+
 int64_t CostNs(uint64_t bytes, double bytes_per_sec) {
   return static_cast<int64_t>(static_cast<double>(bytes) / bytes_per_sec * 1e9);
 }
@@ -83,8 +88,6 @@ struct ZeroCopyRdmaMechanism::EdgeState {
   EdgePath path = EdgePath::kZeroCopy;
   int consecutive_failures = 0;  // Zero-copy send failures in a row.
   int degraded_successes = 0;    // Clean degraded sends since demotion.
-  // Rung a failed probation probe falls back to (kStagedPcie or kDegraded).
-  EdgePath probation_from = EdgePath::kDegraded;
 };
 
 ZeroCopyRdmaMechanism::ZeroCopyRdmaMechanism(runtime::Cluster* cluster, ZeroCopyOptions options)
@@ -254,17 +257,11 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
   // Route planner. Device-to-device first: a static-shape edge whose two
   // endpoints both keep the tensor in a GDR-registered GPU arena skips every
   // staging hop — the payload travels GPU-to-GPU and only the 1-byte flag
-  // lands in host memory (GPU bytes are never host-pollable, §3.5). Requires
-  // a wholesale-registered receiver arena: an on-demand (gdr_on_demand)
-  // receiver has no rkey to advertise at setup time, so such edges take the
-  // dynamic host-metadata protocol as before.
+  // lands in host memory (GPU bytes are never host-pollable, §3.5).
   if (shape_static && !options_.force_dynamic && src_gdr && dst_gdr &&
-      options_.gdr_device_routes) {
-    StatusOr<RdmaArena*> dst_gpu = s->dst->gpu_arena();
-    if (dst_gpu.ok() && (*dst_gpu)->rkey != 0) {
-      s->protocol = Protocol::kStatic;
-      s->device_route = true;
-    }
+      options_.gdr_device_routes && s->dst->gpu_arena().ok()) {
+    s->protocol = Protocol::kStatic;
+    s->device_route = true;
   }
   if (!s->device_route) {
     // §3.5: remaining GPUDirect edges use the dynamic protocol (metadata
@@ -479,31 +476,13 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
   // Degradation ladder gate: a demoted edge stays on the staged TCP path
   // until its probation window opens, at which point one send re-probes the
   // zero-copy path (falling through below).
-  if (options_.enable_ladder && s->path == EdgePath::kDegraded) {
-    if (s->degraded_successes >= options_.ladder_probation_after) {
-      s->path = EdgePath::kProbation;
-      s->probation_from = EdgePath::kDegraded;
-      ++stats_.probation_probes;
-      sim::TraceInstant("ladder", StrCat(s->edge.key, " probation probe"),
-                        simulator->Now());
-    } else {
+  if (s->path == EdgePath::kDegraded) {
+    if (s->degraded_successes < kLadderProbationAfter) {
       return SendDegraded(s, tensor, std::move(on_sent));
     }
-  }
-  // PCIe rung: a GPU edge demoted off its device route keeps staging through
-  // host memory (still one-sided RDMA on the wire) until probation reopens
-  // the zero-copy attempt.
-  bool force_pcie_staging = false;
-  if (options_.enable_ladder && s->path == EdgePath::kStagedPcie) {
-    if (s->degraded_successes >= options_.ladder_probation_after) {
-      s->path = EdgePath::kProbation;
-      s->probation_from = EdgePath::kStagedPcie;
-      ++stats_.probation_probes;
-      sim::TraceInstant("ladder", StrCat(s->edge.key, " pcie-rung probation probe"),
-                        simulator->Now());
-    } else {
-      force_pcie_staging = true;
-    }
+    s->path = EdgePath::kProbation;
+    ++stats_.probation_probes;
+    sim::TraceInstant("ladder", StrCat(s->edge.key, " probation probe"), simulator->Now());
   }
 
   // Classify the source buffer.
@@ -513,85 +492,14 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
     return src->options().tensors_on_gpu && gpu.ok() && (*gpu)->Contains(ptr);
   }();
 
-  if (registered.ok() && !force_pcie_staging) {
+  if (registered.ok()) {
     // Zero-copy path: the buffer is already RDMA-accessible (host arena, or
     // GPU arena under GPUDirect).
     ++stats_.zero_copy_sends;
     if (in_gpu) ++stats_.device_zero_copy_sends;  // No staging hop at all.
-    if (options_.enable_ladder) on_sent = WrapLadder(s, std::move(on_sent));
-    const void* send_ptr = ptr;
-    const uint32_t lkey = (*registered)->lkey;
-    simulator->ScheduleAfter(0, [this, s, send_ptr, lkey, bytes, tensor,
-                                 on_sent = std::move(on_sent)]() mutable {
-      if (s->protocol == Protocol::kStatic) {
-        PostWrites(s, send_ptr, lkey, bytes, std::move(on_sent));
-      } else {
-        PostMetadataWrite(s, send_ptr, lkey, bytes, tensor, std::move(on_sent));
-      }
-    });
+    PostPayload(s, tensor, ptr, (*registered)->lkey, /*data_rkey=*/0, /*delay_ns=*/0,
+                /*staging=*/nullptr, WrapLadder(s, std::move(on_sent)));
     return 0;
-  }
-
-  // On-demand GDR (§3.5 extended): the GPU arena was left unregistered at
-  // creation, so register the outgoing extent through the device-domain MR
-  // cache and send zero-copy in place. Registration exhaustion demotes one
-  // rung, to explicit PCIe staging — not straight to TCP.
-  if (in_gpu && !force_pcie_staging && src->options().gpudirect &&
-      src->options().gdr_on_demand) {
-    TransferEngine* engine = engine_for(src);
-    StatusOr<TransferEngine::MrHandle> cached =
-        engine->GetOrRegisterMr(ptr, bytes, TransferEngine::MemDomain::kDevice);
-    if (cached.ok()) {
-      ++stats_.device_mr_cache_sends;
-      if (cached->hit) {
-        ++stats_.mr_cache_hits;
-      } else {
-        ++stats_.mr_cache_misses;
-      }
-      stats_.mr_cache_evictions += cached->evictions;
-      ++stats_.zero_copy_sends;
-      ++stats_.device_zero_copy_sends;
-      if (options_.enable_ladder) on_sent = WrapLadder(s, std::move(on_sent));
-      const int64_t register_ns = cached->register_ns;
-      const void* send_ptr = ptr;
-      const uint32_t cached_lkey = cached->lkey;
-      const uint32_t cached_rkey = cached->rkey;
-      simulator->ScheduleAfter(
-          register_ns, [this, s, send_ptr, cached_lkey, cached_rkey, bytes, tensor,
-                        on_sent = std::move(on_sent)]() mutable {
-            if (s->protocol == Protocol::kStatic) {
-              PostWrites(s, send_ptr, cached_lkey, bytes, std::move(on_sent));
-            } else {
-              PostMetadataWrite(s, send_ptr, cached_lkey, bytes, tensor, std::move(on_sent),
-                                cached_rkey);
-            }
-          });
-      return register_ns;
-    }
-    if (options_.enable_ladder && s->path != EdgePath::kProbation) {
-      LadderDemotePcie(s, "device MR registration exhausted");
-      force_pcie_staging = true;
-    } else if (options_.enable_ladder) {
-      // The probe itself could not even register: back down the rung it came
-      // from without burning a wire attempt.
-      s->path = s->probation_from;
-      s->degraded_successes = 0;
-      if (s->path == EdgePath::kStagedPcie) force_pcie_staging = true;
-    }
-    // Fall through to the staging path below.
-  }
-
-  if (force_pcie_staging) {
-    // Count the send against the PCIe rung and track its probation window.
-    ++stats_.pcie_fallback_sends;
-    on_sent = [this, s, inner = std::move(on_sent)](Status status) {
-      if (status.ok()) {
-        ++s->degraded_successes;
-      } else {
-        s->degraded_successes = 0;
-      }
-      inner(status);
-    };
   }
 
   // MR registration cache (§3.4 registration pressure): instead of staging,
@@ -599,8 +507,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
   // in place. Repeat sends of the same buffer hit the cache and skip the
   // pinning cost entirely.
   if (options_.use_mr_cache && !in_gpu) {
-    TransferEngine* engine = engine_for(src);
-    StatusOr<TransferEngine::MrHandle> cached = engine->GetOrRegisterMr(ptr, bytes);
+    StatusOr<TransferEngine::MrHandle> cached = engine_for(src)->GetOrRegisterMr(ptr, bytes);
     if (cached.ok()) {
       ++stats_.mr_cache_sends;
       if (cached->hit) {
@@ -610,73 +517,29 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
       }
       stats_.mr_cache_evictions += cached->evictions;
       ++stats_.zero_copy_sends;  // No staging copy: the pages serve in place.
-      if (options_.enable_ladder) on_sent = WrapLadder(s, std::move(on_sent));
-      const int64_t register_ns = cached->register_ns;
-      const void* send_ptr = ptr;
-      const uint32_t cached_lkey = cached->lkey;
-      const uint32_t cached_rkey = cached->rkey;
-      simulator->ScheduleAfter(
-          register_ns, [this, s, send_ptr, cached_lkey, cached_rkey, bytes, tensor,
-                        on_sent = std::move(on_sent)]() mutable {
-            if (s->protocol == Protocol::kStatic) {
-              PostWrites(s, send_ptr, cached_lkey, bytes, std::move(on_sent));
-            } else {
-              PostMetadataWrite(s, send_ptr, cached_lkey, bytes, tensor, std::move(on_sent),
-                                cached_rkey);
-            }
-          });
-      return register_ns;  // Page pinning runs on the issuing thread (§3.4).
+      PostPayload(s, tensor, ptr, cached->lkey, cached->rkey, cached->register_ns,
+                  /*staging=*/nullptr, WrapLadder(s, std::move(on_sent)));
+      return cached->register_ns;  // Page pinning runs on the issuing thread (§3.4).
     }
     // NIC/capacity exhaustion: fall through to the staging path.
   }
 
   // Staging path: allocate an RDMA-accessible buffer and copy into it.
+  // MR-registration exhaustion (or any arena failure) demotes the edge and
+  // serves this very send over the staged TCP path instead of failing the
+  // step.
   StatusOr<RdmaArena*> arena_or = src->rdma_arena();
   if (!arena_or.ok()) {
-    // MR-registration exhaustion (or any arena failure): with the ladder on,
-    // demote the edge and serve this very send over the staged TCP path
-    // instead of failing the step.
-    if (options_.enable_ladder) {
-      LadderDemote(s, "rdma arena unavailable");
-      return SendDegraded(s, tensor, std::move(on_sent));
-    }
-    simulator->ScheduleAfter(0, [on_sent = std::move(on_sent), st = arena_or.status()]() {
-      on_sent(st);
-    });
-    return 0;
+    LadderDemote(s, "rdma arena unavailable");
+    return SendDegraded(s, tensor, std::move(on_sent));
   }
   RdmaArena* arena = *arena_or;
   void* staging = arena->allocator->Allocate(bytes);
   if (staging == nullptr) {
-    if (options_.enable_ladder) {
-      LadderDemote(s, "sender RDMA arena exhausted");
-      return SendDegraded(s, tensor, std::move(on_sent));
-    }
-    simulator->ScheduleAfter(0, [on_sent = std::move(on_sent)]() {
-      on_sent(ResourceExhausted("sender RDMA arena exhausted"));
-    });
-    return 0;
+    LadderDemote(s, "sender RDMA arena exhausted");
+    return SendDegraded(s, tensor, std::move(on_sent));
   }
-  const uint32_t lkey = arena->lkey;
-
-  if (options_.enable_ladder) on_sent = WrapLadder(s, std::move(on_sent));
-  auto post = [this, s, staging, lkey, bytes, tensor,
-               on_sent = std::move(on_sent)]() mutable {
-    if (s->protocol == Protocol::kStatic) {
-      // Static staging can be freed as soon as the write completes.
-      PostWrites(s, staging, lkey, bytes,
-                 [this, s, staging, on_sent = std::move(on_sent)](Status status) {
-                   StatusOr<RdmaArena*> arena = s->src->rdma_arena();
-                   if (arena.ok()) (*arena)->allocator->Deallocate(staging);
-                   on_sent(status);
-                 });
-    } else {
-      // Dynamic staging must survive until the receiver's RDMA read, i.e.
-      // until the step boundary.
-      s->staging_to_free_at_step.push_back(staging);
-      PostMetadataWrite(s, staging, lkey, bytes, tensor, std::move(on_sent));
-    }
-  };
+  on_sent = WrapLadder(s, std::move(on_sent));
 
   if (in_gpu) {
     // GPU tensor without GPUDirect: DMA it into host staging over PCIe. The
@@ -690,7 +553,8 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
     net::Host* machine =
         src->rdma_device()->nic()->fabric()->host(src->endpoint().host_id);
     const int64_t pcie_end = machine->pcie().Reserve(simulator->Now(), pcie_ns);
-    simulator->ScheduleAt(pcie_end, std::move(post));
+    PostPayload(s, tensor, staging, arena->lkey, /*data_rkey=*/0,
+                pcie_end - simulator->Now(), staging, std::move(on_sent));
     return 0;  // DMA copy; the executor worker is not held.
   }
 
@@ -706,8 +570,35 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
   const int64_t copy_ns =
       cost.arena_alloc_overhead_ns +
       static_cast<int64_t>(bytes / cost.staging_memcpy_bytes_per_sec * 1e9);
-  simulator->ScheduleAfter(copy_ns, std::move(post));
+  PostPayload(s, tensor, staging, arena->lkey, /*data_rkey=*/0, copy_ns, staging,
+              std::move(on_sent));
   return copy_ns;
+}
+
+void ZeroCopyRdmaMechanism::PostPayload(EdgeState* s, const Tensor& tensor, const void* src_ptr,
+                                        uint32_t lkey, uint32_t data_rkey, int64_t delay_ns,
+                                        void* staging, std::function<void(Status)> on_sent) {
+  s->src->simulator()->ScheduleAfter(
+      delay_ns, [this, s, tensor, src_ptr, lkey, data_rkey, staging,
+                 on_sent = std::move(on_sent)]() mutable {
+        const uint64_t bytes = tensor.TotalBytes();
+        if (s->protocol == Protocol::kStatic) {
+          if (staging != nullptr) {
+            // Static staging can be freed as soon as the write completes.
+            on_sent = [s, staging, inner = std::move(on_sent)](Status status) {
+              StatusOr<RdmaArena*> arena = s->src->rdma_arena();
+              if (arena.ok()) (*arena)->allocator->Deallocate(staging);
+              inner(status);
+            };
+          }
+          PostWrites(s, src_ptr, lkey, bytes, std::move(on_sent));
+        } else {
+          // Dynamic staging must survive until the receiver's RDMA read, i.e.
+          // until the step boundary.
+          if (staging != nullptr) s->staging_to_free_at_step.push_back(staging);
+          PostMetadataWrite(s, src_ptr, lkey, bytes, tensor, data_rkey, std::move(on_sent));
+        }
+      });
 }
 
 void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32_t lkey,
@@ -733,13 +624,12 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
   flag.rkey = s->remote_flag.rkey;
   flag.bytes = 1;
   flag.copy_bytes = true;
-  if (s->device_route && options_.gdr_sg_extent_bytes > 0 &&
-      bytes > options_.gdr_sg_extent_bytes) {
+  if (s->device_route && bytes > kGdrSgExtentBytes) {
     // Device route: carve the payload into SG extents and let the engine post
     // them as one scatter/gather WR per lane stripe — one doorbell and one
     // CQE per stripe instead of one per extent. The flag trails the last
     // extent of the last stripe (§3.2, per extent).
-    const uint64_t chunk = options_.gdr_sg_extent_bytes;
+    const uint64_t chunk = kGdrSgExtentBytes;
     std::vector<TransferEngine::WriteDesc> extents;
     extents.reserve(static_cast<size_t>((bytes + chunk - 1) / chunk));
     for (uint64_t off = 0; off < bytes; off += chunk) {
@@ -766,8 +656,8 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
 
 void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr, uint32_t lkey,
                                               uint64_t bytes, const Tensor& tensor,
-                                              std::function<void(Status)> on_sent,
-                                              uint32_t data_rkey) {
+                                              uint32_t data_rkey,
+                                              std::function<void(Status)> on_sent) {
   // Serialize the (small, fixed-size) metadata: dims, dtype, and where the
   // receiver should read the payload from.
   uint8_t* m = s->src_meta_staging;
@@ -888,10 +778,7 @@ void ZeroCopyRdmaMechanism::StartDynamicRead(EdgeState* s) {
 
   // Allocate the tensor storage in an RDMA-accessible region (§3.3), then
   // pull the payload with a one-sided read.
-  // On-demand receivers have no registered GPU arena to read into; they land
-  // the payload in the host arena like a non-GDR receiver.
-  const bool into_gpu = s->dst->options().tensors_on_gpu && s->dst->options().gpudirect &&
-                        !s->dst->options().gdr_on_demand;
+  const bool into_gpu = s->dst->options().tensors_on_gpu && s->dst->options().gpudirect;
   StatusOr<RdmaArena*> arena_or = into_gpu ? s->dst->gpu_arena() : s->dst->rdma_arena();
   CHECK(arena_or.ok()) << arena_or.status();
   RdmaArena* arena = *arena_or;
@@ -989,16 +876,6 @@ void ZeroCopyRdmaMechanism::LadderDemote(EdgeState* s, const char* why) {
                     s->src->simulator()->Now());
 }
 
-void ZeroCopyRdmaMechanism::LadderDemotePcie(EdgeState* s, const char* why) {
-  if (s->path == EdgePath::kStagedPcie || s->path == EdgePath::kDegraded) return;
-  s->path = EdgePath::kStagedPcie;
-  s->consecutive_failures = 0;
-  s->degraded_successes = 0;
-  ++stats_.ladder_demotions;
-  sim::TraceInstant("ladder", StrCat(s->edge.key, " demoted to PCIe staging: ", why),
-                    s->src->simulator()->Now());
-}
-
 void ZeroCopyRdmaMechanism::LadderPromote(EdgeState* s) {
   s->path = EdgePath::kZeroCopy;
   s->consecutive_failures = 0;
@@ -1019,13 +896,13 @@ std::function<void(Status)> ZeroCopyRdmaMechanism::WrapLadder(
     }
     ++s->consecutive_failures;
     if (s->path == EdgePath::kProbation) {
-      // The link is still sick: back down to the rung the probe came from;
-      // probation restarts from zero clean degraded sends.
-      s->path = s->probation_from;
+      // The link is still sick: back down to the degraded rung; probation
+      // restarts from zero clean degraded sends.
+      s->path = EdgePath::kDegraded;
       s->degraded_successes = 0;
       sim::TraceInstant("ladder", StrCat(s->edge.key, " probation failed"),
                         s->src->simulator()->Now());
-    } else if (s->consecutive_failures >= options_.ladder_demote_after) {
+    } else if (s->consecutive_failures >= kLadderDemoteAfter) {
       LadderDemote(s, "zero-copy failure streak");
     }
     on_sent(status.failed_edge().empty() ? status.WithFailedEdge(s->edge.key)

@@ -68,21 +68,6 @@ struct ZeroCopyOptions {
   // Off restores the pre-SG behavior: every GDR edge takes the dynamic
   // host-metadata protocol. With GDR off this flag changes nothing.
   bool gdr_device_routes = true;
-  // Device-route payloads are carved into SG extents of at most this many
-  // bytes; the extents ride one SG-WR per lane stripe (one doorbell, one CQE
-  // each). 0 posts the payload as a single extent.
-  uint64_t gdr_sg_extent_bytes = 1ull << 20;
-  // ---- Per-edge transport degradation ladder (the paper's §3.3 fallback to
-  // the RPC mechanism, made dynamic). Repeated zero-copy failures demote an
-  // edge to an RPC-style staged transfer over the TCP plane; arena or
-  // MR-registration exhaustion demotes immediately (the send that hit the
-  // wall is itself served degraded). After |ladder_probation_after| clean
-  // degraded sends the next send re-probes zero-copy and promotes back on
-  // success. Ladder state deliberately survives ResetTransientState: the
-  // whole point is remembering that an edge is unhealthy across retries.
-  bool enable_ladder = true;
-  int ladder_demote_after = 2;     // Consecutive zero-copy failures to demote.
-  int ladder_probation_after = 3;  // Clean degraded sends before re-probing.
   // ---- Transfer-engine fast path (ISSUE 5): per-sender lane striping for
   // large writes and doorbell coalescing for small ones. Both default on;
   // disable individual paths here for ablations.
@@ -112,8 +97,6 @@ struct ZeroCopyStats {
   // GPUDirect device routes (§3.5 extended).
   int64_t device_zero_copy_sends = 0;  // GPU-to-GPU sends with no staging hop.
   int64_t sg_sends = 0;                // Sends routed as scatter/gather WRs.
-  int64_t device_mr_cache_sends = 0;   // On-demand device-extent registrations.
-  int64_t pcie_fallback_sends = 0;     // Sends served on the kStagedPcie rung.
   // Transfer engine.
   int64_t striped_sends = 0;     // Sends split across QP lanes.
   int64_t coalesced_sends = 0;   // Sends merged into doorbell batches.
@@ -123,14 +106,20 @@ struct ZeroCopyStats {
   int64_t mr_cache_evictions = 0;
 };
 
-// Which transport a degradable edge is currently on. The rungs descend
-// kZeroCopy -> kStagedPcie -> kDegraded: a GPU edge whose device route fails
-// (device MR registration exhausted) drops one rung to explicit PCIe staging
-// through the host arena (still one-sided RDMA on the wire) before the final
-// fall to TCP; probation climbs back one send at a time.
+// Per-edge transport degradation ladder (the paper's §3.3 fallback to the
+// RPC mechanism, made dynamic). kLadderDemoteAfter consecutive zero-copy
+// failures demote an edge to an RPC-style staged transfer over the TCP plane;
+// arena or MR-registration exhaustion demotes immediately (the send that hit
+// the wall is itself served degraded). After kLadderProbationAfter clean
+// degraded sends the next send re-probes zero-copy and promotes back on
+// success. Ladder state deliberately survives ResetTransientState: the whole
+// point is remembering that an edge is unhealthy across retries.
+inline constexpr int kLadderDemoteAfter = 2;
+inline constexpr int kLadderProbationAfter = 3;
+
+// Which transport a degradable edge is currently on.
 enum class EdgePath {
   kZeroCopy,    // Healthy: one-sided RDMA (static, dynamic, or device route).
-  kStagedPcie,  // GPU edge demoted to host staging over PCIe (RDMA wire).
   kDegraded,    // Demoted: RPC-style staged transfer over the TCP plane.
   kProbation,   // Re-probing zero-copy after a span of clean degraded sends.
 };
@@ -178,6 +167,14 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   struct EdgeState;
 
   Status SetupEdge(EdgeState* state);
+  // Posts |tensor|'s payload from |src_ptr| (covered by |lkey|) |delay_ns|
+  // from now: PostWrites on a static edge, PostMetadataWrite (with
+  // |data_rkey|) on a dynamic one. A non-null |staging| is the arena copy
+  // this send owns: static edges free it on completion, dynamic edges at
+  // the next step boundary (the receiver reads it until then).
+  void PostPayload(EdgeState* state, const tensor::Tensor& tensor, const void* src_ptr,
+                   uint32_t lkey, uint32_t data_rkey, int64_t delay_ns, void* staging,
+                   std::function<void(Status)> on_sent);
   // Static protocol: payload write followed by the flag-byte write, on the
   // same QP. |src_ptr| must lie inside a registered arena covered by |lkey|.
   // Device-route edges carve the payload into SG extents and post through
@@ -189,7 +186,7 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   // registered MRs live outside the arenas); 0 derives it from ArenaFor.
   void PostMetadataWrite(EdgeState* state, const void* data_ptr, uint32_t lkey,
                          uint64_t bytes, const tensor::Tensor& tensor,
-                         std::function<void(Status)> on_sent, uint32_t data_rkey = 0);
+                         uint32_t data_rkey, std::function<void(Status)> on_sent);
   void StartDynamicRead(EdgeState* state);
   // The 1-byte "flag = 1" source buffer in |host|'s meta arena.
   uint8_t* FlagSource(runtime::HostRuntime* host);
@@ -202,8 +199,6 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   int64_t SendDegraded(EdgeState* state, const tensor::Tensor& tensor,
                        std::function<void(Status)> on_sent);
   void LadderDemote(EdgeState* state, const char* why);
-  // One-rung demotion for GPU edges: device route -> explicit PCIe staging.
-  void LadderDemotePcie(EdgeState* state, const char* why);
   void LadderPromote(EdgeState* state);
   // Wraps a zero-copy on_sent callback with ladder bookkeeping (success
   // clears the failure streak / promotes a probation edge; failure counts

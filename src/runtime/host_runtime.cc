@@ -147,7 +147,7 @@ StatusOr<RdmaArena*> HostRuntime::gpu_arena() {
     // through host memory over PCIe.
     const uint64_t size = options_.rdma_arena_bytes;
     const uint64_t vbase = VirtualWindowBase(index_) + kVirtualGpuOffset;
-    if (options_.gpudirect && !options_.gdr_on_demand) {
+    if (options_.gpudirect) {
       RDMADL_ASSIGN_OR_RETURN(gpu_arena_, MakeArena(size, vbase, "gpu-gdr"));
     } else {
       gpu_arena_.size = size;

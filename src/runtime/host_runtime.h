@@ -53,10 +53,6 @@ struct HostRuntimeOptions {
   uint64_t rdma_arena_bytes = 256ull << 20;     // Sized by the memory planner.
   bool tensors_on_gpu = false;                  // Worker tensors in GPU memory.
   bool gpudirect = false;                       // GDR enabled (§3.5).
-  // §3.5 variant: leave the GPU arena unregistered at creation (lkey/rkey 0)
-  // and let senders register touched device extents on demand through the
-  // transfer engine's device-domain MR cache. Only meaningful with gpudirect.
-  bool gdr_on_demand = false;
   // Device-library parallelism (§3.1; the paper uses 4 CQs / 4 QPs per peer).
   int num_cqs = 4;
   int num_qps_per_peer = 4;

@@ -33,7 +33,6 @@ StatusOr<HostRuntime*> Cluster::AddProcess(const std::string& device_name, int m
   if (is_worker) {
     opts.tensors_on_gpu = options_.worker_tensors_on_gpu;
     opts.gpudirect = options_.worker_gpudirect;
-    opts.gdr_on_demand = options_.worker_gdr_on_demand;
   }
   opts.seed = options_.process_defaults.seed + hosts_.size() * 7919 + 1;
   RDMADL_ASSIGN_OR_RETURN(

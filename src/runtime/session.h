@@ -37,7 +37,6 @@ struct ClusterOptions {
   // worker tensors in GPU memory; PS processes stay on the host CPU).
   bool worker_tensors_on_gpu = false;
   bool worker_gpudirect = false;
-  bool worker_gdr_on_demand = false;
 };
 
 class Cluster {

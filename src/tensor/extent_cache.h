@@ -7,12 +7,6 @@
 // cache, after RDMAvisor): extents are page-aligned MR registrations, values
 // carry the MemoryRegion plus pinning metadata.
 //
-// Extents live in disjoint key spaces (space 0 = host memory, space 1 =
-// device/GPU memory under GPUDirect): lookups never cross spaces and callers
-// can restrict eviction to one space, so shedding a host registration can
-// never invalidate a device MR that in-flight GDR traffic still targets. The
-// zero-argument overloads default to space 0 for existing host-only callers.
-//
 // Recency is tracked with a strictly increasing internal tick — never with
 // addresses — so eviction-victim selection is identical across runs even when
 // the process allocator hands out different pointers (determinism contract of
@@ -32,82 +26,42 @@ template <typename V>
 class ExtentLruCache {
  public:
   struct Entry {
-    uint32_t space = 0;     // Key space (host/device); lookups never cross.
     uint64_t base = 0;
     uint64_t length = 0;
     uint64_t last_use = 0;  // Internal tick; larger = more recent.
     V value{};
   };
 
-  // Returns the entry of a cached extent in |space| covering [addr, addr+len),
-  // bumping its recency, or nullptr on a miss. len == 0 matches any extent
-  // containing addr.
-  Entry* Lookup(uint32_t space, uint64_t addr, uint64_t len) {
-    Entry* e = Find(space, addr, len);
+  // Returns the entry of a cached extent covering [addr, addr+len), bumping
+  // its recency, or nullptr on a miss. len == 0 matches any extent containing
+  // addr.
+  Entry* Lookup(uint64_t addr, uint64_t len) {
+    Entry* e = Find(addr, len);
     if (e != nullptr) e->last_use = ++tick_;
     return e;
   }
-  Entry* Lookup(uint64_t addr, uint64_t len) { return Lookup(0, addr, len); }
 
   // Lookup without bumping recency.
-  const Entry* Peek(uint32_t space, uint64_t addr, uint64_t len) const {
-    return const_cast<ExtentLruCache*>(this)->Find(space, addr, len);
+  const Entry* Peek(uint64_t addr, uint64_t len) const {
+    return const_cast<ExtentLruCache*>(this)->Find(addr, len);
   }
-  const Entry* Peek(uint64_t addr, uint64_t len) const { return Peek(0, addr, len); }
 
   // Inserts a new extent as most recently used. Overlapping extents are
   // allowed (registrations at different alignments); lookups return the
   // first cover found.
-  void Insert(uint32_t space, uint64_t base, uint64_t length, V value) {
+  void Insert(uint64_t base, uint64_t length, V value) {
     Entry e;
-    e.space = space;
     e.base = base;
     e.length = length;
     e.last_use = ++tick_;
     e.value = std::move(value);
-    by_base_[Key(space, base)] = std::move(e);
-  }
-  void Insert(uint64_t base, uint64_t length, V value) {
-    Insert(0, base, length, std::move(value));
+    by_base_[base] = std::move(e);
   }
 
   // Removes and returns the least-recently-used entry satisfying |evictable|
-  // (e.g. "not used in the current step"); nullopt when none qualifies. The
-  // space-restricted overload considers victims from that space only — the
-  // isolation that keeps host-cache pressure from shedding device MRs.
+  // (e.g. "not used in the current step"); nullopt when none qualifies.
   template <typename Pred>
   std::optional<Entry> EvictLru(Pred evictable) {
-    return EvictLruImpl([&](const Entry& e) { return evictable(e); });
-  }
-  template <typename Pred>
-  std::optional<Entry> EvictLru(uint32_t space, Pred evictable) {
-    return EvictLruImpl(
-        [&](const Entry& e) { return e.space == space && evictable(e); });
-  }
-
-  // Visits every entry (teardown: deregister all cached MRs).
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const auto& [key, entry] : by_base_) fn(entry);
-  }
-
-  void Clear() { by_base_.clear(); }
-  size_t size() const { return by_base_.size(); }
-  size_t size_in(uint32_t space) const {
-    size_t n = 0;
-    for (const auto& [key, entry] : by_base_) {
-      if (entry.space == space) ++n;
-    }
-    return n;
-  }
-  bool empty() const { return by_base_.empty(); }
-
- private:
-  using MapKey = std::pair<uint32_t, uint64_t>;  // (space, base)
-  static MapKey Key(uint32_t space, uint64_t base) { return MapKey(space, base); }
-
-  template <typename Pred>
-  std::optional<Entry> EvictLruImpl(Pred evictable) {
     auto victim = by_base_.end();
     for (auto it = by_base_.begin(); it != by_base_.end(); ++it) {
       if (!evictable(it->second)) continue;
@@ -121,17 +75,25 @@ class ExtentLruCache {
     return out;
   }
 
-  Entry* Find(uint32_t space, uint64_t addr, uint64_t len) {
-    if (by_base_.empty()) return nullptr;
-    // Candidate extents start at or below addr within the same space: walk
-    // down from the greatest base <= addr. Overlap means a farther-down
-    // extent can still cover addr, so keep walking while bases stay in the
-    // space. Cache sizes are small (tens of entries); the scan is bounded by
-    // that.
-    auto it = by_base_.upper_bound(Key(space, addr));
+  // Visits every entry (teardown: deregister all cached MRs).
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (const auto& [key, entry] : by_base_) fn(entry);
+  }
+
+  void Clear() { by_base_.clear(); }
+  size_t size() const { return by_base_.size(); }
+  bool empty() const { return by_base_.empty(); }
+
+ private:
+  Entry* Find(uint64_t addr, uint64_t len) {
+    // Candidate extents start at or below addr: walk down from the greatest
+    // base <= addr. Overlap means a farther-down extent can still cover addr,
+    // so keep walking. Cache sizes are small (tens of entries); the scan is
+    // bounded by that.
+    auto it = by_base_.upper_bound(addr);
     while (it != by_base_.begin()) {
       --it;
-      if (it->first.first != space) break;  // Left the space: no cover.
       const Entry& e = it->second;
       if (addr >= e.base && addr - e.base <= e.length &&
           len <= e.length - (addr - e.base)) {
@@ -141,7 +103,7 @@ class ExtentLruCache {
     return nullptr;
   }
 
-  std::map<MapKey, Entry> by_base_;
+  std::map<uint64_t, Entry> by_base_;
   uint64_t tick_ = 0;
 };
 

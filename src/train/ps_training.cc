@@ -373,7 +373,6 @@ Status TrainingDriver::Initialize(int warmup_steps) {
   cluster_options.process_defaults.num_qps_per_peer = config_.num_qps_per_peer;
   cluster_options.worker_tensors_on_gpu = config_.tensors_on_gpu;
   cluster_options.worker_gpudirect = config_.gpudirect;
-  cluster_options.worker_gdr_on_demand = config_.gdr_on_demand;
   cluster_ = std::make_unique<runtime::Cluster>(cluster_options);
 
   worker_machines_.clear();

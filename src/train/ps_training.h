@@ -74,9 +74,6 @@ struct TrainingConfig {
   // the pre-SG behavior (every GDR edge takes the dynamic host-metadata
   // protocol); GDR off makes this flag a no-op.
   bool gdr_device_routes = true;
-  // On-demand device MR registration (GPU arena unregistered at creation;
-  // sender extents registered through the device-domain MR cache).
-  bool gdr_on_demand = false;
   // Force the §3.3 dynamic protocol (ablation).
   bool force_dynamic = false;
   net::CostModel cost;

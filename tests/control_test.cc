@@ -378,11 +378,8 @@ struct LadderWorld {
 
 TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
   LadderWorld world(50'000);
-  comm::ZeroCopyOptions options;
-  options.ladder_demote_after = 2;
-  options.ladder_probation_after = 3;
-  auto mechanism =
-      std::make_unique<comm::ZeroCopyRdmaMechanism>(world.cluster.get(), options);
+  auto mechanism = std::make_unique<comm::ZeroCopyRdmaMechanism>(world.cluster.get(),
+                                                                 comm::ZeroCopyOptions{});
   DistributedSession session(world.cluster.get(), mechanism.get(), &world.graph,
                              SessionOptions{});
   ASSERT_TRUE(session.Setup().ok());
@@ -436,7 +433,7 @@ TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
     }
   }
   ASSERT_GE(promoted_at, 0) << "edge never promoted back to zero-copy";
-  EXPECT_GE(mechanism->stats().degraded_sends, options.ladder_probation_after);
+  EXPECT_GE(mechanism->stats().degraded_sends, comm::kLadderProbationAfter);
   EXPECT_GE(mechanism->stats().ladder_promotions, 1);
   EXPECT_GE(mechanism->stats().probation_probes, 1);
 
@@ -445,26 +442,101 @@ TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
   EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kZeroCopy);
 }
 
-TEST(LadderTest, ArenaExhaustionDemotesImmediatelyAndServesDegraded) {
+// A probe that fails while the link is still dropping sends the edge back to
+// kDegraded with its probation count reset: it takes kLadderProbationAfter
+// fresh clean degraded sends before the next probe, which then promotes.
+TEST(LadderTest, FailedProbationProbeRedemotesAndRestartsProbation) {
+  LadderWorld world(50'000);
+  auto mechanism = std::make_unique<comm::ZeroCopyRdmaMechanism>(world.cluster.get(),
+                                                                 comm::ZeroCopyOptions{});
+  DistributedSession session(world.cluster.get(), mechanism.get(), &world.graph,
+                             SessionOptions{});
+  ASSERT_TRUE(session.Setup().ok());
+  ASSERT_TRUE(session.RunStep().ok());  // Tracing step.
+  ASSERT_EQ(session.transfer_edges().size(), 1u);
+  const std::string edge_key = session.transfer_edges()[0].key;
+  const comm::ZeroCopyStats& stats = mechanism->stats();
+
+  FaultInjector injector(FaultSeedFromEnv(24));
+  LinkFaultSpec drop_all;
+  drop_all.drop_probability = 1.0;
+  world.cluster->fabric()->SetFaultInjector(&injector);
+  auto run_clean_step = [&] {
+    ASSERT_TRUE(session.RunStep().ok());
+    const Tensor* out = session.executor_for("worker:0")->OutputOf("consume");
+    ASSERT_NE(out, nullptr);
+    const Tensor& source = world.cluster->host("ps:0")->resources()->GetVariable("w");
+    double expected = 0;
+    for (int64_t j = 0; j < source.num_elements(); ++j) expected += source.at<float>(j);
+    EXPECT_NEAR(out->at<float>(0), expected, std::abs(expected) * 1e-5 + 1e-3);
+  };
+  auto run_failing_step = [&] {
+    EXPECT_FALSE(session.RunStep().ok());
+    ASSERT_TRUE(world.QuiesceAndRecover(mechanism.get()).ok());
+  };
+
+  // Demote: kLadderDemoteAfter zero-copy sends fail in a row.
+  injector.SetLinkFault(0, 1, drop_all);
+  for (int i = 0; i < comm::kLadderDemoteAfter; ++i) run_failing_step();
+  ASSERT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded);
+  ASSERT_EQ(stats.ladder_demotions, 1);
+
+  // A clean degraded span opens probation, but the drops are back when the
+  // probe goes out: the probe fails and the edge falls back to kDegraded.
+  injector.SetLinkFault(0, 1, LinkFaultSpec{});
+  for (int i = 0; i < comm::kLadderProbationAfter; ++i) run_clean_step();
+  ASSERT_EQ(stats.probation_probes, 0);
+  injector.SetLinkFault(0, 1, drop_all);
+  run_failing_step();
+  EXPECT_EQ(stats.probation_probes, 1);
+  EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded);
+  EXPECT_EQ(stats.ladder_promotions, 0);
+
+  // Probation restarted from zero: the next kLadderProbationAfter clean
+  // sends are all served degraded without a probe...
+  injector.SetLinkFault(0, 1, LinkFaultSpec{});
+  const int64_t degraded_before = stats.degraded_sends;
+  for (int i = 0; i < comm::kLadderProbationAfter; ++i) {
+    run_clean_step();
+    EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded);
+  }
+  EXPECT_EQ(stats.degraded_sends, degraded_before + comm::kLadderProbationAfter);
+  EXPECT_EQ(stats.probation_probes, 1);
+
+  // ...and the probe after that span succeeds and promotes the edge.
+  run_clean_step();
+  EXPECT_EQ(stats.probation_probes, 2);
+  EXPECT_EQ(stats.ladder_promotions, 1);
+  EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kZeroCopy);
+  EXPECT_EQ(stats.degraded_sends, degraded_before + comm::kLadderProbationAfter);
+}
+
+// Parameterized on ZeroCopyOptions::force_dynamic: the degraded path must
+// deliver exact bytes on the static protocol (preallocated tensor + flag) and
+// on the dynamic one (receiver-side tensor materialized directly).
+class LadderProtocolTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LadderProtocolTest, ArenaExhaustionDemotesImmediatelyAndServesDegraded) {
   // RDMA.cp (graph analysis off) stages every send through the sender's RDMA
   // arena. An arena too small for the payload would fail the send outright —
   // with the ladder it is served over the staged RPC path instead.
   LadderWorld world(200'000);  // 800 KB payload.
   comm::ZeroCopyOptions options;
   options.graph_analysis = false;
+  options.force_dynamic = GetParam();
   auto mechanism =
       std::make_unique<comm::ZeroCopyRdmaMechanism>(world.cluster.get(), options);
-  // Shrink the sender's arena below the payload size after setup buffers are
-  // carved out, by burning it with a large allocation.
   DistributedSession session(world.cluster.get(), mechanism.get(), &world.graph,
                              SessionOptions{});
   ASSERT_TRUE(session.Setup().ok());
-  ASSERT_TRUE(session.RunStep().ok());
   ASSERT_EQ(session.transfer_edges().size(), 1u);
   const std::string edge_key = session.transfer_edges()[0].key;
 
   // Exhaust the ps:0 RDMA staging arena (64 KB chunks leave no hole big
   // enough for the 800 KB payload) so the staging copy cannot be placed.
+  // This happens before the first step: a dynamic edge keeps each step's
+  // staging copy until the next step boundary, whose release would reopen
+  // a hole of exactly the payload's size.
   runtime::HostRuntime* ps = world.cluster->host("ps:0");
   auto arena_or = ps->rdma_arena();
   ASSERT_TRUE(arena_or.ok()) << arena_or.status();
@@ -484,7 +556,13 @@ TEST(LadderTest, ArenaExhaustionDemotesImmediatelyAndServesDegraded) {
   double expected = 0;
   for (int64_t j = 0; j < source.num_elements(); ++j) expected += source.at<float>(j);
   EXPECT_NEAR(out->at<float>(0), expected, std::abs(expected) * 1e-5 + 1e-3);
+  EXPECT_EQ(mechanism->stats().dynamic_transfers, GetParam() ? 1 : 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Protocols, LadderProtocolTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Dynamic" : "Static";
+                         });
 
 }  // namespace
 }  // namespace rdmadl

@@ -555,72 +555,6 @@ TEST(TransferEngineTest, WriteGatherRejectsMixedRegistrationKeys) {
   EXPECT_EQ(result.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(TransferEngineTest, MrCacheDeviceDomainSurvivesHostChurn) {
-  World world;
-  auto dev = world.MakeDevice(0);
-  TransferEngineOptions options;
-  options.mr_cache_capacity = 2;
-  TransferEngine engine(dev.get(), options);
-
-  std::vector<uint8_t> host_backing(1 << 20);
-  std::vector<uint8_t> device_backing(64 << 10);  // Stands in for a GPU arena.
-
-  engine.BeginEpoch(1);
-  auto dev_mr = engine.GetOrRegisterMr(device_backing.data(), 4096,
-                                       TransferEngine::MemDomain::kDevice);
-  ASSERT_TRUE(dev_mr.ok());
-  EXPECT_FALSE(dev_mr->hit);
-
-  // Host-domain churn well past capacity: every eviction must pick a host
-  // victim, never the device MR that in-flight GDR traffic still targets.
-  for (int i = 0; i < 6; ++i) {
-    engine.BeginEpoch(2 + i);
-    auto h = engine.GetOrRegisterMr(host_backing.data() + i * (128 << 10), 4096,
-                                    TransferEngine::MemDomain::kHost);
-    ASSERT_TRUE(h.ok()) << h.status();
-  }
-  EXPECT_GT(engine.stats().mr_cache_evictions, 0);
-  EXPECT_EQ(engine.mr_cache_size_in(TransferEngine::MemDomain::kDevice), 1);
-  EXPECT_LE(engine.mr_cache_size_in(TransferEngine::MemDomain::kHost), 2);
-
-  // The device registration is still live — a re-lookup hits with the same keys.
-  auto dev_mr2 = engine.GetOrRegisterMr(device_backing.data(), 4096,
-                                        TransferEngine::MemDomain::kDevice);
-  ASSERT_TRUE(dev_mr2.ok());
-  EXPECT_TRUE(dev_mr2->hit);
-  EXPECT_EQ(dev_mr2->lkey, dev_mr->lkey);
-  EXPECT_EQ(dev_mr2->rkey, dev_mr->rkey);
-}
-
-TEST(ExtentLruCacheTest, KeySpacesAreDisjointForLookupAndEviction) {
-  tensor::ExtentLruCache<int> cache;
-  // Same address range in both spaces: entries coexist and never shadow each
-  // other.
-  cache.Insert(/*space=*/0, 4096, 8192, 10);
-  cache.Insert(/*space=*/1, 4096, 8192, 20);
-  ASSERT_NE(cache.Lookup(0, 4096, 100), nullptr);
-  EXPECT_EQ(cache.Lookup(0, 4096, 100)->value, 10);
-  ASSERT_NE(cache.Lookup(1, 4096, 100), nullptr);
-  EXPECT_EQ(cache.Lookup(1, 4096, 100)->value, 20);
-  EXPECT_EQ(cache.size_in(0), 1u);
-  EXPECT_EQ(cache.size_in(1), 1u);
-
-  // Space-restricted eviction only considers victims from that space, even
-  // when the other space holds the LRU entry overall.
-  cache.Insert(0, 65536, 4096, 11);  // Space 0 now has two entries.
-  auto victim = cache.EvictLru(/*space=*/0, [](const auto&) { return true; });
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->space, 0u);
-  EXPECT_EQ(cache.size_in(1), 1u);  // The device-space entry never moved.
-  victim = cache.EvictLru(/*space=*/0, [](const auto&) { return true; });
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(victim->space, 0u);
-  // Space 0 exhausted: a space-0 eviction finds nothing, space 1 still does.
-  EXPECT_FALSE(cache.EvictLru(/*space=*/0, [](const auto&) { return true; }).has_value());
-  ASSERT_TRUE(cache.EvictLru(/*space=*/1, [](const auto&) { return true; }).has_value());
-  EXPECT_TRUE(cache.empty());
-}
-
 TEST(ExtentLruCacheTest, CoversLookupsAndEvictsLeastRecentlyUsed) {
   tensor::ExtentLruCache<int> cache;
   cache.Insert(4096, 8192, 1);
