@@ -115,7 +115,7 @@ BENCHMARK(BM_MatMulKernel)->Arg(16)->Arg(64);
 
 // Wall-clock of the scatter/gather posting path: one WriteGather call with N
 // extents, run to completion. The engine keeps its flattening scratch
-// (gather_scratch_) and stripe plan (stripe_bounds_) hoisted as members —
+// (gather_scratch_) and stripe plan (pieces_) hoisted as members —
 // cleared, never shrunk — so steady-state iterations allocate nothing per
 // extent while planning. Per-extent heap churn in the posting path shows up
 // directly as a drop in extents/second here.

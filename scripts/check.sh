@@ -91,7 +91,7 @@
 #   BUILD_DIR    override the build directory (default: build, or
 #                build-<flavor> for sanitizer passes)
 #   JOBS         parallelism (default: nproc)
-#   CHAOS_SEEDS  space-separated seed list for --chaos/--elastic/--verify
+#   CHAOS_SEEDS  space-separated seed list for every seed-sweeping mode
 #                (default: 1..10)
 set -euo pipefail
 
@@ -117,6 +117,7 @@ for arg in "$@"; do
 done
 
 JOBS="${JOBS:-$(nproc)}"
+SEEDS="${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}"
 
 build_and_test() {
   local sanitize="$1" build_dir="$2"
@@ -129,6 +130,16 @@ plain_build() {
   BUILD_DIR="${BUILD_DIR:-build}"
   cmake -B "$BUILD_DIR" -S . -DRDMADL_SANITIZE=OFF
   cmake --build "$BUILD_DIR" -j "$JOBS"
+}
+
+# ASan+UBSan-builds the given test targets next to the plain build, runs each.
+#   asan_suites TARGET...
+asan_suites() {
+  local san_dir="${BUILD_DIR:-build}-sanitize" target targets=()
+  for target in "$@"; do targets+=(--target "$target"); done
+  cmake -B "$san_dir" -S . -DRDMADL_SANITIZE=address
+  cmake --build "$san_dir" -j "$JOBS" "${targets[@]}"
+  for target in "$@"; do "$san_dir/tests/$target" --gtest_brief=1; done
 }
 
 # Runs a command twice and fails unless both stdouts are byte-identical.
@@ -242,13 +253,13 @@ case "$MODE" in
     # schedules from RDMADL_FAULT_SEED, so each seed is a distinct — but
     # reproducible — storm of drops, spikes, flaps and crashes.
     plain_build
-    for seed in ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}; do
+    for seed in $SEEDS; do
       echo "=== chaos sweep: RDMADL_FAULT_SEED=$seed ==="
       RDMADL_FAULT_SEED="$seed" "$BUILD_DIR/tests/fault_test" --gtest_brief=1
       RDMADL_FAULT_SEED="$seed" "$BUILD_DIR/tests/property_test" --gtest_brief=1 \
         --gtest_filter='Seeds/HealingFaultAllReduceTest.*'
     done
-    echo "chaos sweep passed for seeds: ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}"
+    echo "chaos sweep passed for seeds: $SEEDS"
     ;;
   elastic)
     # Elastic recovery sweep: crash one host per scenario (worker, PS,
@@ -256,13 +267,13 @@ case "$MODE" in
     # finish the run on the survivors. The membership spike property test
     # rides along so each seed also attests "no false positives under load".
     plain_build
-    for seed in ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}; do
+    for seed in $SEEDS; do
       echo "=== elastic sweep: RDMADL_FAULT_SEED=$seed ==="
       RDMADL_FAULT_SEED="$seed" "$BUILD_DIR/tests/elastic_test" --gtest_brief=1
       RDMADL_FAULT_SEED="$seed" "$BUILD_DIR/tests/control_test" --gtest_brief=1 \
         --gtest_filter='MembershipPropertyTest.*'
     done
-    echo "elastic sweep passed for seeds: ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}"
+    echo "elastic sweep passed for seeds: $SEEDS"
     ;;
   verify)
     # RdmaCheck CI mode. First the negative matrix: every seeded violation
@@ -272,14 +283,14 @@ case "$MODE" in
     # diagnostic — protocol violation or teardown leak — fails the sweep.
     plain_build
     "$BUILD_DIR/tests/check_test" --gtest_brief=1
-    for seed in ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}; do
+    for seed in $SEEDS; do
       echo "=== checker sweep: RDMADL_FAULT_SEED=$seed RDMADL_CHECK=1 ==="
       RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 \
         "$BUILD_DIR/tests/fault_test" --gtest_brief=1
       RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 \
         "$BUILD_DIR/tests/elastic_test" --gtest_brief=1
     done
-    echo "checker sweep passed for seeds: ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}"
+    echo "checker sweep passed for seeds: $SEEDS"
     ;;
   bench-smoke)
     plain_build
@@ -302,16 +313,13 @@ case "$MODE" in
     plain_build
     "$BUILD_DIR/tests/congestion_test" --gtest_brief=1
     RDMADL_CHECK=1 "$BUILD_DIR/tests/congestion_test" --gtest_brief=1
-    for seed in ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}; do
+    for seed in $SEEDS; do
       echo "=== congestion sweep: chaos seed $seed (CC + stragglers + RdmaCheck) ==="
       congestion_seed_run "$BUILD_DIR" "$seed"
     done
     "$BUILD_DIR/bench/bench_scale" --quick --check=1 --congestion --tail >/dev/null 2>&1
-    SAN_DIR="${BUILD_DIR:-build}-sanitize"
-    cmake -B "$SAN_DIR" -S . -DRDMADL_SANITIZE=address
-    cmake --build "$SAN_DIR" -j "$JOBS" --target congestion_test
-    "$SAN_DIR/tests/congestion_test" --gtest_brief=1
-    echo "congestion sweep passed for seeds: ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}"
+    asan_suites congestion_test
+    echo "congestion sweep passed for seeds: $SEEDS"
     ;;
   collectives)
     # Collective conformance sweep (ISSUE 7). The equivalence matrix runs
@@ -323,17 +331,14 @@ case "$MODE" in
     plain_build
     "$BUILD_DIR/tests/collective_conformance_test" --gtest_brief=1
     RDMADL_CHECK=1 "$BUILD_DIR/tests/collective_conformance_test" --gtest_brief=1
-    for seed in ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}; do
+    for seed in $SEEDS; do
       echo "=== collective chaos sweep: RDMADL_FAULT_SEED=$seed ==="
       RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 "$BUILD_DIR/tests/fault_test" \
         --gtest_brief=1 --gtest_filter='HierarchicalChaosTest.*'
       RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 "$BUILD_DIR/tests/elastic_test" \
         --gtest_brief=1 --gtest_filter='*Hierarchical*'
     done
-    SAN_DIR="${BUILD_DIR:-build}-sanitize"
-    cmake -B "$SAN_DIR" -S . -DRDMADL_SANITIZE=address
-    cmake --build "$SAN_DIR" -j "$JOBS" --target collective_conformance_test
-    "$SAN_DIR/tests/collective_conformance_test" --gtest_brief=1
+    asan_suites collective_conformance_test
     echo "collective conformance sweep passed"
     ;;
   gdr)
@@ -353,19 +358,13 @@ case "$MODE" in
     "$BUILD_DIR/tests/check_test" --gtest_brief=1
     RDMADL_CHECK=1 "$BUILD_DIR/tests/rdma_test" --gtest_brief=1
     RDMADL_CHECK=1 "$BUILD_DIR/tests/transfer_engine_test" --gtest_brief=1
-    for seed in ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}; do
+    for seed in $SEEDS; do
       echo "=== gdr chaos sweep: RDMADL_FAULT_SEED=$seed (device-resident, RdmaCheck) ==="
       gdr_seed_run "$BUILD_DIR" "$seed"
     done
     gdr_smoke "$BUILD_DIR"
-    SAN_DIR="${BUILD_DIR:-build}-sanitize"
-    cmake -B "$SAN_DIR" -S . -DRDMADL_SANITIZE=address
-    cmake --build "$SAN_DIR" -j "$JOBS" --target rdma_test \
-      --target transfer_engine_test --target check_test
-    "$SAN_DIR/tests/rdma_test" --gtest_brief=1
-    "$SAN_DIR/tests/transfer_engine_test" --gtest_brief=1
-    "$SAN_DIR/tests/check_test" --gtest_brief=1
-    echo "gdr sweep passed for seeds: ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}"
+    asan_suites rdma_test transfer_engine_test check_test
+    echo "gdr sweep passed for seeds: $SEEDS"
     ;;
   explore)
     # Schedule-space exploration sweep (ISSUE 9). The explorer's own suite

@@ -22,7 +22,7 @@ void CollectiveGroup::StartBroadcast(const std::shared_ptr<Op>& op) {
   CHECK_GT(n, 1);
   const int root = op->root;
   const int segments =
-      static_cast<int>(std::min<uint64_t>(options_.broadcast_segments, op->count));
+      static_cast<int>(std::min<uint64_t>(kBroadcastSegments, op->count));
   op->pending_units = n - 1;
 
   // Segment geometry, shared by every hop.

@@ -96,8 +96,6 @@ struct CollectiveOptions {
   Transport transport = Transport::kRdmaZeroCopy;
   // Ring lanes that pipeline independently; slot memory scales with this.
   int pipeline_depth = 4;
-  // Segments a Broadcast is chopped into for chained pipelining.
-  int broadcast_segments = 8;
   // Port the group's per-rank devices bind on their hosts.
   uint16_t port = 7100;
   // Real payload memory (tests, examples) vs. virtual ranges (benchmarks).

@@ -99,7 +99,6 @@ StatusOr<std::unique_ptr<CollectiveGroup>> CollectiveGroup::Create(
     }
   }
   options.pipeline_depth = std::clamp(options.pipeline_depth, 1, 64);
-  options.broadcast_segments = std::clamp(options.broadcast_segments, 1, 256);
   options.num_cqs = std::clamp(options.num_cqs, 1, 16);
 
   std::unique_ptr<CollectiveGroup> group(
@@ -201,7 +200,7 @@ void CollectiveGroup::ComputeLayout(int n) {
   // the block and its trailing constant source byte share one registration.
   const int ring_flags = lanes * (n > 1 ? 2 * (n - 1) : 1);
   flag_capacity_ =
-      std::max({ring_flags, n, options_.broadcast_segments, 1, hier_flags, innet_flags});
+      std::max({ring_flags, n, kBroadcastSegments, 1, hier_flags, innet_flags});
   flag_capacity_ = static_cast<int>(CeilDiv(flag_capacity_, 64) * 64);
 }
 

@@ -16,6 +16,9 @@
 namespace rdmadl {
 namespace collective {
 
+// Segments a Broadcast is chopped into for chained pipelining.
+constexpr int kBroadcastSegments = 8;
+
 // Per-rank resources, all set up once at group creation (§3.2 static
 // placement: nothing on the collective critical path ever allocates or
 // registers memory).

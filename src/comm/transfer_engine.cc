@@ -9,6 +9,30 @@
 namespace rdmadl {
 namespace comm {
 
+namespace {
+
+// Hands |status| to |*callback| at most once: the first call takes the
+// callback, so every WR of one write can share it and the caller sees
+// exactly one completion. A null callback is never invoked.
+void FireOnce(device::MemcpyCallback* callback, const Status& status) {
+  if (*callback) std::exchange(*callback, nullptr)(status);
+}
+
+// Posts |desc| as one RDMA write on |channel|.
+void PostWrite(device::RdmaChannel* channel, const TransferEngine::WriteDesc& desc,
+               device::MemcpyCallback on_done) {
+  channel->Memcpy(desc.local_addr, desc.lkey, desc.remote_addr, desc.rkey, desc.bytes,
+                  device::Direction::kLocalToRemote, std::move(on_done), desc.copy_bytes);
+}
+
+device::RdmaChannel::BatchWrite BatchEntry(const TransferEngine::WriteDesc& desc,
+                                           device::MemcpyCallback on_done) {
+  return {desc.local_addr, desc.lkey, desc.remote_addr, desc.rkey,
+          desc.bytes,      desc.copy_bytes, std::move(on_done)};
+}
+
+}  // namespace
+
 TransferEngine::TransferEngine(device::RdmaDevice* device, const TransferEngineOptions& options)
     : device_(device), options_(options) {
   CHECK(device_ != nullptr);
@@ -49,12 +73,6 @@ StatusOr<device::RdmaChannel*> TransferEngine::Channel(const Endpoint& remote, i
   RDMADL_ASSIGN_OR_RETURN(device::RdmaChannel * channel, device_->GetChannel(remote, lane));
   channel_cache_[key] = channel;
   return channel;
-}
-
-void TransferEngine::FailAsync(device::MemcpyCallback on_done, Status status) {
-  if (!on_done) return;
-  device_->simulator()->ScheduleAfter(
-      0, [cb = std::move(on_done), s = std::move(status)]() { cb(s); });
 }
 
 TransferEngine::Route TransferEngine::WriteWithFlag(const Endpoint& remote,
@@ -111,50 +129,25 @@ TransferEngine::Route TransferEngine::PostDirect(const Endpoint& remote,
                                                  device::MemcpyCallback on_done) {
   auto channel_or = Channel(remote, lane_hint % std::max(1, device_->num_qps_per_peer()));
   if (!channel_or.ok()) {
-    FailAsync(std::move(on_done), channel_or.status());
+    device_->FailAsync(std::move(on_done), channel_or.status());
     return Route::kDirect;
   }
   device::RdmaChannel* channel = *channel_or;
   ++stats_.direct_writes;
-  if (payload.bytes == 0) {
-    channel->Memcpy(flag.local_addr, flag.lkey, flag.remote_addr, flag.rkey, flag.bytes,
-                    device::Direction::kLocalToRemote, std::move(on_done), flag.copy_bytes);
-    return Route::kDirect;
-  }
-  if (flag.bytes == 0) {
-    // Payload only (flagless write, or the flag was mutated away): the
-    // payload completion is the one the caller sees.
-    channel->Memcpy(payload.local_addr, payload.lkey, payload.remote_addr, payload.rkey,
-                    payload.bytes, device::Direction::kLocalToRemote, std::move(on_done),
-                    payload.copy_bytes);
+  if (payload.bytes == 0 || flag.bytes == 0) {
+    // One write alone (flag only, a flagless payload, or a payload whose
+    // flag was mutated away): its completion is the one the caller sees.
+    PostWrite(channel, payload.bytes == 0 ? flag : payload, std::move(on_done));
     return Route::kDirect;
   }
   // Same-QP FIFO + ascending-address delivery orders the flag behind the
   // payload (§3.2). The payload callback fires only on error; the flag
   // callback is the one completion the caller sees.
   auto state = std::make_shared<device::MemcpyCallback>(std::move(on_done));
-  channel->Memcpy(
-      payload.local_addr, payload.lkey, payload.remote_addr, payload.rkey, payload.bytes,
-      device::Direction::kLocalToRemote,
-      [state](const Status& status) {
-        if (!status.ok() && *state) {
-          device::MemcpyCallback cb = std::move(*state);
-          *state = nullptr;
-          cb(status);
-        }
-      },
-      payload.copy_bytes);
-  channel->Memcpy(
-      flag.local_addr, flag.lkey, flag.remote_addr, flag.rkey, flag.bytes,
-      device::Direction::kLocalToRemote,
-      [state](const Status& status) {
-        if (*state) {
-          device::MemcpyCallback cb = std::move(*state);
-          *state = nullptr;
-          cb(status);
-        }
-      },
-      flag.copy_bytes);
+  PostWrite(channel, payload, [state](const Status& status) {
+    if (!status.ok()) FireOnce(state.get(), status);
+  });
+  PostWrite(channel, flag, [state](const Status& status) { FireOnce(state.get(), status); });
   return Route::kDirect;
 }
 
@@ -167,115 +160,43 @@ void TransferEngine::PostStriped(const Endpoint& remote, const WriteDesc& payloa
   const uint64_t mtu = std::max<uint64_t>(1, device_->cost().rdma_mtu_bytes);
   uint64_t per = (payload.bytes + lanes - 1) / lanes;
   per = (per + mtu - 1) / mtu * mtu;
-  const int num_stripes = static_cast<int>((payload.bytes + per - 1) / per);
-
-  // Resolve every channel before posting anything, so a connection failure
-  // fails the write whole instead of half-posted.
-  std::vector<device::RdmaChannel*> channels;
-  channels.reserve(num_stripes);
-  for (int i = 0; i < num_stripes; ++i) {
-    auto channel_or = Channel(remote, i % lanes);
-    if (!channel_or.ok()) {
-      FailAsync(std::move(on_done), channel_or.status());
-      return;
-    }
-    channels.push_back(*channel_or);
+  pieces_.clear();
+  for (uint64_t offset = 0; offset < payload.bytes; offset += per) {
+    Piece piece;
+    piece.lane = static_cast<int>(pieces_.size()) % lanes;
+    piece.write = payload;
+    piece.write.local_addr = static_cast<uint8_t*>(payload.local_addr) + offset;
+    piece.write.remote_addr += offset;
+    piece.write.bytes = std::min(per, payload.bytes - offset);
+    pieces_.push_back(piece);
   }
-  auto flag_channel_or = Channel(remote, lane_hint % lanes);
-  if (!flag_channel_or.ok()) {
-    FailAsync(std::move(on_done), flag_channel_or.status());
+  if (!PostJoined(remote, flag, lane_hint % lanes, /*flag_rides_in_list=*/false,
+                  std::move(on_done))) {
     return;
   }
-
   ++stats_.striped_writes;
-  stats_.stripe_lane_writes += num_stripes;
-
-  struct Join {
-    int pending = 0;
-    bool failed = false;
-    bool flag_posted = false;  // Set by the kFlagBeforeLastStripe mutation.
-    device::MemcpyCallback on_done;
-    device::RdmaChannel* flag_channel = nullptr;
-    WriteDesc flag;
-  };
-  auto join = std::make_shared<Join>();
-  join->pending = num_stripes;
-  join->on_done = std::move(on_done);
-  join->flag_channel = *flag_channel_or;
-  join->flag = flag;
-
-  uint64_t offset = 0;
-  for (int i = 0; i < num_stripes; ++i) {
-    const uint64_t len = std::min(per, payload.bytes - offset);
-    channels[i]->Memcpy(
-        static_cast<uint8_t*>(payload.local_addr) + offset, payload.lkey,
-        payload.remote_addr + offset, payload.rkey, len, device::Direction::kLocalToRemote,
-        [join](const Status& status) {
-          if (!status.ok() && !join->failed) {
-            // First stripe error fails the write; later completions only
-            // drain the join.
-            join->failed = true;
-            if (join->on_done) {
-              device::MemcpyCallback cb = std::move(join->on_done);
-              join->on_done = nullptr;
-              cb(status);
-            }
-          }
-          if (check::MutationEnabled(check::kFlagBeforeLastStripe) && !join->failed &&
-              !join->flag_posted && join->flag.bytes > 0) {
-            // Seeded bug (explorer self-validation): the flag is posted on
-            // the FIRST stripe completion — sibling stripes are still in
-            // flight, so a receiver that trusts the flag reads a torn
-            // payload.
-            join->flag_posted = true;
-            join->flag_channel->Memcpy(join->flag.local_addr, join->flag.lkey,
-                                       join->flag.remote_addr, join->flag.rkey,
-                                       join->flag.bytes, device::Direction::kLocalToRemote,
-                                       [](const Status&) {}, join->flag.copy_bytes);
-          }
-          if (--join->pending > 0 || join->failed) return;
-          // Every stripe's completion has been observed: all payload bytes
-          // are at the target, so the flag — on any lane — cannot overtake
-          // them (the checker's completion-ordering happens-before edge).
-          if (join->flag.bytes == 0 || join->flag_posted) {
-            if (join->on_done) {
-              device::MemcpyCallback cb = std::move(join->on_done);
-              join->on_done = nullptr;
-              cb(OkStatus());
-            }
-            return;
-          }
-          join->flag_channel->Memcpy(join->flag.local_addr, join->flag.lkey,
-                                     join->flag.remote_addr, join->flag.rkey, join->flag.bytes,
-                                     device::Direction::kLocalToRemote,
-                                     std::move(join->on_done), join->flag.copy_bytes);
-          join->on_done = nullptr;
-        },
-        payload.copy_bytes);
-    offset += len;
-  }
+  stats_.stripe_lane_writes += static_cast<int64_t>(pieces_.size());
 }
 
 TransferEngine::Route TransferEngine::WriteGather(const Endpoint& remote,
                                                   const std::vector<WriteDesc>& extents,
-                                                  const WriteDesc& flag, int lane_hint,
+                                                  const WriteDesc& flag_desc, int lane_hint,
                                                   device::MemcpyCallback on_done) {
   if (extents.empty()) {
     WriteDesc empty;
-    return PostDirect(remote, empty, flag, lane_hint, std::move(on_done));
+    return PostDirect(remote, empty, flag_desc, lane_hint, std::move(on_done));
   }
   if (extents.size() == 1) {
     // A single extent has nothing to gather: reuse the size-based routing
     // (striping / coalescing / direct) unchanged.
-    return WriteWithFlag(remote, extents[0], flag, lane_hint, std::move(on_done));
+    return WriteWithFlag(remote, extents[0], flag_desc, lane_hint, std::move(on_done));
   }
   const uint32_t lkey = extents[0].lkey;
   const uint32_t rkey = extents[0].rkey;
-  const bool copy_bytes = extents[0].copy_bytes;
   uint64_t total = 0;
   for (const WriteDesc& e : extents) {
     if (e.lkey != lkey || e.rkey != rkey) {
-      FailAsync(std::move(on_done),
+      device_->FailAsync(std::move(on_done),
                 InvalidArgument("WriteGather extents must share one lkey/rkey pair"));
       return Route::kScatterGather;
     }
@@ -292,7 +213,7 @@ TransferEngine::Route TransferEngine::WriteGather(const Endpoint& remote,
   }
   if (gather_scratch_.empty()) {
     WriteDesc empty;
-    return PostDirect(remote, empty, flag, lane_hint, std::move(on_done));
+    return PostDirect(remote, empty, flag_desc, lane_hint, std::move(on_done));
   }
   // Stripe only when the payload clears the same gate as WriteWithFlag's
   // striping route: multiple lanes, threshold met, and a finite per-QP
@@ -303,13 +224,6 @@ TransferEngine::Route TransferEngine::WriteGather(const Endpoint& remote,
       device_->nic()->cost().rdma_qp_engine_bytes_per_sec > 0) {
     stripes = std::min<int>(LaneCountFor(remote), static_cast<int>(gather_scratch_.size()));
   }
-  PostGather(remote, flag, lane_hint, stripes, lkey, rkey, copy_bytes, std::move(on_done));
-  return Route::kScatterGather;
-}
-
-void TransferEngine::PostGather(const Endpoint& remote, const WriteDesc& flag_desc,
-                                int lane_hint, int stripes, uint32_t lkey, uint32_t rkey,
-                                bool copy_bytes, device::MemcpyCallback on_done) {
   WriteDesc flag = flag_desc;
   if (flag.bytes > 0 && check::MutationEnabled(check::kSkipFlagWrite)) {
     flag.bytes = 0;  // Seeded bug: the flag write is silently dropped.
@@ -318,111 +232,120 @@ void TransferEngine::PostGather(const Endpoint& remote, const WriteDesc& flag_de
                                   check::MutationEnabled(check::kFlagRidesInSgList) &&
                                   flag.lkey == lkey && flag.rkey == rkey;
   // Partition the flattened extents into contiguous, byte-balanced runs (one
-  // per stripe) without splitting any extent. stripe_bounds_ is hoisted
-  // scratch like gather_scratch_.
-  uint64_t total = 0;
-  for (const rdma::SgExtent& e : gather_scratch_) total += e.length;
-  stripe_bounds_.clear();
+  // SG-WR per stripe) without splitting any extent.
+  const int lanes = LaneCountFor(remote);
+  pieces_.clear();
   const uint64_t per_stripe = (total + stripes - 1) / stripes;
   size_t begin = 0;
   uint64_t run_bytes = 0;
   for (size_t i = 0; i < gather_scratch_.size(); ++i) {
     run_bytes += gather_scratch_[i].length;
     const bool more_extents = i + 1 < gather_scratch_.size();
-    const bool stripes_left =
-        static_cast<int>(stripe_bounds_.size()) + 1 < stripes;
+    const bool stripes_left = static_cast<int>(pieces_.size()) + 1 < stripes;
     if (!more_extents || (run_bytes >= per_stripe && stripes_left &&
                           gather_scratch_.size() - (i + 1) >=
-                              static_cast<size_t>(stripes) - stripe_bounds_.size() - 1)) {
-      stripe_bounds_.emplace_back(begin, i + 1);
+                              static_cast<size_t>(stripes) - pieces_.size() - 1)) {
+      Piece piece;
+      piece.lane = static_cast<int>(pieces_.size()) % lanes;
+      piece.write = extents[0];
+      piece.begin = begin;
+      piece.end = i + 1;
+      pieces_.push_back(piece);
       begin = i + 1;
       run_bytes = 0;
     }
   }
-  const int num_wrs = static_cast<int>(stripe_bounds_.size());
+  if (pieces_.size() == 1) pieces_[0].lane = lane_hint % lanes;
+  if (PostJoined(remote, flag, lane_hint % lanes, flag_rides_in_list, std::move(on_done))) {
+    ++stats_.gather_writes;
+    stats_.sg_wrs_posted += static_cast<int64_t>(pieces_.size());
+    stats_.sg_extents_posted += static_cast<int64_t>(gather_scratch_.size());
+  }
+  return Route::kScatterGather;
+}
 
-  // Resolve every channel before posting anything (whole-or-nothing, like
-  // PostStriped).
-  const int lanes = LaneCountFor(remote);
-  std::vector<device::RdmaChannel*> channels;
-  channels.reserve(num_wrs);
-  for (int i = 0; i < num_wrs; ++i) {
-    auto channel_or = Channel(remote, num_wrs == 1 ? lane_hint % lanes : i % lanes);
+bool TransferEngine::PostJoined(const Endpoint& remote, const WriteDesc& flag, int flag_lane,
+                                bool flag_rides_in_list, device::MemcpyCallback on_done) {
+  // Resolve every channel before posting anything, so a connection failure
+  // fails the write whole instead of half-posted.
+  for (Piece& piece : pieces_) {
+    auto channel_or = Channel(remote, piece.lane);
     if (!channel_or.ok()) {
-      FailAsync(std::move(on_done), channel_or.status());
-      return;
+      device_->FailAsync(std::move(on_done), channel_or.status());
+      return false;
     }
-    channels.push_back(*channel_or);
+    piece.channel = *channel_or;
   }
-  auto flag_channel_or = Channel(remote, lane_hint % lanes);
+  auto flag_channel_or = Channel(remote, flag_lane);
   if (!flag_channel_or.ok()) {
-    FailAsync(std::move(on_done), flag_channel_or.status());
-    return;
+    device_->FailAsync(std::move(on_done), flag_channel_or.status());
+    return false;
   }
-
-  ++stats_.gather_writes;
-  stats_.sg_wrs_posted += num_wrs;
-  stats_.sg_extents_posted += static_cast<int64_t>(gather_scratch_.size());
 
   struct Join {
     int pending = 0;
     bool failed = false;
+    // Set when a seeded mutation wrote the flag already: early, or inside
+    // the SG list.
     bool flag_posted = false;
     device::MemcpyCallback on_done;
     device::RdmaChannel* flag_channel = nullptr;
     WriteDesc flag;
   };
   auto join = std::make_shared<Join>();
-  join->pending = num_wrs;
+  join->pending = static_cast<int>(pieces_.size());
   join->on_done = std::move(on_done);
   join->flag_channel = *flag_channel_or;
   join->flag = flag;
-  join->flag_posted = flag_rides_in_list;  // Mutated: no separate flag write.
+  join->flag_posted = flag_rides_in_list;
+  const auto on_piece = [join](const Status& status) {
+    if (!status.ok() && !join->failed) {
+      // The first piece error fails the write; later completions only drain
+      // the join.
+      join->failed = true;
+      FireOnce(&join->on_done, status);
+    }
+    if (check::MutationEnabled(check::kFlagBeforeLastStripe) && !join->failed &&
+        !join->flag_posted && join->flag.bytes > 0) {
+      // Seeded bug (explorer self-validation): the flag is posted on the
+      // FIRST stripe completion — sibling stripes are still in flight, so a
+      // receiver that trusts the flag reads a torn payload.
+      join->flag_posted = true;
+      PostWrite(join->flag_channel, join->flag, [](const Status&) {});
+    }
+    if (--join->pending > 0 || join->failed) return;
+    // Every piece's completion has been observed: all payload bytes are at
+    // the target, so the flag — on any lane — cannot overtake them (§3.2,
+    // per extent; the checker's completion-ordering happens-before edge).
+    if (join->flag.bytes == 0 || join->flag_posted) {
+      FireOnce(&join->on_done, OkStatus());
+      return;
+    }
+    PostWrite(join->flag_channel, join->flag, std::exchange(join->on_done, nullptr));
+  };
 
-  for (int i = 0; i < num_wrs; ++i) {
-    const auto [lo, hi] = stripe_bounds_[i];
-    std::vector<rdma::SgExtent> stripe;
-    stripe.reserve(hi - lo + (i == 0 && flag_rides_in_list ? 1 : 0));
+  for (size_t i = 0; i < pieces_.size(); ++i) {
+    const Piece& piece = pieces_[i];
+    if (piece.begin == piece.end) {
+      PostWrite(piece.channel, piece.write, on_piece);
+      continue;
+    }
+    std::vector<rdma::SgExtent> run;
+    run.reserve(piece.end - piece.begin + (i == 0 && flag_rides_in_list ? 1 : 0));
     if (i == 0 && flag_rides_in_list) {
       // Seeded bug (explorer self-validation): the completion flag rides as
       // the FIRST extent of the first SG-WR. Extents land in list order, so
       // the flag byte is readable while every sibling extent — and every
       // other stripe — is still in flight.
-      stripe.push_back(rdma::SgExtent{reinterpret_cast<uint64_t>(join->flag.local_addr),
-                                      join->flag.remote_addr, join->flag.bytes});
+      run.push_back(rdma::SgExtent{reinterpret_cast<uint64_t>(flag.local_addr),
+                                   flag.remote_addr, flag.bytes});
     }
-    stripe.insert(stripe.end(), gather_scratch_.begin() + lo, gather_scratch_.begin() + hi);
-    channels[i]->MemcpyScatter(
-        std::move(stripe), lkey, rkey,
-        [join](const Status& status) {
-          if (!status.ok() && !join->failed) {
-            join->failed = true;
-            if (join->on_done) {
-              device::MemcpyCallback cb = std::move(join->on_done);
-              join->on_done = nullptr;
-              cb(status);
-            }
-          }
-          if (--join->pending > 0 || join->failed) return;
-          // Every SG-WR's wire completion has been observed: all extents'
-          // bytes are at the target, so the trailing flag — on any lane —
-          // cannot overtake them (§3.2, per extent).
-          if (join->flag.bytes == 0 || join->flag_posted) {
-            if (join->on_done) {
-              device::MemcpyCallback cb = std::move(join->on_done);
-              join->on_done = nullptr;
-              cb(OkStatus());
-            }
-            return;
-          }
-          join->flag_channel->Memcpy(join->flag.local_addr, join->flag.lkey,
-                                     join->flag.remote_addr, join->flag.rkey,
-                                     join->flag.bytes, device::Direction::kLocalToRemote,
-                                     std::move(join->on_done), join->flag.copy_bytes);
-          join->on_done = nullptr;
-        },
-        copy_bytes);
+    run.insert(run.end(), gather_scratch_.begin() + piece.begin,
+               gather_scratch_.begin() + piece.end);
+    piece.channel->MemcpyScatter(std::move(run), piece.write.lkey, piece.write.rkey, on_piece,
+                                 piece.write.copy_bytes);
   }
+  return true;
 }
 
 void TransferEngine::Flush(const Endpoint& remote, PeerQueue* queue) {
@@ -433,7 +356,9 @@ void TransferEngine::Flush(const Endpoint& remote, PeerQueue* queue) {
   auto channel_or = Channel(remote, next_batch_lane_);
   next_batch_lane_ = (next_batch_lane_ + 1) % std::max(1, device_->num_qps_per_peer());
   if (!channel_or.ok()) {
-    for (PendingWrite& item : items) FailAsync(std::move(item.on_done), channel_or.status());
+    for (PendingWrite& item : items) {
+      device_->FailAsync(std::move(item.on_done), channel_or.status());
+    }
     return;
   }
   ++stats_.coalesced_batches;
@@ -445,49 +370,16 @@ void TransferEngine::Flush(const Endpoint& remote, PeerQueue* queue) {
   ops.reserve(items.size() * 2);
   for (PendingWrite& item : items) {
     auto state = std::make_shared<device::MemcpyCallback>(std::move(item.on_done));
-    device::RdmaChannel::BatchWrite payload_op;
-    payload_op.local_addr = item.payload.local_addr;
-    payload_op.lkey = item.payload.lkey;
-    payload_op.remote_addr = item.payload.remote_addr;
-    payload_op.rkey = item.payload.rkey;
-    payload_op.size = item.payload.bytes;
-    payload_op.copy_bytes = item.payload.copy_bytes;
-    if (item.flag.bytes == 0) {
-      // Flagless entry (the flag was mutated away): the payload completion
-      // is the one the caller sees.
-      payload_op.callback = [state](const Status& status) {
-        if (*state) {
-          device::MemcpyCallback cb = std::move(*state);
-          *state = nullptr;
-          cb(status);
-        }
-      };
-      ops.push_back(std::move(payload_op));
-      continue;
-    }
-    payload_op.callback = [state](const Status& status) {
-      if (!status.ok() && *state) {
-        device::MemcpyCallback cb = std::move(*state);
-        *state = nullptr;
-        cb(status);
-      }
-    };
-    device::RdmaChannel::BatchWrite flag_op;
-    flag_op.local_addr = item.flag.local_addr;
-    flag_op.lkey = item.flag.lkey;
-    flag_op.remote_addr = item.flag.remote_addr;
-    flag_op.rkey = item.flag.rkey;
-    flag_op.size = item.flag.bytes;
-    flag_op.copy_bytes = item.flag.copy_bytes;
-    flag_op.callback = [state](const Status& status) {
-      if (*state) {
-        device::MemcpyCallback cb = std::move(*state);
-        *state = nullptr;
-        cb(status);
-      }
-    };
-    ops.push_back(std::move(payload_op));
-    ops.push_back(std::move(flag_op));
+    // The caller sees the flag's completion, or the payload's on error. A
+    // flagless entry (the flag was mutated away) reports the payload's.
+    const bool flagless = item.flag.bytes == 0;
+    ops.push_back(BatchEntry(item.payload, [state, flagless](const Status& status) {
+      if (flagless || !status.ok()) FireOnce(state.get(), status);
+    }));
+    if (flagless) continue;
+    ops.push_back(BatchEntry(item.flag, [state](const Status& status) {
+      FireOnce(state.get(), status);
+    }));
   }
   (*channel_or)->MemcpyBatch(std::move(ops));
 }

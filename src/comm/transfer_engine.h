@@ -195,6 +195,17 @@ class TransferEngine {
     rdma::MemoryRegion mr;
     int64_t epoch = 0;
   };
+  // One WR of a striped or gathered write, planned before anything posts:
+  // either a contiguous stripe |write| of the payload (a plain WR), or the
+  // run [begin, end) of gather_scratch_ extents (one SG-WR; |write| carries
+  // its keys and copy mode).
+  struct Piece {
+    int lane = 0;
+    device::RdmaChannel* channel = nullptr;  // Resolved by PostJoined.
+    WriteDesc write;
+    size_t begin = 0;
+    size_t end = 0;
+  };
 
   // Resolves the channel for (remote, lane) via a cache guarded by the QP
   // pool's generation: any eviction anywhere invalidates it, so a stale
@@ -207,13 +218,16 @@ class TransferEngine {
                    int lane_hint, device::MemcpyCallback on_done);
   void PostStriped(const Endpoint& remote, const WriteDesc& payload, const WriteDesc& flag,
                    int lane_hint, device::MemcpyCallback on_done);
-  // Posts the flattened gather_scratch_ extents as |stripes| SG-WRs (one per
-  // lane), then the flag after the last stripe's completion.
-  void PostGather(const Endpoint& remote, const WriteDesc& flag, int lane_hint, int stripes,
-                  uint32_t lkey, uint32_t rkey, bool copy_bytes,
-                  device::MemcpyCallback on_done);
+  // The join under both multi-WR routes: posts the planned pieces_, then —
+  // after every piece's completion has been observed — the trailing |flag|
+  // on |flag_lane|. Every channel is resolved before anything is posted, so
+  // a connection failure fails the write whole (returns false after failing
+  // |on_done|) instead of half-posted. |flag_rides_in_list| is the
+  // kFlagRidesInSgList mutation: the flag rides as the first extent of the
+  // first SG-WR instead.
+  bool PostJoined(const Endpoint& remote, const WriteDesc& flag, int flag_lane,
+                  bool flag_rides_in_list, device::MemcpyCallback on_done);
   void Flush(const Endpoint& remote, PeerQueue* queue);
-  void FailAsync(device::MemcpyCallback on_done, Status status);
   int LaneCount() const;
   // LaneCount clamped by the lane-limit resolver for |remote| (never < 1).
   int LaneCountFor(const Endpoint& remote) const;
@@ -234,13 +248,13 @@ class TransferEngine {
   int64_t epoch_ = 0;
   std::function<int(const Endpoint&)> lane_limit_resolver_;
 
-  // Hoisted scratch for the SG posting path (PR 5/6 style: reserve once,
+  // Hoisted scratch for the striped and SG posting paths (reserve once,
   // reuse every call, allocate nothing per extent on the steady state).
   // gather_scratch_ holds the flattened extent list while WriteGather plans
-  // stripes; stripe_bounds_ holds the [begin, end) extent index of each
-  // stripe. Both are cleared, never shrunk.
+  // stripes; pieces_ holds the planned WRs of either route. Both are
+  // cleared, never shrunk.
   std::vector<rdma::SgExtent> gather_scratch_;
-  std::vector<std::pair<size_t, size_t>> stripe_bounds_;
+  std::vector<Piece> pieces_;
 };
 
 }  // namespace comm

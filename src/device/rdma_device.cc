@@ -112,101 +112,24 @@ void RdmaChannel::Memcpy(uint64_t local_addr, const MemRegion& local_region,
          size, direction, std::move(callback));
 }
 
-void RdmaChannel::Memcpy(void* local_addr, uint32_t lkey, uint64_t remote_addr, uint32_t rkey,
-                         uint64_t size, Direction direction, MemcpyCallback callback,
-                         bool copy_bytes) {
-  if (qp_ == nullptr) {
-    // Pool evicted this lane since the caller cached the channel; reconnect.
-    Status attached = device_->AttachLane(this);
-    if (!attached.ok()) {
-      device_->simulator()->ScheduleAfter(
-          0, [cb = std::move(callback), attached]() { cb(attached); });
-      return;
-    }
-  }
-  rdma::SendWorkRequest wr;
-  wr.copy_bytes = copy_bytes;
-  wr.wr_id = device_->next_wr_id_++;
-  wr.opcode = (direction == Direction::kLocalToRemote) ? rdma::Opcode::kWrite
-                                                       : rdma::Opcode::kRead;
-  wr.local_addr = reinterpret_cast<uint64_t>(local_addr);
-  wr.lkey = lkey;
-  wr.length = size;
-  wr.remote_addr = remote_addr;
-  wr.rkey = rkey;
-  device_->pending_sends_[wr.wr_id] = std::move(callback);
-  Status s = qp_->PostSend(wr);
+template <typename TakeCallback, typename PostFn>
+void RdmaChannel::Post(size_t n, TakeCallback take_callback, PostFn post) {
+  RdmaDevice* dev = device_;
+  // The pool may have evicted this lane since the caller cached the channel;
+  // reconnect.
+  Status s = qp_ == nullptr ? dev->AttachLane(this) : OkStatus();
   if (!s.ok()) {
-    auto it = device_->pending_sends_.find(wr.wr_id);
-    MemcpyCallback cb = std::move(it->second);
-    device_->pending_sends_.erase(it);
-    // Deliver the failure asynchronously for a uniform contract.
-    device_->simulator()->ScheduleAfter(0, [cb = std::move(cb), s]() { cb(s); });
+    for (size_t i = 0; i < n; ++i) dev->FailAsync(take_callback(i), s);
     return;
   }
-  if (device_->memcpy_timeout_ns_ > 0) {
-    RdmaDevice* dev = device_;
-    const uint64_t wr_id = wr.wr_id;
-    dev->simulator()->ScheduleAfter(dev->memcpy_timeout_ns_, [dev, wr_id]() {
-      auto it = dev->pending_sends_.find(wr_id);
-      if (it == dev->pending_sends_.end()) return;  // Completed in time.
-      MemcpyCallback cb = std::move(it->second);
-      dev->pending_sends_.erase(it);
-      dev->abandoned_wr_ids_.insert(wr_id);
-      cb(DeadlineExceeded("RDMA memcpy timed out"));
-    });
-  }
-}
-
-void RdmaChannel::MemcpyBatch(std::vector<BatchWrite> writes) {
-  if (writes.empty()) return;
-  if (qp_ == nullptr) {
-    Status attached = device_->AttachLane(this);
-    if (!attached.ok()) {
-      for (BatchWrite& w : writes) {
-        if (!w.callback) continue;
-        device_->simulator()->ScheduleAfter(
-            0, [cb = std::move(w.callback), attached]() { cb(attached); });
-      }
-      return;
-    }
-  }
-  std::vector<rdma::SendWorkRequest> wrs;
-  wrs.reserve(writes.size());
-  std::vector<uint64_t> wr_ids;
-  wr_ids.reserve(writes.size());
-  for (BatchWrite& w : writes) {
-    rdma::SendWorkRequest wr;
-    wr.wr_id = device_->next_wr_id_++;
-    wr.opcode = rdma::Opcode::kWrite;
-    wr.local_addr = reinterpret_cast<uint64_t>(w.local_addr);
-    wr.lkey = w.lkey;
-    wr.length = w.size;
-    wr.remote_addr = w.remote_addr;
-    wr.rkey = w.rkey;
-    wr.copy_bytes = w.copy_bytes;
-    wrs.push_back(wr);
-    wr_ids.push_back(wr.wr_id);
-    device_->pending_sends_[wr.wr_id] = std::move(w.callback);
-  }
-  Status s = qp_->PostSendBatch(std::move(wrs));
-  if (!s.ok()) {
-    // Whole-batch post failure: deliver it to every entry, asynchronously for
-    // a uniform contract.
-    for (uint64_t wr_id : wr_ids) {
-      auto it = device_->pending_sends_.find(wr_id);
-      if (it == device_->pending_sends_.end()) continue;
-      MemcpyCallback cb = std::move(it->second);
-      device_->pending_sends_.erase(it);
-      if (cb) {
-        device_->simulator()->ScheduleAfter(0, [cb = std::move(cb), s]() { cb(s); });
-      }
-    }
-    return;
-  }
-  if (device_->memcpy_timeout_ns_ > 0) {
-    RdmaDevice* dev = device_;
-    for (uint64_t wr_id : wr_ids) {
+  const uint64_t first = dev->next_wr_id_;
+  dev->next_wr_id_ += n;
+  for (size_t i = 0; i < n; ++i) dev->pending_sends_[first + i] = take_callback(i);
+  s = post(first);
+  for (uint64_t wr_id = first; wr_id < first + n; ++wr_id) {
+    if (!s.ok()) {
+      dev->FailAsync(std::move(dev->pending_sends_.extract(wr_id).mapped()), s);
+    } else if (dev->memcpy_timeout_ns_ > 0) {
       dev->simulator()->ScheduleAfter(dev->memcpy_timeout_ns_, [dev, wr_id]() {
         auto it = dev->pending_sends_.find(wr_id);
         if (it == dev->pending_sends_.end()) return;  // Completed in time.
@@ -219,49 +142,60 @@ void RdmaChannel::MemcpyBatch(std::vector<BatchWrite> writes) {
   }
 }
 
+void RdmaChannel::Memcpy(void* local_addr, uint32_t lkey, uint64_t remote_addr, uint32_t rkey,
+                         uint64_t size, Direction direction, MemcpyCallback callback,
+                         bool copy_bytes) {
+  Post(
+      1, [&](size_t) { return std::move(callback); },
+      [&](uint64_t wr_id) {
+        rdma::SendWorkRequest wr;
+        wr.wr_id = wr_id;
+        wr.opcode = (direction == Direction::kLocalToRemote) ? rdma::Opcode::kWrite
+                                                             : rdma::Opcode::kRead;
+        wr.local_addr = reinterpret_cast<uint64_t>(local_addr);
+        wr.lkey = lkey;
+        wr.length = size;
+        wr.remote_addr = remote_addr;
+        wr.rkey = rkey;
+        wr.copy_bytes = copy_bytes;
+        return qp_->PostSend(wr);
+      });
+}
+
+void RdmaChannel::MemcpyBatch(std::vector<BatchWrite> writes) {
+  if (writes.empty()) return;
+  Post(
+      writes.size(), [&](size_t i) { return std::move(writes[i].callback); },
+      [&](uint64_t wr_id) {
+        std::vector<rdma::SendWorkRequest> wrs;
+        wrs.reserve(writes.size());
+        for (const BatchWrite& w : writes) {
+          wrs.push_back(rdma::SendWorkRequest{wr_id++, rdma::Opcode::kWrite,
+                                              reinterpret_cast<uint64_t>(w.local_addr), w.lkey,
+                                              w.size, w.remote_addr, w.rkey, w.copy_bytes});
+        }
+        return qp_->PostSendBatch(std::move(wrs));
+      });
+}
+
 void RdmaChannel::MemcpyScatter(std::vector<rdma::SgExtent> extents, uint32_t lkey,
                                 uint32_t rkey, MemcpyCallback callback, bool copy_bytes) {
   if (extents.empty()) {
-    device_->simulator()->ScheduleAfter(
-        0, [cb = std::move(callback)]() { cb(InvalidArgument("empty SG extent list")); });
+    device_->FailAsync(std::move(callback), InvalidArgument("empty SG extent list"));
     return;
   }
-  if (qp_ == nullptr) {
-    Status attached = device_->AttachLane(this);
-    if (!attached.ok()) {
-      device_->simulator()->ScheduleAfter(
-          0, [cb = std::move(callback), attached]() { cb(attached); });
-      return;
-    }
-  }
-  rdma::SendWorkRequest wr;
-  wr.wr_id = device_->next_wr_id_++;
-  wr.opcode = rdma::Opcode::kWrite;
-  wr.lkey = lkey;
-  wr.rkey = rkey;
-  wr.copy_bytes = copy_bytes;
-  wr.sge = std::move(extents);
-  device_->pending_sends_[wr.wr_id] = std::move(callback);
-  const uint64_t wr_id = wr.wr_id;
-  Status s = qp_->PostSend(wr);
-  if (!s.ok()) {
-    auto it = device_->pending_sends_.find(wr_id);
-    MemcpyCallback cb = std::move(it->second);
-    device_->pending_sends_.erase(it);
-    device_->simulator()->ScheduleAfter(0, [cb = std::move(cb), s]() { cb(s); });
-    return;
-  }
-  if (device_->memcpy_timeout_ns_ > 0) {
-    RdmaDevice* dev = device_;
-    dev->simulator()->ScheduleAfter(dev->memcpy_timeout_ns_, [dev, wr_id]() {
-      auto it = dev->pending_sends_.find(wr_id);
-      if (it == dev->pending_sends_.end()) return;  // Completed in time.
-      MemcpyCallback cb = std::move(it->second);
-      dev->pending_sends_.erase(it);
-      dev->abandoned_wr_ids_.insert(wr_id);
-      if (cb) cb(DeadlineExceeded("RDMA memcpy timed out"));
-    });
-  }
+  Post(
+      1, [&](size_t) { return std::move(callback); },
+      [&](uint64_t wr_id) {
+        rdma::SendWorkRequest wr;
+        wr.wr_id = wr_id;
+        wr.opcode = rdma::Opcode::kWrite;
+        wr.lkey = lkey;
+        wr.rkey = rkey;
+        wr.copy_bytes = copy_bytes;
+        wr.sge = std::move(extents);
+        return qp_->PostSend(wr);
+      });
 }
 
 // ------------------------------------------------------------------ RdmaDevice
@@ -280,6 +214,12 @@ RdmaDevice::~RdmaDevice() {
   // to drop their bindings). RPC QPs stay with the NIC, as before.
   directory_->qp_pool_.UnregisterEndpoint(local_);
   directory_->devices_.erase(local_);
+}
+
+void RdmaDevice::FailAsync(MemcpyCallback callback, Status status) {
+  if (!callback) return;
+  simulator()->ScheduleAfter(
+      0, [cb = std::move(callback), s = std::move(status)]() { cb(s); });
 }
 
 void RdmaDevice::DropPendingCallbacks() {
@@ -458,7 +398,7 @@ void RdmaDevice::DrainCq(rdma::CompletionQueue* cq) {
     if (pending_it != pending_sends_.end()) {
       MemcpyCallback cb = std::move(pending_it->second);
       pending_sends_.erase(pending_it);
-      cb(wc.status);
+      if (cb) cb(wc.status);  // A caller may post without a callback.
       continue;
     }
     auto slot_it = rpc_send_slots_.find(wc.wr_id);

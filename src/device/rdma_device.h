@@ -93,7 +93,8 @@ class RdmaChannel {
  public:
   // Asynchronously copies |size| bytes between |local_addr| (inside
   // |local_region|) and |remote_addr| (inside |remote|). |callback| fires,
-  // in virtual time, when the verb completes locally.
+  // in virtual time, when the verb completes locally. Every entry point
+  // accepts a null callback.
   void Memcpy(uint64_t local_addr, const MemRegion& local_region, uint64_t remote_addr,
               const RemoteRegion& remote, uint64_t size, Direction direction,
               MemcpyCallback callback);
@@ -139,6 +140,15 @@ class RdmaChannel {
   friend class RdmaDevice;
   RdmaChannel(RdmaDevice* device, Endpoint remote, int qp_index, rdma::QueuePair* qp)
       : device_(device), remote_(remote), qp_index_(qp_index), qp_(qp) {}
+
+  // The one post path under every Memcpy shape. Binds the lane (reattaching
+  // after a pool eviction), gives the |n| WRs consecutive wr_ids and
+  // registers take_callback(i) for the i-th, then calls post(first_wr_id),
+  // which builds and posts the WRs. A failure reaches every callback
+  // asynchronously, for a uniform contract; a successful post arms the
+  // memcpy watchdog per WR.
+  template <typename TakeCallback, typename PostFn>
+  void Post(size_t n, TakeCallback take_callback, PostFn post);
 
   RdmaDevice* device_;
   Endpoint remote_;
@@ -222,6 +232,11 @@ class RdmaDevice {
   // completion (if any) is discarded. 0 = disabled (default).
   void set_memcpy_timeout_ns(int64_t timeout_ns) { memcpy_timeout_ns_ = timeout_ns; }
   int64_t memcpy_timeout_ns() const { return memcpy_timeout_ns_; }
+
+  // Delivers |status| to |callback| as an event at the current instant, the
+  // uniform way a post failure reaches a Memcpy caller. A null callback is
+  // dropped.
+  void FailAsync(MemcpyCallback callback, Status status);
 
   const Endpoint& endpoint() const { return local_; }
   rdma::QpPool* qp_pool() const { return directory_->qp_pool(); }

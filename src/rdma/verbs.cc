@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "src/check/mutation.h"
@@ -85,15 +86,7 @@ Status QueuePair::PostSend(const SendWorkRequest& wr) {
     return InvalidArgument(StrCat("local buffer not registered: lkey=", wr.lkey, " addr=",
                                   wr.local_addr, " len=", wr.length));
   }
-  if (state_ == QpState::kError) {
-    // Real RC QPs accept posts in the error state and complete them with a
-    // flush error; callers learn of the failure from the CQ, never silently.
-    FlushPostedSend(wr);
-    return OkStatus();
-  }
-  send_queue_.push_back(Batch{wr});
-  MaybeStartNext();
-  return OkStatus();
+  return Enqueue(Batch{wr});
 }
 
 Status QueuePair::PostSendBatch(std::vector<SendWorkRequest> wrs) {
@@ -118,11 +111,17 @@ Status QueuePair::PostSendBatch(std::vector<SendWorkRequest> wrs) {
                                     wr.local_addr, " len=", wr.length));
     }
   }
+  return Enqueue(std::move(wrs));
+}
+
+Status QueuePair::Enqueue(Batch chain) {
   if (state_ == QpState::kError) {
-    for (const SendWorkRequest& wr : wrs) FlushPostedSend(wr);
+    // Real RC QPs accept posts in the error state and complete them with a
+    // flush error; callers learn of the failure from the CQ, never silently.
+    for (const SendWorkRequest& wr : chain) FlushPostedSend(wr);
     return OkStatus();
   }
-  send_queue_.push_back(std::move(wrs));
+  send_queue_.push_back(std::move(chain));
   MaybeStartNext();
   return OkStatus();
 }
@@ -168,15 +167,20 @@ void QueuePair::MaybeStartNext() {
 }
 
 void QueuePair::ExecuteCurrent() {
-  if (current_.size() == 1) {
-    if (!current_.front().sge.empty()) {
-      ExecuteSg();
-    } else {
-      Execute(current_.front());
-    }
-  } else {
-    ExecuteBatch();
+  switch (current_.front().opcode) {
+    case Opcode::kWrite:
+      ExecuteWrite();
+      return;
+    case Opcode::kRead:
+      ExecuteRead();
+      return;
+    case Opcode::kSend:
+      ExecuteSend();
+      return;
+    case Opcode::kRecv:
+      break;
   }
+  Finish(Internal("bad opcode"));
 }
 
 int64_t QueuePair::EngineDelayNs(uint64_t bytes) const {
@@ -293,73 +297,112 @@ void QueuePair::DcqcnDecrease() {
   check::OnCongestionSignal(check::RdmaCheck::CongestionSignal::kRateDecrease);
 }
 
-void QueuePair::Execute(const SendWorkRequest& wr) {
-  switch (wr.opcode) {
-    case Opcode::kWrite:
-      ExecuteWrite(wr);
-      return;
-    case Opcode::kRead:
-      ExecuteRead(wr);
-      return;
-    case Opcode::kSend:
-      ExecuteSend(wr);
-      return;
-    case Opcode::kRecv:
-      break;
-  }
-  FinishCurrent(wr, Internal("bad opcode"), 0);
-}
-
-void QueuePair::ExecuteWrite(const SendWorkRequest& wr) {
+void QueuePair::ExecuteWrite() {
   NicDevice* target_nic = peer_->nic_;
-  check::OnWritePosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id,
-                       wr.remote_addr, wr.length, wr.rkey, nic_->simulator()->Now());
-  const MemoryRegion* target =
-      target_nic->FindRemoteRegion(wr.rkey, wr.remote_addr, wr.length);
-  if (target == nullptr) {
-    ++target_nic->stats_.rkey_violations;
-    check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
-    FinishCurrent(wr,
-                  Status(StatusCode::kInvalidArgument,
-                         StrCat("remote access violation: rkey=", wr.rkey, " addr=",
-                                wr.remote_addr, " len=", wr.length)),
-                  0);
-    return;
+  const int64_t now = nic_->simulator()->Now();
+  const SendWorkRequest& front = current_.front();
+  const bool sg = !front.sge.empty();  // SG WRs never ride in a chain.
+  if (!sg) {
+    for (const SendWorkRequest& wr : current_) {
+      check::OnWritePosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id,
+                           wr.remote_addr, wr.length, wr.rkey, now);
+    }
+  } else if (check::RdmaCheck* c = check::RdmaCheck::Current()) {
+    // Built only while a checker is installed: the disabled path stays
+    // allocation-free.
+    std::vector<check::SgExtentInfo> extents;
+    extents.reserve(front.sge.size());
+    for (const SgExtent& e : front.sge) {
+      extents.push_back(check::SgExtentInfo{e.remote_addr, e.length});
+    }
+    c->SgWritePosted(nic_->host_id(), target_nic->host_id(), qp_num_, front.wr_id, extents,
+                     front.rkey, now);
   }
-  ++nic_->stats_.writes;
-  nic_->stats_.write_bytes += wr.length;
-  // Seeded bug (explorer self-validation): a retry that resumes from the
-  // delivered cursor instead of rewriting from offset 0 violates the
-  // ascending-delivery contract the flag protocol rests on.
+  // The list shares fate like one WQE: validate every extent of every WR
+  // before any byte moves, and fail the whole list on the first violation.
+  uint64_t total = 0;
+  for (const SendWorkRequest& wr : current_) {
+    for (size_t i = 0; i < wr.NumExtents(); ++i) {
+      const SgExtent e = wr.Extent(i);
+      if (target_nic->FindRemoteRegion(wr.rkey, e.remote_addr, e.length) == nullptr) {
+        ++target_nic->stats_.rkey_violations;
+        NoteWritesFinished();
+        Finish(Status(StatusCode::kInvalidArgument,
+                      StrCat("remote access violation",
+                             current_.size() > 1 ? " in WR batch" : sg ? " in SG list" : "",
+                             ": rkey=", wr.rkey, " addr=", e.remote_addr, " len=", e.length)));
+        return;
+      }
+      total += e.length;
+    }
+  }
+  nic_->stats_.writes += current_.size();  // One per WQE, whatever its extents.
+  nic_->stats_.write_bytes += total;
+  if (current_.size() > 1) ++nic_->stats_.doorbell_batches;
+  if (sg) {
+    ++nic_->stats_.sg_writes;
+    nic_->stats_.sg_extents += front.sge.size();
+  }
+  // Seeded bug (explorer self-validation): a retry that keeps the scatter
+  // cursor and resumes from the delivered offset instead of rewriting from 0
+  // violates the ascending-delivery contract the flag protocol rests on.
   uint64_t resume_at = 0;
   if (check::MutationEnabled(check::kRetryKeepsCursor) && retry_attempts_ > 0 &&
-      mutation_delivered_ < wr.length) {
-    resume_at = mutation_delivered_;
+      delivered_ < total) {
+    resume_at = delivered_;
+  } else {
+    cursor_wr_ = 0;
+    cursor_extent_ = 0;
+    cursor_base_ = 0;
   }
-  mutation_delivered_ = resume_at;
+  delivered_ = resume_at;
+  // One wire stream carries every extent in list order. Fabric delivery is
+  // ascending in stream offset, so each extent receives its bytes in
+  // ascending address order: the §3.2 guarantee, per WR and per extent. The
+  // WQE-engine ceiling and the DCQCN rate limiter both see the summed bytes:
+  // one list's worth of engine work, one flow's worth of injected payload.
+  const uint64_t bytes = total - resume_at;
   nic_->fabric()->Transfer(
-      nic_->host_id(), target_nic->host_id(), wr.length - resume_at, net::Plane::kRdma,
-      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(wr.length - resume_at) +
-          DcqcnDelayNs(wr.length - resume_at),
-      // Segments land in ascending address order; each is copied for real so
-      // a flag-byte poller on the target sees partial tensors faithfully.
-      // The WR is read back out of current_ (valid for the wire's lifetime).
+      nic_->host_id(), target_nic->host_id(), bytes, net::Plane::kRdma,
+      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(bytes) + DcqcnDelayNs(bytes),
+      // Each segment is scattered to its extents and copied for real, so a
+      // flag-byte poller on the target sees partial tensors faithfully.
       [this, resume_at](uint64_t offset, uint64_t length) {
-        const SendWorkRequest& cur = current_.front();
-        check::OnWriteSegment(nic_->host_id(), qp_num_, cur.wr_id, resume_at + offset,
-                              length, nic_->simulator()->Now());
-        mutation_delivered_ = resume_at + offset + length;
-        if (cur.copy_bytes) {
-          std::memcpy(reinterpret_cast<uint8_t*>(cur.remote_addr) + resume_at + offset,
-                      reinterpret_cast<const uint8_t*>(cur.local_addr) + resume_at + offset,
-                      length);
+        offset += resume_at;
+        delivered_ = offset + length;
+        while (length > 0) {
+          const SendWorkRequest& wr = current_[cursor_wr_];
+          const SgExtent e = wr.Extent(cursor_extent_);
+          const uint64_t rel = offset - cursor_base_;
+          const uint64_t take = std::min<uint64_t>(length, e.length - rel);
+          if (wr.sge.empty()) {
+            check::OnWriteSegment(nic_->host_id(), qp_num_, wr.wr_id, rel, take,
+                                  nic_->simulator()->Now());
+          } else {
+            check::OnSgWriteSegment(nic_->host_id(), qp_num_, wr.wr_id, cursor_extent_, rel,
+                                    take, nic_->simulator()->Now());
+          }
+          if (wr.copy_bytes) {
+            std::memcpy(reinterpret_cast<uint8_t*>(e.remote_addr) + rel,
+                        reinterpret_cast<const uint8_t*>(e.local_addr) + rel, take);
+          }
+          offset += take;
+          length -= take;
+          if (rel + take == e.length) {
+            cursor_base_ += e.length;
+            if (++cursor_extent_ == wr.NumExtents()) {
+              cursor_extent_ = 0;
+              ++cursor_wr_;
+            }
+          }
         }
       },
-      [this](Status status) { CompleteWire(status, /*deliver_inbound=*/false); },
+      [this](Status status) { CompleteWire(status); },
       [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
 }
 
-void QueuePair::ExecuteRead(const SendWorkRequest& wr) {
+void QueuePair::ExecuteRead() {
+  const SendWorkRequest& wr = current_.front();
   NicDevice* target_nic = peer_->nic_;
   check::OnReadPosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id,
                       wr.remote_addr, wr.length, wr.rkey, nic_->simulator()->Now());
@@ -367,7 +410,7 @@ void QueuePair::ExecuteRead(const SendWorkRequest& wr) {
       target_nic->FindRemoteRegion(wr.rkey, wr.remote_addr, wr.length);
   if (target == nullptr) {
     ++target_nic->stats_.rkey_violations;
-    FinishCurrent(wr, InvalidArgument("remote access violation on RDMA read"), 0);
+    Finish(InvalidArgument("remote access violation on RDMA read"));
     return;
   }
   ++nic_->stats_.reads;
@@ -387,60 +430,62 @@ void QueuePair::ExecuteRead(const SendWorkRequest& wr) {
                       reinterpret_cast<const uint8_t*>(cur.remote_addr) + offset, length);
         }
       },
-      [this](Status status) { CompleteWire(status, /*deliver_inbound=*/false); },
+      [this](Status status) { CompleteWire(status); },
       [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
 }
 
-void QueuePair::ExecuteSend(const SendWorkRequest& wr) {
+void QueuePair::ExecuteSend() {
+  const SendWorkRequest& wr = current_.front();
   ++nic_->stats_.sends;
   nic_->stats_.send_bytes += wr.length;
   nic_->fabric()->Transfer(nic_->host_id(), peer_->nic_->host_id(), wr.length, net::Plane::kRdma,
                            nic_->cost().rdma_nic_processing_ns + DcqcnDelayNs(wr.length),
-                           nullptr,
-                           [this](Status status) {
-                             CompleteWire(status, /*deliver_inbound=*/true);
-                           },
+                           nullptr, [this](Status status) { CompleteWire(status); },
                            [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
 }
 
-void QueuePair::CompleteWire(const Status& status, bool deliver_inbound) {
-  const SendWorkRequest& wr = current_.front();
+void QueuePair::CompleteWire(const Status& status) {
+  const SendWorkRequest& front = current_.front();
+  const bool write = front.opcode == Opcode::kWrite;
   if (status.ok()) {
     retry_attempts_ = 0;
-    if (wr.opcode == Opcode::kWrite) {
-      // The completion-ordering happens-before edge: the write's bytes have
-      // all landed, anything posted from here on is ordered behind it.
-      check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
+    // The completion-ordering happens-before edge: the writes' bytes have
+    // all landed, anything posted from here on is ordered behind them.
+    if (write) NoteWritesFinished();
+    if (front.opcode == Opcode::kSend && peer_ != nullptr) {
+      peer_->DeliverInbound(reinterpret_cast<const uint8_t*>(front.local_addr), front.length,
+                            front.copy_bytes);
     }
-    if (deliver_inbound && peer_ != nullptr) {
-      peer_->DeliverInbound(reinterpret_cast<const uint8_t*>(wr.local_addr), wr.length,
-                            wr.copy_bytes);
-    }
-    FinishCurrent(wr, OkStatus(), wr.length);
+    Finish(OkStatus());
     return;
   }
   // Transport failure (lost segment, dead host): the RC transport retransmits
-  // the work request with capped exponential backoff, transparently to the
-  // consumer. Under DCQCN the loss doubles as a congestion signal — the RP
-  // cuts its rate like on a CNP, so retransmissions into a hot queue arrive
-  // paced instead of re-synchronized.
+  // the whole WQE list with capped exponential backoff, transparently to the
+  // consumer; ExecuteCurrent restarts every extent from offset 0. Under DCQCN
+  // the loss doubles as a congestion signal — the RP cuts its rate like on a
+  // CNP, so retransmissions into a hot queue arrive paced instead of
+  // re-synchronized.
   if (retry_attempts_ < nic_->cost().rdma_transport_retry_count) {
     const int64_t backoff = TransportBackoffNs(nic_->cost(), retry_attempts_);
     ++retry_attempts_;
     ++nic_->stats_.retransmissions;
     if (nic_->fabric()->congestion().dcqcn) DcqcnDecrease();
-    sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                      StrCat("retransmit qp", qp_num_, " wr", wr.wr_id, " attempt ",
-                             retry_attempts_),
-                      nic_->simulator()->Now());
-    nic_->simulator()->ScheduleAfter(backoff, [this]() { Execute(current_.front()); });
+    if (sim::Tracer::Current() != nullptr) {  // Incast retries are hot: format only if traced.
+      const std::string wqe = current_.size() > 1 ? StrCat("batch of ", current_.size())
+                              : front.sge.empty() ? StrCat("wr", front.wr_id)
+                                                  : StrCat("sg-wr", front.wr_id, " of ",
+                                                           front.sge.size(), " extents");
+      sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
+                        StrCat("retransmit qp", qp_num_, " ", wqe, " attempt ", retry_attempts_),
+                        nic_->simulator()->Now());
+    }
+    nic_->simulator()->ScheduleAfter(backoff, [this]() { ExecuteCurrent(); });
     return;
   }
-  // Retry budget exhausted: the QP moves to the error state. The failing WR
-  // completes with the transport error; everything queued flushes after it.
-  if (wr.opcode == Opcode::kWrite) {
-    check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
-  }
+  // Retry budget exhausted: the QP moves to the error state. The failing
+  // list completes with the transport error; everything queued flushes after
+  // it.
+  if (write) NoteWritesFinished();
   retry_attempts_ = 0;
   state_ = QpState::kError;
   error_cause_ = Unavailable(StrCat("transport retry limit (",
@@ -450,152 +495,36 @@ void QueuePair::CompleteWire(const Status& status, bool deliver_inbound) {
   sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
                     StrCat("qp", qp_num_, " -> ERROR: ", status.message()),
                     nic_->simulator()->Now());
-  FinishCurrent(wr, error_cause_, 0);
+  Finish(error_cause_);
 }
 
-void QueuePair::FinishCurrent(const SendWorkRequest& wr, Status status, uint64_t bytes) {
-  pending_wc_.wr_id = wr.wr_id;
-  pending_wc_.opcode = wr.opcode;
-  pending_wc_.status = std::move(status);
-  pending_wc_.byte_len = bytes;
-  pending_wc_.qp_num = qp_num_;
-  // CQE generation + poller pickup overhead, then release the engine. The
-  // completion is staged in pending_wc_ (one per QP suffices: the engine
-  // serializes, and flush completions for posts-while-errored use their own
-  // captured copies) so the closure fits the inline buffer.
-  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this]() {
-    engine_busy_ = false;
-    send_cq_->Push(pending_wc_);
-    if (state_ == QpState::kError) {
-      FlushQueues();
-      return;
-    }
-    MaybeStartNext();
-  });
-}
-
-void QueuePair::ExecuteBatch() {
-  NicDevice* target_nic = peer_->nic_;
-  const int64_t now = nic_->simulator()->Now();
-  for (const SendWorkRequest& wr : current_) {
-    check::OnWritePosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id,
-                         wr.remote_addr, wr.length, wr.rkey, now);
-  }
-  // A chained WQE list shares fate: validate every target before any byte
-  // moves, and fail the whole batch on the first violation.
-  uint64_t total = 0;
-  for (const SendWorkRequest& wr : current_) {
-    const MemoryRegion* target =
-        target_nic->FindRemoteRegion(wr.rkey, wr.remote_addr, wr.length);
-    if (target == nullptr) {
-      ++target_nic->stats_.rkey_violations;
-      for (const SendWorkRequest& w : current_) {
-        check::OnWriteFinished(nic_->host_id(), qp_num_, w.wr_id, now);
-      }
-      FinishBatch(Status(StatusCode::kInvalidArgument,
-                         StrCat("remote access violation in WR batch: rkey=", wr.rkey,
-                                " addr=", wr.remote_addr, " len=", wr.length)),
-                  /*ok=*/false);
-      return;
-    }
-    total += wr.length;
-  }
-  nic_->stats_.writes += current_.size();
-  nic_->stats_.write_bytes += total;
-  ++nic_->stats_.doorbell_batches;
-  // One wire stream carries the concatenated payloads in posting order;
-  // segments are scattered back to the sub-WRs by a cursor walk (member
-  // fields, reset here so a transport retransmission restarts the scatter).
-  // Fabric delivery is ascending in stream offset, so each sub-WR still
-  // receives its bytes in ascending address order (the §3.2 guarantee,
-  // per WR).
-  batch_cursor_idx_ = 0;
-  batch_cursor_base_ = 0;
-  nic_->fabric()->Transfer(
-      nic_->host_id(), target_nic->host_id(), total, net::Plane::kRdma,
-      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(total) + DcqcnDelayNs(total),
-      [this](uint64_t offset, uint64_t length) {
-        while (length > 0) {
-          const SendWorkRequest& wr = current_[batch_cursor_idx_];
-          const uint64_t rel = offset - batch_cursor_base_;
-          const uint64_t take = std::min<uint64_t>(length, wr.length - rel);
-          check::OnWriteSegment(nic_->host_id(), qp_num_, wr.wr_id, rel, take,
-                                nic_->simulator()->Now());
-          if (wr.copy_bytes) {
-            std::memcpy(reinterpret_cast<uint8_t*>(wr.remote_addr) + rel,
-                        reinterpret_cast<const uint8_t*>(wr.local_addr) + rel, take);
-          }
-          offset += take;
-          length -= take;
-          if (rel + take == wr.length) {
-            batch_cursor_base_ += wr.length;
-            ++batch_cursor_idx_;
-          }
-        }
-      },
-      [this](Status status) { CompleteBatchWire(status); },
-      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
-}
-
-void QueuePair::CompleteBatchWire(const Status& status) {
-  if (status.ok()) {
-    retry_attempts_ = 0;
-    const int64_t now = nic_->simulator()->Now();
-    for (const SendWorkRequest& wr : current_) {
-      check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, now);
-    }
-    FinishBatch(OkStatus(), /*ok=*/true);
-    return;
-  }
-  // The RC transport retransmits the whole chain with capped exponential
-  // backoff, mirroring the single-WR path (including the DCQCN
-  // loss-as-congestion-signal decrease).
-  if (retry_attempts_ < nic_->cost().rdma_transport_retry_count) {
-    const int64_t backoff = TransportBackoffNs(nic_->cost(), retry_attempts_);
-    ++retry_attempts_;
-    ++nic_->stats_.retransmissions;
-    if (nic_->fabric()->congestion().dcqcn) DcqcnDecrease();
-    sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                      StrCat("retransmit qp", qp_num_, " batch of ", current_.size(),
-                             " attempt ", retry_attempts_),
-                      nic_->simulator()->Now());
-    nic_->simulator()->ScheduleAfter(backoff, [this]() { ExecuteBatch(); });
-    return;
-  }
+void QueuePair::NoteWritesFinished() {
   const int64_t now = nic_->simulator()->Now();
   for (const SendWorkRequest& wr : current_) {
     check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, now);
   }
-  retry_attempts_ = 0;
-  state_ = QpState::kError;
-  error_cause_ = Unavailable(StrCat("transport retry limit (",
-                                    nic_->cost().rdma_transport_retry_count,
-                                    ") exhausted: ", status.message()))
-                     .WithContextFrom(status);
-  sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                    StrCat("qp", qp_num_, " -> ERROR: ", status.message()),
-                    nic_->simulator()->Now());
-  FinishBatch(error_cause_, /*ok=*/false);
 }
 
-void QueuePair::FinishBatch(Status status, bool ok) {
+void QueuePair::Finish(Status status) {
   pending_status_ = std::move(status);
-  pending_ok_ = ok;
-  // The chain's CQEs are generated together and picked up by one poller pass:
-  // one cq_poll overhead for the batch, then per-WR completions in FIFO order.
+  // CQE generation + poller pickup overhead, once for the whole list, then
+  // release the engine. The status is staged in pending_status_ (one per QP
+  // suffices: the engine serializes, and flush completions for
+  // posts-while-errored use their own captured copies) so the closure fits
+  // the inline buffer.
   nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this]() {
     engine_busy_ = false;
-    // Move the chain out first: a CQ handler may post new work from inside
+    // Move the list out first: a CQ handler may post new work from inside
     // Push, which would overwrite current_ mid-iteration.
-    Batch batch = std::move(current_);
+    const Batch batch = std::move(current_);
     for (const SendWorkRequest& wr : batch) {
       WorkCompletion wc;
       wc.wr_id = wr.wr_id;
       wc.opcode = wr.opcode;
       wc.status = pending_status_;
-      wc.byte_len = pending_ok_ ? wr.length : 0;
+      wc.byte_len = pending_status_.ok() ? wr.TotalBytes() : 0;
       wc.qp_num = qp_num_;
-      send_cq_->Push(wc);
+      send_cq_->Push(std::move(wc));
     }
     if (state_ == QpState::kError) {
       FlushQueues();
@@ -603,116 +532,6 @@ void QueuePair::FinishBatch(Status status, bool ok) {
     }
     MaybeStartNext();
   });
-}
-
-void QueuePair::ExecuteSg() {
-  const SendWorkRequest& wr = current_.front();
-  NicDevice* target_nic = peer_->nic_;
-  const int64_t now = nic_->simulator()->Now();
-  if (check::RdmaCheck* c = check::RdmaCheck::Current()) {
-    // Built only while a checker is installed: the disabled path stays
-    // allocation-free.
-    std::vector<check::SgExtentInfo> extents;
-    extents.reserve(wr.sge.size());
-    for (const SgExtent& e : wr.sge) {
-      extents.push_back(check::SgExtentInfo{e.remote_addr, e.length});
-    }
-    c->SgWritePosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id, extents,
-                     wr.rkey, now);
-  }
-  // The extents share fate like one WQE: validate every target before any
-  // byte moves.
-  uint64_t total = 0;
-  for (const SgExtent& e : wr.sge) {
-    const MemoryRegion* target =
-        target_nic->FindRemoteRegion(wr.rkey, e.remote_addr, e.length);
-    if (target == nullptr) {
-      ++target_nic->stats_.rkey_violations;
-      check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, now);
-      FinishCurrent(wr,
-                    Status(StatusCode::kInvalidArgument,
-                           StrCat("remote access violation in SG list: rkey=", wr.rkey,
-                                  " addr=", e.remote_addr, " len=", e.length)),
-                    0);
-      return;
-    }
-    total += e.length;
-  }
-  ++nic_->stats_.writes;  // One WQE, whatever the extent count.
-  ++nic_->stats_.sg_writes;
-  nic_->stats_.sg_extents += wr.sge.size();
-  nic_->stats_.write_bytes += total;
-  sg_total_bytes_ = total;
-  // One wire stream carries the extents in list order; the scatter back to
-  // per-extent addresses reuses the batch cursor walk (reset here so a
-  // transport retransmission restarts it). Fabric delivery is ascending in
-  // stream offset, so each extent receives its bytes in ascending address
-  // order — the §3.2 guarantee, per extent. The WQE-engine ceiling and the
-  // DCQCN rate limiter both see the summed bytes: one WQE's worth of engine
-  // work, one flow's worth of injected payload.
-  batch_cursor_idx_ = 0;
-  batch_cursor_base_ = 0;
-  nic_->fabric()->Transfer(
-      nic_->host_id(), target_nic->host_id(), total, net::Plane::kRdma,
-      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(total) + DcqcnDelayNs(total),
-      [this](uint64_t offset, uint64_t length) {
-        const SendWorkRequest& cur = current_.front();
-        while (length > 0) {
-          const SgExtent& ext = cur.sge[batch_cursor_idx_];
-          const uint64_t rel = offset - batch_cursor_base_;
-          const uint64_t take = std::min<uint64_t>(length, ext.length - rel);
-          check::OnSgWriteSegment(nic_->host_id(), qp_num_, cur.wr_id, batch_cursor_idx_,
-                                  rel, take, nic_->simulator()->Now());
-          if (cur.copy_bytes) {
-            std::memcpy(reinterpret_cast<uint8_t*>(ext.remote_addr) + rel,
-                        reinterpret_cast<const uint8_t*>(ext.local_addr) + rel, take);
-          }
-          offset += take;
-          length -= take;
-          if (rel + take == ext.length) {
-            batch_cursor_base_ += ext.length;
-            ++batch_cursor_idx_;
-          }
-        }
-      },
-      [this](Status status) { CompleteSgWire(status); },
-      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
-}
-
-void QueuePair::CompleteSgWire(const Status& status) {
-  const SendWorkRequest& wr = current_.front();
-  if (status.ok()) {
-    retry_attempts_ = 0;
-    check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
-    FinishCurrent(wr, OkStatus(), sg_total_bytes_);
-    return;
-  }
-  // One transport-retry budget for the whole WQE; the retransmission restarts
-  // every extent from offset 0 (ExecuteSg resets the cursor walk and the
-  // checker's re-post resets the per-extent delivered prefixes).
-  if (retry_attempts_ < nic_->cost().rdma_transport_retry_count) {
-    const int64_t backoff = TransportBackoffNs(nic_->cost(), retry_attempts_);
-    ++retry_attempts_;
-    ++nic_->stats_.retransmissions;
-    if (nic_->fabric()->congestion().dcqcn) DcqcnDecrease();
-    sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                      StrCat("retransmit qp", qp_num_, " sg-wr", wr.wr_id, " of ",
-                             wr.sge.size(), " extents attempt ", retry_attempts_),
-                      nic_->simulator()->Now());
-    nic_->simulator()->ScheduleAfter(backoff, [this]() { ExecuteSg(); });
-    return;
-  }
-  check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
-  retry_attempts_ = 0;
-  state_ = QpState::kError;
-  error_cause_ = Unavailable(StrCat("transport retry limit (",
-                                    nic_->cost().rdma_transport_retry_count,
-                                    ") exhausted: ", status.message()))
-                     .WithContextFrom(status);
-  sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                    StrCat("qp", qp_num_, " -> ERROR: ", status.message()),
-                    nic_->simulator()->Now());
-  FinishCurrent(wr, error_cause_, 0);
 }
 
 void QueuePair::FlushQueues() {

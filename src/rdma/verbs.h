@@ -105,6 +105,12 @@ struct SendWorkRequest {
   // except as the final byte of the final extent (RdmaCheck enforces this).
   std::vector<SgExtent> sge = {};
 
+  // The extents the WR moves, as a view: its SG list, or the one extent the
+  // plain fields describe (no list is built for a plain WR).
+  size_t NumExtents() const { return sge.empty() ? 1 : sge.size(); }
+  SgExtent Extent(size_t i) const {
+    return sge.empty() ? SgExtent{local_addr, remote_addr, length} : sge[i];
+  }
   uint64_t TotalBytes() const {
     if (sge.empty()) return length;
     uint64_t total = 0;
@@ -229,31 +235,39 @@ class QueuePair {
     bool copy_bytes = true;
   };
 
-  // A doorbell-chained WQE list; singles are batches of one.
+  // A doorbell-chained WQE list; a single WR is a chain of one.
   using Batch = std::vector<SendWorkRequest>;
 
+  // The tail both post verbs share: flush-complete |chain| on an errored QP,
+  // else queue it behind the in-flight list.
+  Status Enqueue(Batch chain);
   // Starts the next queued send batch if the engine is idle. The in-flight
   // batch lives in |current_| (guarded by engine_busy_: exactly one per QP),
-  // so every hot-path closure below captures only `this` — 8 trivially-
-  // copyable bytes, inside std::function's inline buffer. Posting, executing,
-  // retrying and completing a WR therefore allocates nothing per event.
+  // so every hot-path closure below captures only `this` (plus, for the
+  // write scatter, one offset) and fits std::function's inline buffer.
+  // Posting, executing, retrying and completing a WR therefore allocates
+  // nothing per event.
   void MaybeStartNext();
-  // Dispatches |current_| after the post overhead: singles via Execute, WQE
-  // chains via ExecuteBatch.
+  // Dispatches |current_| by opcode, after the post overhead and again on
+  // every transport retry.
   void ExecuteCurrent();
-  void Execute(const SendWorkRequest& wr);
-  void ExecuteWrite(const SendWorkRequest& wr);
-  void ExecuteRead(const SendWorkRequest& wr);
-  void ExecuteSend(const SendWorkRequest& wr);
-  // Batch counterparts of ExecuteWrite/CompleteWire/FinishCurrent; all
-  // operate on |current_| and the batch cursor members.
-  void ExecuteBatch();
-  void CompleteBatchWire(const Status& status);
-  void FinishBatch(Status status, bool ok);
-  // Scatter/gather counterparts: one WQE whose extents share one wire stream
-  // (scattered back per extent by the batch cursor members) and one CQE.
-  void ExecuteSg();
-  void CompleteSgWire(const Status& status);
+  // The one RDMA_WRITE pipeline, for every WQE shape: a single WR, a
+  // doorbell-chained list, or a scatter/gather WR. It validates every extent
+  // of every WR before any byte moves, then streams all of them in list
+  // order as one wire transfer, scattered back by the cursor members below.
+  void ExecuteWrite();
+  void ExecuteRead();
+  void ExecuteSend();
+  // Wire completion for |current_|, shared by every opcode: success finishes
+  // it (a SEND first hands its payload to the peer's receive matching), a
+  // transport failure retries the whole list with backoff or errors the QP.
+  void CompleteWire(const Status& status);
+  // Pushes one CQE per WR of |current_|, in FIFO order, after one
+  // cq_poll_overhead (the poller picks the list's CQEs up in one pass), then
+  // releases the engine.
+  void Finish(Status status);
+  // RdmaCheck's completion-ordering edge for every write in |current_|.
+  void NoteWritesFinished();
   // Extra initiation delay modeling the per-QP WQE-engine throughput ceiling
   // (cost.rdma_qp_engine_bytes_per_sec); 0 when the ceiling is disabled.
   int64_t EngineDelayNs(uint64_t bytes) const;
@@ -276,12 +290,6 @@ class QueuePair {
   // is detected under DCQCN: a RoCE RP treats a timeout like severe
   // congestion, which is what de-synchronizes an incast's retry storms.
   void DcqcnDecrease();
-  void FinishCurrent(const SendWorkRequest& wr, Status status, uint64_t bytes);
-  // Wire completion for the in-flight WR (current_.front()): success finishes
-  // it, a transport failure retries with backoff or errors the QP. When
-  // |deliver_inbound| is set (SEND), the payload is handed to the peer's
-  // receive matching before the completion.
-  void CompleteWire(const Status& status, bool deliver_inbound);
   // Flushes all queued WRs with kAborted completions (the QP is in kError).
   void FlushQueues();
   // Schedules an immediate flush completion for a WR posted while errored.
@@ -301,9 +309,6 @@ class QueuePair {
   QpState state_ = QpState::kReady;
   Status error_cause_;
   int retry_attempts_ = 0;  // Transport retries consumed by the in-flight WR.
-  // Delivered-byte cursor of the in-flight single write, kept only to feed
-  // the check::kRetryKeepsCursor mutation (resume-from-cursor-on-retry bug).
-  uint64_t mutation_delivered_ = 0;
 
   // DCQCN per-QP rate state. Each striped lane is its own QP and so carries
   // its own rate — the striping×CC interaction the benches measure. Rate
@@ -324,12 +329,16 @@ class QueuePair {
   Dcqcn dcqcn_;
   bool engine_busy_ = false;
   Batch current_;             // In-flight batch; valid while engine_busy_.
-  size_t batch_cursor_idx_ = 0;   // First WR of current_ not fully delivered.
-  uint64_t batch_cursor_base_ = 0;  // Stream offset where that WR starts.
-  uint64_t sg_total_bytes_ = 0;     // Summed extent bytes of an in-flight SG-WR.
-  WorkCompletion pending_wc_;     // Completion being finalized (cq_poll delay).
-  Status pending_status_;         // Batch-wide completion status.
-  bool pending_ok_ = false;
+  // Write scatter cursor: the first extent of current_ not fully delivered
+  // (WR index, extent index within it) and the stream offset it starts at.
+  // Reset on every execute, so a retransmission rewrites from offset 0.
+  size_t cursor_wr_ = 0;
+  size_t cursor_extent_ = 0;
+  uint64_t cursor_base_ = 0;
+  // Stream bytes delivered by the in-flight write, kept only to feed the
+  // check::kRetryKeepsCursor mutation (resume-from-cursor-on-retry bug).
+  uint64_t delivered_ = 0;
+  Status pending_status_;     // List-wide completion status (cq_poll delay).
   // Scheduled events holding `this` outside the engine_busy_ window (flush
   // completions, recv-side CQE pushes); counted so idle() is exact.
   int pending_events_ = 0;

@@ -424,11 +424,50 @@ TEST_F(VerbsTest, ConnectTwiceFails) {
 }
 
 // ---------------------------------------------------------------------------
-// Scatter/gather work requests: one WQE moving many disjoint extents with one
-// doorbell, one wire stream, and one completion.
+// Multi-extent writes, in the two WQE shapes the verbs layer offers: one
+// scatter/gather WR (one CQE for the whole list) or a doorbell-chained batch
+// of plain WRs over the same extents (one CQE per WR, in FIFO order). Both
+// ring one doorbell, stream the extents in list order and share fate.
 // ---------------------------------------------------------------------------
 
-TEST_F(VerbsTest, SgWritePostsOneDoorbellAndCompletesOnce) {
+enum class WqeShape { kSgWr, kChain };
+
+class VerbsShapeTest : public VerbsTest, public ::testing::WithParamInterface<WqeShape> {
+ protected:
+  bool sg() const { return GetParam() == WqeShape::kSgWr; }
+
+  // Posts |extents| on |qp| in the parameter's shape; chained WRs are
+  // numbered from |wr_id|.
+  Status PostExtents(QueuePair* qp, uint64_t wr_id, uint32_t lkey, uint32_t rkey,
+                     const std::vector<SgExtent>& extents) {
+    if (sg()) {
+      SendWorkRequest wr;
+      wr.wr_id = wr_id;
+      wr.opcode = Opcode::kWrite;
+      wr.lkey = lkey;
+      wr.rkey = rkey;
+      wr.sge = extents;
+      return qp->PostSend(wr);
+    }
+    std::vector<SendWorkRequest> chain;
+    for (const SgExtent& e : extents) {
+      chain.push_back(SendWorkRequest{wr_id++, Opcode::kWrite, e.local_addr, lkey, e.length,
+                                      e.remote_addr, rkey});
+    }
+    return qp->PostSendBatch(std::move(chain));
+  }
+
+  // Completions the shape produces for |extents| extents.
+  size_t Cqes(size_t extents) const { return sg() ? 1 : extents; }
+};
+
+INSTANTIATE_TEST_SUITE_P(WqeShapes, VerbsShapeTest,
+                         ::testing::Values(WqeShape::kSgWr, WqeShape::kChain),
+                         [](const ::testing::TestParamInfo<WqeShape>& info) {
+                           return info.param == WqeShape::kSgWr ? "SgWr" : "Chain";
+                         });
+
+TEST_P(VerbsShapeTest, SgWritePostsOneDoorbellAndCompletesOnce) {
   auto [qa, qb] = ConnectedPair(0, 1);
   constexpr uint64_t kExtent = 16 * 1024;
   constexpr int kExtents = 4;
@@ -439,31 +478,32 @@ TEST_F(VerbsTest, SgWritePostsOneDoorbellAndCompletesOnce) {
   auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
 
-  SendWorkRequest wr;
-  wr.wr_id = 40;
-  wr.opcode = Opcode::kWrite;
-  wr.lkey = src_mr->lkey;
-  wr.rkey = dst_mr->rkey;
+  std::vector<SgExtent> extents;
   for (int i = 0; i < kExtents; ++i) {
-    wr.sge.push_back(SgExtent{reinterpret_cast<uint64_t>(src.data()) + i * kExtent,
-                              reinterpret_cast<uint64_t>(dst.data()) + i * kExtent, kExtent});
+    extents.push_back(SgExtent{reinterpret_cast<uint64_t>(src.data()) + i * kExtent,
+                               reinterpret_cast<uint64_t>(dst.data()) + i * kExtent, kExtent});
   }
   const uint64_t doorbells_before = rdma_.nic(0)->stats().doorbells;
-  ASSERT_TRUE(qa->PostSend(wr).ok());
+  ASSERT_TRUE(PostExtents(qa, 40, src_mr->lkey, dst_mr->rkey, extents).ok());
   ASSERT_TRUE(simulator_.Run().ok());
 
   EXPECT_EQ(src, dst);
-  // One doorbell and one WQE for the whole list.
-  EXPECT_EQ(rdma_.nic(0)->stats().doorbells - doorbells_before, 1u);
-  EXPECT_EQ(rdma_.nic(0)->stats().writes, 1u);
-  EXPECT_EQ(rdma_.nic(0)->stats().sg_writes, 1u);
-  EXPECT_EQ(rdma_.nic(0)->stats().sg_extents, static_cast<uint64_t>(kExtents));
-  // One CQE whose byte_len is the summed extent bytes.
+  // One doorbell for the whole list; one WQE per SG WR or per chained WR.
+  const NicStats& stats = rdma_.nic(0)->stats();
+  EXPECT_EQ(stats.doorbells - doorbells_before, 1u);
+  EXPECT_EQ(stats.writes, sg() ? 1u : static_cast<uint64_t>(kExtents));
+  EXPECT_EQ(stats.sg_writes, sg() ? 1u : 0u);
+  EXPECT_EQ(stats.sg_extents, sg() ? static_cast<uint64_t>(kExtents) : 0u);
+  EXPECT_EQ(stats.doorbell_batches, sg() ? 0u : 1u);
+  // One CQE per WR in FIFO order; the SG WR's byte_len is the summed extent
+  // bytes.
   WorkCompletion wc;
-  ASSERT_TRUE(qa->send_cq()->Poll(&wc));
-  EXPECT_EQ(wc.wr_id, 40u);
-  EXPECT_TRUE(wc.status.ok());
-  EXPECT_EQ(wc.byte_len, kExtents * kExtent);
+  for (size_t i = 0; i < Cqes(kExtents); ++i) {
+    ASSERT_TRUE(qa->send_cq()->Poll(&wc));
+    EXPECT_EQ(wc.wr_id, 40u + i);
+    EXPECT_TRUE(wc.status.ok());
+    EXPECT_EQ(wc.byte_len, sg() ? kExtents * kExtent : kExtent);
+  }
   EXPECT_FALSE(qa->send_cq()->Poll(&wc));
 }
 
@@ -511,7 +551,7 @@ TEST_F(VerbsTest, SgExtentsDeliverInListOrderWithAscendingPrefixPerExtent) {
   EXPECT_EQ(dst, src);
 }
 
-TEST_F(VerbsTest, SgWriteRetryRestartsEveryExtent) {
+TEST_P(VerbsShapeTest, SgWriteRetryRestartsEveryExtent) {
   sim::FaultInjector injector(1);
   sim::LinkFaultSpec spec;
   spec.drop_first_n = 2;  // First two wire attempts lose a segment.
@@ -526,31 +566,29 @@ TEST_F(VerbsTest, SgWriteRetryRestartsEveryExtent) {
   auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
   auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
 
-  SendWorkRequest wr;
-  wr.wr_id = 42;
-  wr.opcode = Opcode::kWrite;
-  wr.lkey = src_mr->lkey;
-  wr.rkey = dst_mr->rkey;
+  std::vector<SgExtent> extents;
   for (int i = 0; i < 3; ++i) {
-    wr.sge.push_back(SgExtent{reinterpret_cast<uint64_t>(src.data()) + i * kExtent,
-                              reinterpret_cast<uint64_t>(dst.data()) + i * kExtent, kExtent});
+    extents.push_back(SgExtent{reinterpret_cast<uint64_t>(src.data()) + i * kExtent,
+                               reinterpret_cast<uint64_t>(dst.data()) + i * kExtent, kExtent});
   }
-  ASSERT_TRUE(qa->PostSend(wr).ok());
+  ASSERT_TRUE(PostExtents(qa, 42, src_mr->lkey, dst_mr->rkey, extents).ok());
   ASSERT_TRUE(simulator_.Run().ok());
 
-  // One retry budget for the whole WQE; the retransmission restarted the
+  // One retry budget for the whole WQE list; the retransmission restarted the
   // extent cursor so every extent's bytes are intact.
   EXPECT_EQ(src, dst);
   WorkCompletion wc;
-  ASSERT_TRUE(qa->send_cq()->Poll(&wc));
-  EXPECT_EQ(wc.wr_id, 42u);
-  EXPECT_TRUE(wc.status.ok());
+  for (size_t i = 0; i < Cqes(extents.size()); ++i) {
+    ASSERT_TRUE(qa->send_cq()->Poll(&wc));
+    EXPECT_EQ(wc.wr_id, 42u + i);
+    EXPECT_TRUE(wc.status.ok());
+  }
   EXPECT_FALSE(qa->send_cq()->Poll(&wc));
   EXPECT_EQ(rdma_.nic(0)->stats().retransmissions, 2u);
   EXPECT_FALSE(qa->in_error());
 }
 
-TEST_F(VerbsTest, SgWriteValidatesEveryExtentBeforeAnyByteMoves) {
+TEST_P(VerbsShapeTest, SgWriteValidatesEveryExtentBeforeAnyByteMoves) {
   // The extents share fate like one WQE: a remote violation in the *last*
   // extent fails the whole request before the first extent's bytes land.
   auto [qa, qb] = ConnectedPair(0, 1);
@@ -559,21 +597,22 @@ TEST_F(VerbsTest, SgWriteValidatesEveryExtentBeforeAnyByteMoves) {
   auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
   auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
 
-  SendWorkRequest wr;
-  wr.wr_id = 43;
-  wr.opcode = Opcode::kWrite;
-  wr.lkey = src_mr->lkey;
-  wr.rkey = dst_mr->rkey;
-  wr.sge = {SgExtent{reinterpret_cast<uint64_t>(src.data()),
-                     reinterpret_cast<uint64_t>(dst.data()), 4096},
-            SgExtent{reinterpret_cast<uint64_t>(src.data()) + 4096,
-                     reinterpret_cast<uint64_t>(dst.data()) + 4096, 4096}};  // Out of bounds.
-  ASSERT_TRUE(qa->PostSend(wr).ok());
+  const std::vector<SgExtent> extents = {
+      SgExtent{reinterpret_cast<uint64_t>(src.data()), reinterpret_cast<uint64_t>(dst.data()),
+               4096},
+      SgExtent{reinterpret_cast<uint64_t>(src.data()) + 4096,
+               reinterpret_cast<uint64_t>(dst.data()) + 4096, 4096}};  // Out of bounds.
+  ASSERT_TRUE(PostExtents(qa, 43, src_mr->lkey, dst_mr->rkey, extents).ok());
   ASSERT_TRUE(simulator_.Run().ok());
 
+  // Every WR of the list completes with the violation.
   WorkCompletion wc;
-  ASSERT_TRUE(qa->send_cq()->Poll(&wc));
-  EXPECT_EQ(wc.status.code(), StatusCode::kInvalidArgument);
+  for (size_t i = 0; i < Cqes(extents.size()); ++i) {
+    ASSERT_TRUE(qa->send_cq()->Poll(&wc));
+    EXPECT_EQ(wc.wr_id, 43u + i);
+    EXPECT_EQ(wc.status.code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(qa->send_cq()->Poll(&wc));
   EXPECT_EQ(rdma_.nic(1)->stats().rkey_violations, 1u);
   for (uint8_t b : dst) ASSERT_EQ(b, 0);  // No partial delivery.
 }

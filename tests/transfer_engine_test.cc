@@ -555,6 +555,91 @@ TEST(TransferEngineTest, WriteGatherRejectsMixedRegistrationKeys) {
   EXPECT_EQ(result.code(), StatusCode::kInvalidArgument);
 }
 
+// The routes a write with a null completion callback can take. on_done may
+// be null on every one of them: the bytes still land and nothing invokes the
+// empty callback.
+enum class NullDoneRoute { kFlagOnly, kPayloadOnly, kStriped, kGather };
+
+class TransferEngineTest : public ::testing::TestWithParam<NullDoneRoute> {};
+
+INSTANTIATE_TEST_SUITE_P(Routes, TransferEngineTest,
+                         ::testing::Values(NullDoneRoute::kFlagOnly, NullDoneRoute::kPayloadOnly,
+                                           NullDoneRoute::kStriped, NullDoneRoute::kGather),
+                         [](const ::testing::TestParamInfo<NullDoneRoute>& info) {
+                           switch (info.param) {
+                             case NullDoneRoute::kFlagOnly:
+                               return "FlagOnly";
+                             case NullDoneRoute::kPayloadOnly:
+                               return "PayloadOnly";
+                             case NullDoneRoute::kStriped:
+                               return "Striped";
+                             case NullDoneRoute::kGather:
+                               return "Gather";
+                           }
+                           return "?";
+                         });
+
+TEST_P(TransferEngineTest, NullDoneIsAcceptedOnEveryRoute) {
+  net::CostModel cost;
+  cost.rdma_qp_engine_bytes_per_sec = 12e9;  // Striping gate needs a finite rate.
+  World world(cost);
+  auto src_dev = world.MakeDevice(0);
+  auto dst_dev = world.MakeDevice(1);
+
+  constexpr uint64_t kBytes = 1 << 20;
+  auto src = src_dev->AllocateMemRegion(kBytes);
+  auto dst = dst_dev->AllocateMemRegion(kBytes);
+  auto src_flag = src_dev->AllocateMemRegion(1);
+  auto dst_flag = dst_dev->AllocateMemRegion(1);
+  ASSERT_TRUE(src.ok() && dst.ok() && src_flag.ok() && dst_flag.ok());
+  for (uint64_t i = 0; i < kBytes; ++i) src->data()[i] = static_cast<uint8_t>(i * 7 + 1);
+  std::memset(dst->data(), 0, kBytes);
+  src_flag->data()[0] = 1;
+  dst_flag->data()[0] = 0;
+
+  TransferEngineOptions options;
+  options.stripe_threshold_bytes = 256 << 10;
+  TransferEngine engine(src_dev.get(), options);
+  TransferEngine::WriteDesc payload{src->data(), src->lkey(), dst->Remote().addr,
+                                    dst->rkey(), kBytes, /*copy_bytes=*/true};
+  TransferEngine::WriteDesc flag{src_flag->data(), src_flag->lkey(), dst_flag->Remote().addr,
+                                 dst_flag->rkey(), 1, /*copy_bytes=*/true};
+
+  TransferEngine::Route route = TransferEngine::Route::kCoalesced;
+  TransferEngine::Route expected = TransferEngine::Route::kDirect;
+  switch (GetParam()) {
+    case NullDoneRoute::kFlagOnly:
+      payload.bytes = 0;
+      route = engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, 0, nullptr);
+      break;
+    case NullDoneRoute::kPayloadOnly:
+      // Above the coalescing threshold, below the striping one.
+      payload.bytes = 64 << 10;
+      flag.bytes = 0;
+      route = engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, 0, nullptr);
+      break;
+    case NullDoneRoute::kStriped:
+      expected = TransferEngine::Route::kStriped;
+      route = engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, 0, nullptr);
+      break;
+    case NullDoneRoute::kGather: {
+      expected = TransferEngine::Route::kScatterGather;
+      std::vector<TransferEngine::WriteDesc> extents;
+      for (uint64_t off = 0; off < kBytes; off += kBytes / 4) {
+        extents.push_back({src->data() + off, src->lkey(), dst->Remote().addr + off,
+                           dst->rkey(), kBytes / 4, /*copy_bytes=*/true});
+      }
+      route = engine.WriteGather(dst_dev->endpoint(), extents, flag, 0, nullptr);
+      break;
+    }
+  }
+  EXPECT_EQ(route, expected);
+  ASSERT_TRUE(world.simulator.Run().ok());
+
+  EXPECT_EQ(std::memcmp(dst->data(), src->data(), payload.bytes), 0);
+  EXPECT_EQ(dst_flag->data()[0], flag.bytes);
+}
+
 TEST(ExtentLruCacheTest, CoversLookupsAndEvictsLeastRecentlyUsed) {
   tensor::ExtentLruCache<int> cache;
   cache.Insert(4096, 8192, 1);
