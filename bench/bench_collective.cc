@@ -6,7 +6,9 @@
 // algorithm against a naive gather-at-root reduction. Finishes with an
 // end-to-end PS-vs-all-reduce training comparison on FCN-5.
 //
-// All numbers are virtual-time measurements from the simulated fabric.
+// All numbers are virtual-time measurements from the simulated fabric. The
+// transport sweep ends in an acceptance line; the binary exits 1 when it
+// reads FAIL.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -80,7 +82,8 @@ OpResult TimeAllReduce(int n, uint64_t bytes, collective::CollectiveOptions opti
   return result;
 }
 
-void SweepTransports() {
+// Returns the acceptance verdict.
+bool SweepTransports() {
   PrintHeader("Collective all-reduce: ring over zero-copy RDMA vs TCP staging",
               "Virtual ms per all-reduce (mean egress link utilization in parens).");
   std::printf("%-8s %10s | %12s %18s | %8s\n", "hosts", "tensor", "gRPC-TCP",
@@ -109,6 +112,7 @@ void SweepTransports() {
   PrintRule();
   std::printf("acceptance (zero-copy ring < staging at >=1MB on 8 hosts): %s\n",
               acceptance ? "PASS" : "FAIL");
+  return acceptance;
 }
 
 void SweepAlgorithms() {
@@ -174,8 +178,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  rdmadl::bench::SweepTransports();
+  const bool acceptance = rdmadl::bench::SweepTransports();
   rdmadl::bench::SweepAlgorithms();
   rdmadl::bench::EndToEnd(tail);
-  return 0;
+  return acceptance ? 0 : 1;
 }

@@ -48,14 +48,13 @@
 #                                 # run, and an ASan+UBSan pass over the
 #                                 # congestion suite. A smoke subset is also
 #                                 # part of the default (no-flag) flow.
-#   scripts/check.sh --collectives # collective conformance sweep: the
-#                                 # equivalence matrix (every algorithm x
-#                                 # topology shape x tensor size against the
-#                                 # scalar reference) plain and under
-#                                 # RDMADL_CHECK=1, the multi-level chaos and
-#                                 # elastic tests across the seed list, and
-#                                 # an ASan+UBSan pass over the conformance
-#                                 # binary
+#   scripts/check.sh --collectives # collective conformance sweep: `ctest
+#                                 # -L conformance` (the algorithm x shape x
+#                                 # size matrix against the scalar reference,
+#                                 # plain and under RDMADL_CHECK=1, and the
+#                                 # bench_collective gate), the multi-level
+#                                 # chaos and elastic tests across the seed
+#                                 # list, and an ASan+UBSan conformance pass
 #   scripts/check.sh --gdr        # GPUDirect route sweep (ISSUE 10): the
 #                                 # SG-WR verbs contract, gather route planner
 #                                 # and SG diagnostics suites plain and under
@@ -322,15 +321,14 @@ case "$MODE" in
     echo "congestion sweep passed for seeds: $SEEDS"
     ;;
   collectives)
-    # Collective conformance sweep (ISSUE 7). The equivalence matrix runs
-    # plain, then with the protocol checker installed in every test; the
-    # multi-level chaos (HierarchicalChaosTest) and elastic leader
+    # Collective conformance sweep. The `conformance` label runs the
+    # equivalence matrix plain and checked, and bench_collective's gate;
+    # the multi-level chaos (HierarchicalChaosTest) and elastic leader
     # re-election tests sweep the fault seeds; finally the conformance
     # binary runs under ASan+UBSan — the matrix touches every slot/flag
     # layout the hierarchical and in-network schedules compute.
     plain_build
-    "$BUILD_DIR/tests/collective_conformance_test" --gtest_brief=1
-    RDMADL_CHECK=1 "$BUILD_DIR/tests/collective_conformance_test" --gtest_brief=1
+    ctest --test-dir "$BUILD_DIR" -L conformance --output-on-failure
     for seed in $SEEDS; do
       echo "=== collective chaos sweep: RDMADL_FAULT_SEED=$seed ==="
       RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 "$BUILD_DIR/tests/fault_test" \

@@ -65,9 +65,6 @@ void RdmaCheck::Emit(DiagKind kind, std::string message, int src_host, int dst_h
   // Trace-linked: the violation shows up on its own track at the exact
   // virtual time, next to the NIC/fault events that led to it.
   sim::TraceInstant("check", StrCat(DiagKindName(kind), ": ", d.message), now_ns);
-  if (options_.fail_fast) {
-    LOG(FATAL) << "RdmaCheck [" << DiagKindName(kind) << "] " << d.message;
-  }
   diagnostics_.push_back(std::move(d));
 }
 
@@ -398,7 +395,7 @@ void RdmaCheck::ArenaDestroyed(const void* arena) {
   if (it == arenas_.end()) return;
   ArenaShadow shadow = std::move(it->second);
   arenas_.erase(it);
-  if (!options_.check_leaks || shadow.live.empty()) return;
+  if (shadow.live.empty()) return;
   uint64_t bytes = 0;
   for (const auto& [offset, size] : shadow.live) bytes += size;
   std::string first;
@@ -568,14 +565,12 @@ std::vector<RdmaCheck::PendingWrite> RdmaCheck::PendingWrites() const {
 const std::vector<Diagnostic>& RdmaCheck::Finalize() {
   if (finalized_) return diagnostics_;
   finalized_ = true;
-  if (options_.check_leaks) {
-    for (const auto& [key, mr] : live_mrs_) {
-      Emit(DiagKind::kLeakedMemoryRegion,
-           StrCat("host", key.first, " MR rkey=", key.second, " lkey=", mr.lkey, " [",
-                  mr.addr, ", ", mr.addr + mr.length, ") registered at t=",
-                  mr.registered_at_ns, "ns never deregistered"),
-           /*src_host=*/-1, key.first, /*qp_num=*/0, /*wr_id=*/0, mr.registered_at_ns);
-    }
+  for (const auto& [key, mr] : live_mrs_) {
+    Emit(DiagKind::kLeakedMemoryRegion,
+         StrCat("host", key.first, " MR rkey=", key.second, " lkey=", mr.lkey, " [", mr.addr,
+                ", ", mr.addr + mr.length, ") registered at t=", mr.registered_at_ns,
+                "ns never deregistered"),
+         /*src_host=*/-1, key.first, /*qp_num=*/0, /*wr_id=*/0, mr.registered_at_ns);
   }
   return diagnostics_;
 }

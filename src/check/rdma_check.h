@@ -87,8 +87,6 @@ struct SgExtentInfo {
 };
 
 struct RdmaCheckOptions {
-  bool fail_fast = false;   // LOG(FATAL) on the first diagnostic.
-  bool check_leaks = true;  // MR / arena-carve-out accounting at teardown.
   // Auto-register flag bytes at their first observed poll miss (FlagPolled)
   // even without a FlagLocation declaration, and count polls. Off by default:
   // the collective planes set flags through paths the verbs hooks never see

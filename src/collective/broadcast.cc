@@ -25,24 +25,14 @@ void CollectiveGroup::StartBroadcast(const std::shared_ptr<Op>& op) {
       static_cast<int>(std::min<uint64_t>(kBroadcastSegments, op->count));
   op->pending_units = n - 1;
 
-  // Segment geometry, shared by every hop.
-  auto segment = [count = op->count, segments](int j) {
-    const uint64_t base = count / segments;
-    const uint64_t rem = count % segments;
-    const uint64_t idx = static_cast<uint64_t>(j);
-    const uint64_t len = base + (idx < rem ? 1 : 0);
-    const uint64_t off = idx * base + std::min<uint64_t>(idx, rem);
-    return std::pair<uint64_t, uint64_t>{off, len};
-  };
-
-  auto forward = [this, op, segment](int from, int j) {
+  auto forward = [this, op, segments](int from, int j) {
     const int to = (from + 1) % size();
-    const auto [off, len] = segment(j);
+    const ChunkRange segment = SplitRange(op->count, segments, j);
     Rank* self = ranks_[from].get();
     const Rank::PeerAddrs& peer = self->peers[to];
-    const uint64_t byte_off = off * sizeof(float);
+    const uint64_t byte_off = segment.offset * sizeof(float);
     PostChunk(op, from, to, /*qp_lane=*/0, self->data_addr + byte_off, self->data_lkey,
-              peer.data.addr + byte_off, peer.data.rkey, len * sizeof(float),
+              peer.data.addr + byte_off, peer.data.rkey, segment.count * sizeof(float),
               /*flag_index=*/j);
   };
 

@@ -202,11 +202,17 @@ class CollectiveGroup {
   struct Rank;
   struct Op;
   struct Waiter;
+  struct RingLane;
 
   CollectiveGroup(device::DeviceDirectory* directory, uint64_t max_elements,
                   CollectiveOptions options);
 
   Status Init(const std::vector<int>& hosts);
+  // Per-rank resources for the current layout, shared by Init and
+  // Reconfigure: creates the device and engine of ranks that have none,
+  // (re)allocates the flag block and slot area, registers the data buffer
+  // once, fills the self address entry and (re)registers the address RPC.
+  Status ProvisionRanks(const std::vector<int>& hosts);
 
   // Validates and begins an op; |start| runs once address exchange is done.
   void Begin(std::shared_ptr<Op> op, std::function<void()> start);
@@ -222,6 +228,10 @@ class CollectiveGroup {
   void Finish(const std::shared_ptr<Op>& op);
   void Fail(const std::shared_ptr<Op>& op, const Status& status);
   void FinishUnit(const std::shared_ptr<Op>& op);
+  // Splits |op| into |lanes| near-equal pipeline lanes (Op::lanes) and
+  // expects |units_per_lane| FinishUnit calls per non-empty lane. Returns
+  // false, after finishing the op, when every lane is empty.
+  bool StartLanes(const std::shared_ptr<Op>& op, int lanes, int units_per_lane);
 
   // Posts one chunk: payload (if |bytes| > 0) then the 1-byte completion flag
   // |flag_index| at |dst_rank|, over the configured transport.
@@ -251,12 +261,17 @@ class CollectiveGroup {
   void StartBroadcast(const std::shared_ptr<Op>& op);
   void StartHierarchical(const std::shared_ptr<Op>& op);
   void StartInNetwork(const std::shared_ptr<Op>& op);
+  // One ring lane at one member (the flat ring and the hierarchical leader
+  // ring): posts step 0, then polls the lane's flags and runs each arrival.
+  void RunRingLane(const std::shared_ptr<Op>& op, RingLane lane);
+  // Posts step |step| of |lane|, or runs its on_done once every step is done.
+  void RingLaneStep(const std::shared_ptr<Op>& op, const RingLane& lane, int step);
   // One aggregation window of lane |lane| through the switch-reduce stage;
   // chains itself until the lane's rounds are exhausted.
   void IssueInNetworkRound(const std::shared_ptr<Op>& op, int lane, int round);
 
-  // Groups the member hosts into racks_ / rank_rack_ / rank_pos_ from the
-  // fabric topology (one rack when flat).
+  // Groups the member hosts into racks_ / rank_rack_ / rank_pos_ / leaders_
+  // from the fabric topology (one rack when flat), and sets rank_order_.
   void BuildRacks(const std::vector<int>& hosts);
   // Slot/flag layout shared by Init and Reconfigure (ring + naive + the
   // hierarchical tree/leader-ring areas and the in-network round flags).
@@ -294,6 +309,7 @@ class CollectiveGroup {
   std::vector<std::vector<int>> racks_;  // Rack ordinal -> ranks, leader first.
   std::vector<int> rank_rack_;           // Rank -> rack ordinal.
   std::vector<int> rank_pos_;            // Rank -> position in rack (0=leader).
+  std::vector<int> leaders_;             // Rack ordinal -> leader rank.
   int tree_rounds_ = 0;                  // ceil(log2(max rack size)).
   uint64_t lane_cap_elements_ = 0;       // ceil(max_elements / lanes).
   uint64_t hier_extra_slot_bytes_ = 0;   // Tree + leader-ring areas per rank.
@@ -307,6 +323,7 @@ class CollectiveGroup {
   int innet_rounds_cap_ = 0;            // Max rounds of any lane.
 
   std::vector<int> host_to_rank_;  // Fabric host id -> rank, -1 elsewhere.
+  std::vector<int> rank_order_;    // 0..N-1: the flat ring's members.
 
   std::vector<std::unique_ptr<Rank>> ranks_;
   mutable std::vector<std::string> rank_tracks_;

@@ -1,7 +1,8 @@
 // CollectiveGroup core: resource setup (buffers, registration, address
 // distribution), op lifecycle, the chunk-post primitive for both transports,
 // and the flag pollers. The algorithm schedules live in ring_allreduce.cc,
-// naive_allreduce.cc and broadcast.cc.
+// hierarchical_allreduce.cc, innetwork_allreduce.cc, naive_allreduce.cc and
+// broadcast.cc.
 #include <algorithm>
 #include <cstring>
 #include <set>
@@ -22,8 +23,6 @@ namespace rdmadl {
 namespace collective {
 
 namespace {
-
-uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
 int64_t CostNs(uint64_t bytes, double bytes_per_sec) {
   return static_cast<int64_t>(static_cast<double>(bytes) / bytes_per_sec * 1e9);
@@ -128,12 +127,16 @@ void CollectiveGroup::BuildRacks(const std::vector<int>& hosts) {
     }
     racks_[pos].push_back(r);
   }
+  leaders_.clear();
   for (int rk = 0; rk < static_cast<int>(racks_.size()); ++rk) {
+    leaders_.push_back(racks_[rk][0]);
     for (int p = 0; p < static_cast<int>(racks_[rk].size()); ++p) {
       rank_rack_[racks_[rk][p]] = rk;
       rank_pos_[racks_[rk][p]] = p;
     }
   }
+  rank_order_.resize(n);
+  for (int r = 0; r < n; ++r) rank_order_[r] = r;
 }
 
 void CollectiveGroup::ComputeLayout(int n) {
@@ -243,21 +246,32 @@ Status CollectiveGroup::Init(const std::vector<int>& hosts) {
         "in-network collective requires a hierarchical topology with switch_reduce");
   }
   ComputeLayout(n);
+  return ProvisionRanks(hosts);
+}
 
+Status CollectiveGroup::ProvisionRanks(const std::vector<int>& hosts) {
+  const int n = static_cast<int>(hosts.size());
+  const uint64_t data_bytes = max_elements_ * sizeof(float);
   const int num_qps = std::clamp(options_.pipeline_depth, 1, 4);
   for (int i = 0; i < n; ++i) {
-    auto rank = std::make_unique<Rank>();
+    if (i == size()) {
+      // First provisioning (Init): the rank's device and transfer engine.
+      auto rank = std::make_unique<Rank>();
+      rank->endpoint = Endpoint{hosts[i], options_.port};
+      RDMADL_ASSIGN_OR_RETURN(
+          rank->device,
+          device::RdmaDevice::Create(directory_, options_.num_cqs, num_qps, rank->endpoint));
+      comm::TransferEngineOptions engine_options = options_.engine;
+      engine_options.enable_coalescing = false;  // Ring flags are per-slot.
+      rank->engine = std::make_unique<comm::TransferEngine>(rank->device.get(), engine_options);
+      ranks_.push_back(std::move(rank));
+    }
+    Rank* rank = ranks_[i].get();
     rank->index = i;
-    rank->endpoint = Endpoint{hosts[i], options_.port};
-    RDMADL_ASSIGN_OR_RETURN(
-        rank->device,
-        device::RdmaDevice::Create(directory_, options_.num_cqs, num_qps, rank->endpoint));
-    comm::TransferEngineOptions engine_options = options_.engine;
-    engine_options.enable_coalescing = false;  // Ring flags are per-slot.
-    rank->engine = std::make_unique<comm::TransferEngine>(rank->device.get(), engine_options);
 
     // Flags are always real: the poller reads actual bytes (§3.2), even when
-    // the payload buffers are virtual.
+    // the payload buffers are virtual. A replaced block is released only
+    // after the new one is allocated.
     RDMADL_ASSIGN_OR_RETURN(rank->flag_region,
                             rank->device->AllocateMemRegion(flag_capacity_ + 1));
     std::memset(rank->flag_region.data(), 0, flag_capacity_ + 1);
@@ -267,15 +281,20 @@ Status CollectiveGroup::Init(const std::vector<int>& hosts) {
     if (options_.algorithm == Algorithm::kNaiveGather && i == 0 && n > 1) {
       slot_bytes += static_cast<uint64_t>(n - 1) * data_bytes;  // Gather parking.
     }
-    rank->slot_bytes = slot_bytes;
 
-    uint32_t data_rkey = 0;
+    // The data buffer is registered once and persists; the slot area is
+    // sized by the current layout, so a previous one is released before its
+    // replacement is registered.
+    rank->slot_lkey = 0;
     uint32_t slot_rkey = 0;
     if (options_.materialize) {
-      RDMADL_ASSIGN_OR_RETURN(rank->data_region, rank->device->AllocateMemRegion(data_bytes));
-      rank->data_addr = reinterpret_cast<uint64_t>(rank->data_region.data());
-      rank->data_lkey = rank->data_region.lkey();
-      data_rkey = rank->data_region.rkey();
+      if (!rank->data_region.valid()) {
+        RDMADL_ASSIGN_OR_RETURN(rank->data_region, rank->device->AllocateMemRegion(data_bytes));
+        rank->data_addr = reinterpret_cast<uint64_t>(rank->data_region.data());
+        rank->data_lkey = rank->data_region.lkey();
+      }
+      rank->slot_region = device::MemRegion();
+      rank->slot_addr = 0;
       if (slot_bytes > 0) {
         RDMADL_ASSIGN_OR_RETURN(rank->slot_region, rank->device->AllocateMemRegion(slot_bytes));
         rank->slot_addr = reinterpret_cast<uint64_t>(rank->slot_region.data());
@@ -283,16 +302,22 @@ Status CollectiveGroup::Init(const std::vector<int>& hosts) {
         slot_rkey = rank->slot_region.rkey();
       }
     } else {
-      const uint64_t window = kVirtualBase + (next_virtual_window++) * kVirtualWindowBytes;
-      rank->data_addr = window;
-      RDMADL_ASSIGN_OR_RETURN(
-          rdma::MemoryRegion data_mr,
-          rank->device->nic()->RegisterMemory(reinterpret_cast<void*>(window), data_bytes));
-      rank->data_lkey = data_mr.lkey;
-      data_rkey = data_mr.rkey;
-      rank->virtual_mrs.push_back(data_mr);
+      // virtual_mrs[0] is the data registration; anything after it is the
+      // slot area, registered at a fixed offset in the rank's window.
+      if (rank->virtual_mrs.empty()) {
+        rank->data_addr = kVirtualBase + (next_virtual_window++) * kVirtualWindowBytes;
+        RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion data_mr,
+                                rank->device->nic()->RegisterMemory(
+                                    reinterpret_cast<void*>(rank->data_addr), data_bytes));
+        rank->data_lkey = data_mr.lkey;
+        rank->virtual_mrs.push_back(data_mr);
+      }
+      while (rank->virtual_mrs.size() > 1) {
+        RDMADL_RETURN_IF_ERROR(rank->device->nic()->DeregisterMemory(rank->virtual_mrs.back()));
+        rank->virtual_mrs.pop_back();
+      }
       if (slot_bytes > 0) {
-        rank->slot_addr = window + kVirtualSlotOffset;
+        rank->slot_addr = rank->data_addr + kVirtualSlotOffset;
         RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion slot_mr,
                                 rank->device->nic()->RegisterMemory(
                                     reinterpret_cast<void*>(rank->slot_addr), slot_bytes));
@@ -301,32 +326,35 @@ Status CollectiveGroup::Init(const std::vector<int>& hosts) {
         rank->virtual_mrs.push_back(slot_mr);
       }
     }
+    const uint32_t data_rkey =
+        options_.materialize ? rank->data_region.rkey() : rank->virtual_mrs[0].rkey;
 
-    rank->peers.resize(n);
+    rank->peers.assign(n, Rank::PeerAddrs{});
     rank->peers[i].data = device::RemoteRegion{rank->data_addr, data_rkey, data_bytes};
     rank->peers[i].slots = device::RemoteRegion{rank->slot_addr, slot_rkey, slot_bytes};
     rank->peers[i].flags = rank->flag_region.Remote();
 
     // Address distribution (§3.1): peers fetch the three descriptors over the
-    // device library's vanilla RPC before the first collective.
-    Rank* self = rank.get();
+    // device library's vanilla RPC before the first collective. The handler
+    // captures the rank's index, so re-registering (same method name
+    // replaces the old handler) follows every renumbering.
     rank->device->RegisterRpcHandler(
-        "collective/addrs", [self, i](const std::vector<uint8_t>&) {
+        "collective/addrs", [rank, i](const std::vector<uint8_t>&) {
           std::vector<uint8_t> out;
-          self->peers[i].data.EncodeTo(&out);
-          self->peers[i].slots.EncodeTo(&out);
-          self->peers[i].flags.EncodeTo(&out);
+          rank->peers[i].data.EncodeTo(&out);
+          rank->peers[i].slots.EncodeTo(&out);
+          rank->peers[i].flags.EncodeTo(&out);
           return out;
         });
-
-    ranks_.push_back(std::move(rank));
   }
 
-  host_to_rank_.assign(fabric->num_hosts(), -1);
+  host_to_rank_.assign(directory_->rdma_fabric()->fabric()->num_hosts(), -1);
   for (int i = 0; i < n; ++i) host_to_rank_[hosts[i]] = i;
   InstallLaneLimitResolver();
 
-  rank_tracks_.resize(n);
+  rank_tracks_.assign(n, std::string());
+  exchanged_ = false;  // The next op runs the slot-address exchange.
+  pending_exchanges_ = 0;
   return OkStatus();
 }
 
@@ -345,13 +373,8 @@ float* CollectiveGroup::data(int rank) const {
 }
 
 std::pair<uint64_t, uint64_t> CollectiveGroup::Chunk(uint64_t count, int c) const {
-  const uint64_t n = size();
-  const uint64_t base = count / n;
-  const uint64_t rem = count % n;
-  const uint64_t idx = static_cast<uint64_t>(c);
-  const uint64_t length = base + (idx < rem ? 1 : 0);
-  const uint64_t offset = idx * base + std::min<uint64_t>(idx, rem);
-  return {offset, length};
+  const ChunkRange chunk = SplitRange(count, size(), c);
+  return {chunk.offset, chunk.count};
 }
 
 int64_t CollectiveGroup::ReduceNs(uint64_t bytes) const {
@@ -509,7 +532,7 @@ std::vector<std::pair<int, int>> CollectiveGroup::RequiredAddressPairs() const {
     }
     if (num_racks > 1) {
       for (int rk = 0; rk < num_racks; ++rk) {
-        set.emplace(racks_[rk][0], racks_[(rk + 1) % num_racks][0]);
+        set.emplace(leaders_[rk], leaders_[(rk + 1) % num_racks]);
       }
     }
   }
@@ -680,98 +703,35 @@ Status CollectiveGroup::Reconfigure(const std::vector<int>& alive_hosts) {
   }
   ranks_ = std::move(survivors);
 
-  const int n = size();
-  const uint64_t data_bytes = max_elements_ * sizeof(float);
-
-  // Same layout math as Init, for the smaller membership: re-derive the rack
-  // grouping (a whole rack may have died; the hierarchical leader of each
-  // surviving rack is its first surviving member by position) and rerun the
-  // shared layout. chunk_cap grows as n shrinks (ceil), so the slot area can
-  // be *larger* per rank than before — slots and flags are reallocated; data
-  // buffers persist.
+  // Same layout and provisioning as Init, for the smaller membership:
+  // re-derive the rack grouping (a whole rack may have died; the
+  // hierarchical leader of each surviving rack is its first surviving member
+  // by position) and rerun the shared layout. chunk_cap grows as n shrinks
+  // (ceil), so the slot area can be *larger* per rank than before — slots
+  // and flags are reallocated; data buffers persist.
   BuildRacks(hosts());
-  ComputeLayout(n);
+  ComputeLayout(size());
+  RDMADL_RETURN_IF_ERROR(ProvisionRanks(hosts()));
 
-  for (int i = 0; i < n; ++i) {
-    Rank* rank = ranks_[i].get();
-    rank->index = i;
-
-    RDMADL_ASSIGN_OR_RETURN(rank->flag_region,
-                            rank->device->AllocateMemRegion(flag_capacity_ + 1));
-    std::memset(rank->flag_region.data(), 0, flag_capacity_ + 1);
-    rank->flag_region.data()[flag_capacity_] = 1;
-
-    uint64_t slot_bytes = ring_slot_bytes_ + hier_extra_slot_bytes_;
-    if (options_.algorithm == Algorithm::kNaiveGather && i == 0 && n > 1) {
-      slot_bytes += static_cast<uint64_t>(n - 1) * data_bytes;
-    }
-    rank->slot_bytes = slot_bytes;
-
-    uint32_t data_rkey = 0;
-    uint32_t slot_rkey = 0;
-    if (options_.materialize) {
-      data_rkey = rank->data_region.rkey();
-      rank->slot_region = device::MemRegion();
-      rank->slot_addr = 0;
-      rank->slot_lkey = 0;
-      if (slot_bytes > 0) {
-        RDMADL_ASSIGN_OR_RETURN(rank->slot_region,
-                                rank->device->AllocateMemRegion(slot_bytes));
-        rank->slot_addr = reinterpret_cast<uint64_t>(rank->slot_region.data());
-        rank->slot_lkey = rank->slot_region.lkey();
-        slot_rkey = rank->slot_region.rkey();
-      }
-    } else {
-      // virtual_mrs[0] is the data registration; anything after it is the old
-      // slot area, re-registered at the same window offset with the new size.
-      CHECK(!rank->virtual_mrs.empty());
-      data_rkey = rank->virtual_mrs[0].rkey;
-      while (rank->virtual_mrs.size() > 1) {
-        RDMADL_RETURN_IF_ERROR(
-            rank->device->nic()->DeregisterMemory(rank->virtual_mrs.back()));
-        rank->virtual_mrs.pop_back();
-      }
-      rank->slot_lkey = 0;
-      if (slot_bytes > 0) {
-        rank->slot_addr = rank->data_addr + kVirtualSlotOffset;
-        RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion slot_mr,
-                                rank->device->nic()->RegisterMemory(
-                                    reinterpret_cast<void*>(rank->slot_addr), slot_bytes));
-        rank->slot_lkey = slot_mr.lkey;
-        slot_rkey = slot_mr.rkey;
-        rank->virtual_mrs.push_back(slot_mr);
-      }
-    }
-
-    rank->peers.assign(n, Rank::PeerAddrs{});
-    rank->peers[i].data = device::RemoteRegion{rank->data_addr, data_rkey, data_bytes};
-    rank->peers[i].slots = device::RemoteRegion{rank->slot_addr, slot_rkey, slot_bytes};
-    rank->peers[i].flags = rank->flag_region.Remote();
-
-    // The address handler captures the rank's index by value; re-register it
-    // (same method name replaces the old handler) with the new index.
-    Rank* self = rank;
-    rank->device->RegisterRpcHandler(
-        "collective/addrs", [self, i](const std::vector<uint8_t>&) {
-          std::vector<uint8_t> out;
-          self->peers[i].data.EncodeTo(&out);
-          self->peers[i].slots.EncodeTo(&out);
-          self->peers[i].flags.EncodeTo(&out);
-          return out;
-        });
-  }
-
-  host_to_rank_.assign(directory_->rdma_fabric()->fabric()->num_hosts(), -1);
-  for (int i = 0; i < n; ++i) host_to_rank_[ranks_[i]->endpoint.host_id] = i;
-  InstallLaneLimitResolver();
-
-  rank_tracks_.assign(n, std::string());
-  exchanged_ = false;  // The next op re-runs the ring-buffer address exchange.
-  pending_exchanges_ = 0;
   ++stats_.reconfigurations;
-  sim::TraceInstant("collective",
-                    StrCat("reconfigured to ", n, " ranks"), simulator()->Now());
+  sim::TraceInstant("collective", StrCat("reconfigured to ", size(), " ranks"),
+                    simulator()->Now());
   return OkStatus();
+}
+
+bool CollectiveGroup::StartLanes(const std::shared_ptr<Op>& op, int lanes, int units_per_lane) {
+  op->lanes.resize(lanes);
+  int active_lanes = 0;
+  for (int l = 0; l < lanes; ++l) {
+    op->lanes[l] = SplitRange(op->count, lanes, l);
+    if (op->lanes[l].count > 0) active_lanes++;
+  }
+  op->pending_units = active_lanes * units_per_lane;
+  if (op->pending_units == 0) {
+    Finish(op);
+    return false;
+  }
+  return true;
 }
 
 void CollectiveGroup::FinishUnit(const std::shared_ptr<Op>& op) {

@@ -8,11 +8,11 @@
 // stays inside the rack, so the oversubscribed uplink sees none of this
 // traffic.
 //
-// Level 2 — inter-rack ring over the rack leaders. The R leaders run the
-// fused ring reduce-scatter / all-gather (delta = 0, exactly the flat-ring
-// schedule) over the rack-reduced slice; only these messages cross the
-// spine, and the multi-level engine routing caps their stripe fan-out to one
-// QP lane (they all funnel through the same uplink).
+// Level 2 — inter-rack ring over the rack leaders. Each leader runs the flat
+// ring's lane routine (RunRingLane, fused, delta = 0) over the leader list,
+// with its own slot area and flags, on the rack-reduced slice; only these
+// messages cross the spine, and the multi-level engine routing caps their
+// stripe fan-out to one QP lane (they all funnel through the same uplink).
 //
 // Level 3 — intra-rack binomial broadcast, the mirror of level 1: the leader
 // pushes the globally reduced slice down the tree (child q receives from
@@ -30,7 +30,6 @@
 // tree slot (lane, round) and ring slot (lane, step) each have a single
 // writer, and the broadcast's in-place data writes are causally downstream
 // of every read of the same range (the chain runs through the leader).
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -43,36 +42,6 @@ namespace rdmadl {
 namespace collective {
 
 namespace {
-
-// Near-equal partition of |count| elements into |parts| (same math as the
-// flat ring so conformance can compare byte-for-byte).
-void Partition(uint64_t count, int parts, std::vector<uint64_t>* offsets,
-               std::vector<uint64_t>* counts) {
-  offsets->resize(parts);
-  counts->resize(parts);
-  const uint64_t base = count / parts;
-  const uint64_t rem = count % parts;
-  uint64_t off = 0;
-  for (int i = 0; i < parts; ++i) {
-    const uint64_t len = base + (static_cast<uint64_t>(i) < rem ? 1 : 0);
-    (*offsets)[i] = off;
-    (*counts)[i] = len;
-    off += len;
-  }
-}
-
-struct ChunkRange {
-  uint64_t offset = 0;  // Elements, relative to the lane start.
-  uint64_t count = 0;   // Elements.
-};
-
-ChunkRange RingChunk(uint64_t lane_count, int n, int c) {
-  const uint64_t base = lane_count / n;
-  const uint64_t rem = lane_count % n;
-  const uint64_t idx = static_cast<uint64_t>(c);
-  return ChunkRange{idx * base + std::min<uint64_t>(idx, rem),
-                    base + (idx < rem ? 1 : 0)};
-}
 
 int Ctz(int p) {
   int j = 0;
@@ -95,20 +64,10 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
   CHECK_GT(n, 1);
   const int lanes = options_.pipeline_depth;
   const int R = static_cast<int>(racks_.size());
-  Partition(op->count, lanes, &op->lane_offset, &op->lane_count);
-
-  int active_lanes = 0;
-  for (int l = 0; l < lanes; ++l) {
-    if (op->lane_count[l] > 0) active_lanes++;
-  }
   // Two units per (rank, lane): the tree waiter, and the per-rank tail (ring
   // waiter for leaders with R > 1, broadcast waiter for non-leaders, explicit
   // finish for a single-rack leader).
-  op->pending_units = active_lanes * n * 2;
-  if (op->pending_units == 0) {
-    Finish(op);
-    return;
-  }
+  if (!StartLanes(op, lanes, /*units_per_lane=*/2 * n)) return;
 
   const int ring_steps = R > 1 ? 2 * (R - 1) : 0;
   const int bcast_flag = tree_rounds_ + ring_steps;
@@ -119,7 +78,7 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
     const int p = rank_pos_[r];
     const int m = static_cast<int>(racks_[rank_rack_[r]].size());
     for (int l = 0; l < lanes; ++l) {
-      if (op->lane_count[l] == 0) continue;
+      if (op->lanes[l].count == 0) continue;
       const int fb = l * hier_flags_per_lane_;
       for (int j = 0; j < RecvRounds(p, m); ++j) DeclareFlag(op, r, fb + j, "tree");
       if (p == 0) {
@@ -133,150 +92,85 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
   for (int r = 0; r < n; ++r) {
     const int rk = rank_rack_[r];
     const int p = rank_pos_[r];
-    const std::vector<int>& members = racks_[rk];
-    const int m = static_cast<int>(members.size());
+    const std::vector<int>* members = &racks_[rk];
+    const int m = static_cast<int>(members->size());
     const int recv_rounds = RecvRounds(p, m);
 
     for (int l = 0; l < lanes; ++l) {
-      const uint64_t lane_off = op->lane_offset[l];
-      const uint64_t lane_cnt = op->lane_count[l];
-      if (lane_cnt == 0) continue;
+      const ChunkRange range = op->lanes[l];
+      if (range.count == 0) continue;
       const int fb = l * hier_flags_per_lane_;
-      const uint64_t lane_bytes = lane_cnt * sizeof(float);
+      const uint64_t lane_bytes = range.count * sizeof(float);
       auto phase_start = std::make_shared<int64_t>(simulator()->Now());
 
       // Level-3 broadcast push: sends the (now final) lane slice to the
       // binomial descendants of position |pos|, deepest subtree first.
-      auto post_bcast = [this, op, r, l, rk, m, lane_off, lane_bytes, fb, bcast_flag,
-                         &members_ref = racks_[rk]](int pos, int max_j) {
+      auto post_bcast = [this, op, r, l, m, range, lane_bytes, fb, bcast_flag, members](
+                            int pos, int max_j) {
         Rank* self = ranks_[r].get();
         for (int j = max_j; j >= 0; --j) {
           const int child = pos + (1 << j);
           if (child >= m) continue;
-          const int child_rank = members_ref[child];
+          const int child_rank = (*members)[child];
           const Rank::PeerAddrs& peer = self->peers[child_rank];
-          const uint64_t byte_off = lane_off * sizeof(float);
+          const uint64_t byte_off = range.offset * sizeof(float);
           PostChunk(op, r, child_rank, l, self->data_addr + byte_off, self->data_lkey,
                     peer.data.addr + byte_off, peer.data.rkey, lane_bytes, fb + bcast_flag);
         }
       };
-
-      // Level-2 leader ring (leaders only, R > 1): fused RS+AG over the rack
-      // ordinals, rack rk at ring position g = rk.
-      const int succ_leader = R > 1 ? racks_[(rk + 1) % R][0] : r;
-      auto post_ring_rs = [this, op, r, l, rk, R, succ_leader, lane_off, lane_cnt, fb](int s) {
-        const int send_chunk = ((rk - s) % R + R) % R;
-        const ChunkRange chunk = RingChunk(lane_cnt, R, send_chunk);
-        Rank* self = ranks_[r].get();
-        const Rank::PeerAddrs& peer = self->peers[succ_leader];
-        const uint64_t slot_off =
-            hier_ring_slot_offset_ +
-            (static_cast<uint64_t>(l) * (R - 1) + s) * hier_ring_cap_elements_ * sizeof(float);
-        PostChunk(op, r, succ_leader, l,
-                  self->data_addr + (lane_off + chunk.offset) * sizeof(float), self->data_lkey,
-                  peer.slots.addr + slot_off, peer.slots.rkey, chunk.count * sizeof(float),
-                  fb + tree_rounds_ + s);
-      };
-      auto post_ring_ag = [this, op, r, l, rk, R, succ_leader, lane_off, lane_cnt,
-                           fb](int t) {
-        const int owner = (rk + 1) % R;
-        const int send_chunk = ((owner - t) % R + R) % R;
-        const ChunkRange chunk = RingChunk(lane_cnt, R, send_chunk);
-        Rank* self = ranks_[r].get();
-        const Rank::PeerAddrs& peer = self->peers[succ_leader];
-        const uint64_t byte_off = (lane_off + chunk.offset) * sizeof(float);
-        PostChunk(op, r, succ_leader, l, self->data_addr + byte_off, self->data_lkey,
-                  peer.data.addr + byte_off, peer.data.rkey, chunk.count * sizeof(float),
-                  fb + tree_rounds_ + (R - 1) + t);
+      // A leader's level-2 -> level-3 handoff.
+      auto start_bcast = [this, op, m, post_bcast] {
+        if (!CheckDeadline(op, "spine ring -> intra-rack broadcast handoff")) return;
+        if (m > 1) post_bcast(0, tree_rounds_ - 1);
       };
 
       // Fires when lane |l|'s rack-local tree is fully folded at this rank:
       // non-leaders push up, leaders hand off to the spine ring (or straight
       // to the broadcast when there is only one rack).
-      auto after_tree = [this, op, r, l, p, m, rk, R, lane_off, lane_bytes, fb, phase_start,
-                         post_ring_rs, post_ring_ag, post_bcast, ring_steps, members,
-                         lane_cnt]() {
+      auto after_tree = [this, op, r, l, p, rk, R, range, lane_bytes, fb, phase_start, members,
+                         start_bcast]() {
         if (op->finished) return;
-        sim::TraceSpan(RankTrack(r), StrCat("h-tree l", l, " ", lane_cnt, "e"), *phase_start,
+        sim::TraceSpan(RankTrack(r), StrCat("h-tree l", l, " ", range.count, "e"), *phase_start,
                        simulator()->Now());
         *phase_start = simulator()->Now();
         if (p != 0) {
           // Push the rack-partial slice to the tree parent.
-          const int parent = p - (1 << Ctz(p));
-          const int parent_rank = members[parent];
+          const int parent_rank = (*members)[p - (1 << Ctz(p))];
           Rank* self = ranks_[r].get();
           const Rank::PeerAddrs& peer = self->peers[parent_rank];
           const uint64_t slot_off =
               hier_tree_slot_offset_ +
               (static_cast<uint64_t>(l) * tree_rounds_ + Ctz(p)) * lane_cap_elements_ *
                   sizeof(float);
-          PostChunk(op, r, parent_rank, l, self->data_addr + lane_off * sizeof(float),
+          PostChunk(op, r, parent_rank, l, self->data_addr + range.offset * sizeof(float),
                     self->data_lkey, peer.slots.addr + slot_off, peer.slots.rkey, lane_bytes,
                     fb + Ctz(p));
           return;
         }
         if (!CheckDeadline(op, "intra-rack tree -> spine ring handoff")) return;
         if (R > 1) {
-          // Leader ring for this lane: first send carries rack-reduced data,
-          // and the ring waiter starts only now — a predecessor's early
-          // arrival must not be folded into a slice still accumulating tree
-          // contributions.
-          post_ring_rs(0);
-          StartWaiter(
-              op, r, fb + tree_rounds_, ring_steps,
-              [this, op, r, l, rk, R, lane_off, lane_cnt, phase_start, post_ring_rs,
-               post_ring_ag, post_bcast, m](int index, std::function<void()> resume) {
-                if (index < R - 1) {
-                  // Reduce-scatter arrival s: fold ring slot (l, s) into the
-                  // chunk it carries, then send the next step.
-                  const int s = index;
-                  const int recv_chunk = ((rk - s - 1) % R + R) % R;
-                  const ChunkRange chunk = RingChunk(lane_cnt, R, recv_chunk);
-                  const uint64_t bytes = chunk.count * sizeof(float);
-                  simulator()->ScheduleAfter(
-                      ReduceNs(bytes),
-                      [this, op, r, l, s, R, chunk, lane_off, post_ring_rs, post_ring_ag,
-                       resume = std::move(resume)] {
-                        if (op->finished) return;
-                        Rank* self = ranks_[r].get();
-                        if (self->data_region.valid() && chunk.count > 0) {
-                          const uint64_t slot_off =
-                              hier_ring_slot_offset_ +
-                              (static_cast<uint64_t>(l) * (R - 1) + s) *
-                                  hier_ring_cap_elements_ * sizeof(float);
-                          const float* src =
-                              reinterpret_cast<const float*>(self->slot_ptr() + slot_off);
-                          float* dst = self->data_ptr() + lane_off + chunk.offset;
-                          for (uint64_t i = 0; i < chunk.count; ++i) dst[i] += src[i];
-                        }
-                        if (s + 1 < R - 1) {
-                          post_ring_rs(s + 1);
-                        } else {
-                          post_ring_ag(0);
-                        }
-                        resume();
-                      });
-                  return;
-                }
-                // All-gather arrival t: the chunk sits at its final offset;
-                // forward it, or on the last step hand off to the broadcast.
-                const int t = index - (R - 1);
-                if (t + 1 < R - 1) {
-                  post_ring_ag(t + 1);
-                } else {
-                  sim::TraceSpan(RankTrack(r), StrCat("h-ring l", l, " ", lane_cnt, "e"),
-                                 *phase_start, simulator()->Now());
-                  *phase_start = simulator()->Now();
-                  if (!CheckDeadline(op, "spine ring -> intra-rack broadcast handoff")) return;
-                  if (m > 1) post_bcast(0, tree_rounds_ - 1);
-                }
-                resume();
-              });
+          // Level 2 is the flat ring's lane, run over the rack leaders. Its
+          // first send carries rack-reduced data, and its waiter starts only
+          // now — a predecessor's early arrival must not be folded into a
+          // slice still accumulating tree contributions.
+          RingLane ring;
+          ring.members = &leaders_;
+          ring.pos = rk;
+          ring.lane = l;
+          ring.slot_offset = hier_ring_slot_offset_;
+          ring.slot_cap_elements = hier_ring_cap_elements_;
+          ring.flag_base = fb + tree_rounds_;
+          ring.phase_spans = false;  // One h-ring span from tree end to ring end.
+          ring.on_done = [this, r, l, range, phase_start, start_bcast] {
+            sim::TraceSpan(RankTrack(r), StrCat("h-ring l", l, " ", range.count, "e"),
+                           *phase_start, simulator()->Now());
+            start_bcast();
+          };
+          RunRingLane(op, std::move(ring));
           return;
         }
         // Single rack: the tree result already is the global sum.
-        if (!CheckDeadline(op, "spine ring -> intra-rack broadcast handoff")) return;
-        if (m > 1) post_bcast(0, tree_rounds_ - 1);
+        start_bcast();
         FinishUnit(op);
       };
 
@@ -288,24 +182,16 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
       } else {
         StartWaiter(
             op, r, fb, recv_rounds,
-            [this, op, r, l, lane_off, lane_cnt, recv_rounds, after_tree](
+            [this, op, r, l, range, lane_bytes, recv_rounds, after_tree](
                 int j, std::function<void()> resume) {
-              const uint64_t bytes = lane_cnt * sizeof(float);
               simulator()->ScheduleAfter(
-                  ReduceNs(bytes), [this, op, r, l, j, lane_off, lane_cnt, recv_rounds,
-                                    after_tree, resume = std::move(resume)] {
+                  ReduceNs(lane_bytes), [this, op, r, l, j, range, recv_rounds, after_tree,
+                                         resume = std::move(resume)] {
                     if (op->finished) return;
-                    Rank* self = ranks_[r].get();
-                    if (self->data_region.valid() && lane_cnt > 0) {
-                      const uint64_t slot_off =
-                          hier_tree_slot_offset_ +
-                          (static_cast<uint64_t>(l) * tree_rounds_ + j) * lane_cap_elements_ *
-                              sizeof(float);
-                      const float* src =
-                          reinterpret_cast<const float*>(self->slot_ptr() + slot_off);
-                      float* dst = self->data_ptr() + lane_off;
-                      for (uint64_t i = 0; i < lane_cnt; ++i) dst[i] += src[i];
-                    }
+                    ranks_[r]->FoldSlot(
+                        hier_tree_slot_offset_ + (static_cast<uint64_t>(l) * tree_rounds_ + j) *
+                                                     lane_cap_elements_ * sizeof(float),
+                        range.offset, range.count);
                     if (j + 1 == recv_rounds) after_tree();
                     resume();
                   });
@@ -318,7 +204,7 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
       // started at tree-done) or the explicit finish above (R == 1).
       if (p != 0) {
         StartWaiter(op, r, fb + bcast_flag, 1,
-                    [this, op, r, l, p, post_bcast](int, std::function<void()> resume) {
+                    [p, post_bcast](int, std::function<void()> resume) {
                       // Forward the final slice down this position's subtree.
                       if (Ctz(p) > 0) post_bcast(p, Ctz(p) - 1);
                       resume();

@@ -38,43 +38,12 @@
 namespace rdmadl {
 namespace collective {
 
-namespace {
-
-uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
-
-void Partition(uint64_t count, int parts, std::vector<uint64_t>* offsets,
-               std::vector<uint64_t>* counts) {
-  offsets->resize(parts);
-  counts->resize(parts);
-  const uint64_t base = count / parts;
-  const uint64_t rem = count % parts;
-  uint64_t off = 0;
-  for (int i = 0; i < parts; ++i) {
-    const uint64_t len = base + (static_cast<uint64_t>(i) < rem ? 1 : 0);
-    (*offsets)[i] = off;
-    (*counts)[i] = len;
-    off += len;
-  }
-}
-
-}  // namespace
-
 void CollectiveGroup::StartInNetwork(const std::shared_ptr<Op>& op) {
   const int n = size();
   CHECK_GT(n, 1);
   const int lanes = options_.pipeline_depth;
-  Partition(op->count, lanes, &op->lane_offset, &op->lane_count);
-
-  int active_lanes = 0;
-  for (int l = 0; l < lanes; ++l) {
-    if (op->lane_count[l] > 0) active_lanes++;
-  }
   // One unit per (rank, lane): the per-rank poller over that lane's windows.
-  op->pending_units = active_lanes * n;
-  if (op->pending_units == 0) {
-    Finish(op);
-    return;
-  }
+  if (!StartLanes(op, lanes, /*units_per_lane=*/n)) return;
 
   const int R = static_cast<int>(racks_.size());
   const uint64_t W = innet_window_elements_;
@@ -84,7 +53,7 @@ void CollectiveGroup::StartInNetwork(const std::shared_ptr<Op>& op) {
   }
 
   for (int l = 0; l < lanes; ++l) {
-    const uint64_t lane_cnt = op->lane_count[l];
+    const uint64_t lane_cnt = op->lanes[l].count;
     if (lane_cnt == 0) continue;
     const int rounds = static_cast<int>(CeilDiv(lane_cnt, W));
     const int fb = l * innet_rounds_cap_;
@@ -109,8 +78,8 @@ void CollectiveGroup::IssueInNetworkRound(const std::shared_ptr<Op>& op, int lan
   const int n = size();
   const int R = static_cast<int>(racks_.size());
   const uint64_t W = innet_window_elements_;
-  const uint64_t lane_off = op->lane_offset[lane];
-  const uint64_t lane_cnt = op->lane_count[lane];
+  const uint64_t lane_off = op->lanes[lane].offset;
+  const uint64_t lane_cnt = op->lanes[lane].count;
   const uint64_t start = static_cast<uint64_t>(round) * W;
   const uint64_t cnt = std::min(W, lane_cnt - start);
   const uint64_t bytes = cnt * sizeof(float);

@@ -1,10 +1,13 @@
 // Private state of CollectiveGroup, shared by the algorithm translation units
-// (collective_group.cc, ring_allreduce.cc, naive_allreduce.cc, broadcast.cc).
-// Not part of the public API.
+// (collective_group.cc, ring_allreduce.cc, hierarchical_allreduce.cc,
+// innetwork_allreduce.cc, naive_allreduce.cc, broadcast.cc). Not part of the
+// public API.
 #ifndef RDMADL_SRC_COLLECTIVE_INTERNAL_H_
 #define RDMADL_SRC_COLLECTIVE_INTERNAL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -19,6 +22,24 @@ namespace collective {
 // Segments a Broadcast is chopped into for chained pipelining.
 constexpr int kBroadcastSegments = 8;
 
+inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
+
+// A contiguous element range.
+struct ChunkRange {
+  uint64_t offset = 0;
+  uint64_t count = 0;
+};
+
+// Piece |i| of the near-equal split of |count| elements into |parts|: every
+// piece gets count/parts elements and the first count%parts one more. The
+// one split behind pipeline lanes, ring chunks, Chunk() and broadcast
+// segments.
+inline ChunkRange SplitRange(uint64_t count, uint64_t parts, uint64_t i) {
+  const uint64_t base = count / parts;
+  const uint64_t rem = count % parts;
+  return ChunkRange{i * base + std::min(i, rem), base + (i < rem ? 1 : 0)};
+}
+
 // Per-rank resources, all set up once at group creation (§3.2 static
 // placement: nothing on the collective critical path ever allocates or
 // registers memory).
@@ -30,6 +51,8 @@ constexpr int kBroadcastSegments = 8;
 //   slots  ring: lanes x (N-1) x chunk_cap slots — reduce-scatter step s of
 //          lane l lands in slot (l, s), so a sender running ahead can never
 //          overwrite a slot its successor has not consumed.
+//          hierarchical: then one full-lane tree slot per (lane, round) and
+//          the leader ring's (lane, step) slots.
 //          naive: root only, N-1 x max_elements gather parking.
 //   flags  ALWAYS real memory (the poller reads actual bytes): one byte per
 //          expected arrival, written exactly once per op by the flag write
@@ -48,9 +71,8 @@ struct CollectiveGroup::Rank {
   uint32_t data_lkey = 0;
   device::MemRegion data_region;  // Invalid in virtual mode.
 
-  // Ring / gather slots.
+  // Ring / tree / gather slots.
   uint64_t slot_addr = 0;
-  uint64_t slot_bytes = 0;
   uint32_t slot_lkey = 0;
   device::MemRegion slot_region;  // Invalid in virtual mode.
 
@@ -74,7 +96,16 @@ struct CollectiveGroup::Rank {
   }
   uint8_t* slot_ptr() const { return slot_region.valid() ? slot_region.data() : nullptr; }
   uint8_t* flags() const { return flag_region.data(); }
-  uint64_t slot_offset_addr(uint64_t offset) const { return slot_addr + offset; }
+
+  // The reduce step every schedule shares: adds |count| floats from the slot
+  // area at byte |slot_off| into the data vector at element |data_off|.
+  // Virtual ranks hold no bytes, so this is a no-op for them.
+  void FoldSlot(uint64_t slot_off, uint64_t data_off, uint64_t count) {
+    if (!data_region.valid() || count == 0) return;
+    const float* src = reinterpret_cast<const float*>(slot_ptr() + slot_off);
+    float* dst = data_ptr() + data_off;
+    for (uint64_t i = 0; i < count; ++i) dst[i] += src[i];
+  }
 
   ~Rank() {
     for (const rdma::MemoryRegion& mr : virtual_mrs) {
@@ -108,9 +139,8 @@ struct CollectiveGroup::Op {
   // rank x lane for the ring, one per involved rank otherwise) is done.
   int pending_units = 0;
 
-  // Lane partition of [0, count), in elements.
-  std::vector<uint64_t> lane_offset;
-  std::vector<uint64_t> lane_count;
+  // Lane partition of [0, count): SplitRange(count, lanes.size(), l).
+  std::vector<ChunkRange> lanes;
 
   // Naive gather: virtual time at which the root's reduce core frees up
   // (arrivals reduce serially on one core).
@@ -124,6 +154,39 @@ struct CollectiveGroup::Op {
   // In-network staging ("switch SRAM" shadow, materialize mode only):
   // [lane][rack partial 0..R-1, global R][window] floats.
   std::vector<float> innet_buf;
+};
+
+// One pipeline lane of the ring schedule at one member; the schedule is
+// described in ring_allreduce.cc. Step k (reduce-scatter steps first) lands
+// on flag flag_base + k at the successor.
+struct CollectiveGroup::RingLane {
+  const std::vector<int>* members = nullptr;  // Ring order; group-owned.
+  int pos = 0;                  // This rank's index in |members|.
+  int lane = 0;                 // Pipeline lane: index into Op::lanes, QP lane.
+  int delta = 0;                // Chunk shift: 0 fused, n-1 standalone.
+  // Reduce-scatter slot (lane, s) sits slot_offset bytes plus
+  // (lane * (n-1) + s) * slot_cap_elements floats into a member's slots.
+  uint64_t slot_offset = 0;
+  uint64_t slot_cap_elements = 0;
+  int flag_base = 0;
+  bool reduce_scatter = true;
+  bool all_gather = true;
+  bool phase_spans = true;  // Trace "rs l"/"ag l" at the end of each phase.
+  // Runs after the lane's last arrival is handled (may be empty).
+  std::function<void()> on_done;
+
+  // Set by RunRingLane.
+  int n = 0;
+  int rank = 0;
+  int succ = 0;
+  int steps_rs = 0;
+  int steps_ag = 0;
+  int64_t phase_start = 0;
+
+  uint64_t slot_byte_offset(int s) const {
+    return slot_offset +
+           (static_cast<uint64_t>(lane) * (n - 1) + s) * slot_cap_elements * sizeof(float);
+  }
 };
 
 // A sequential flag poller: one per (rank, lane) for the ring, one per

@@ -50,15 +50,9 @@ void CollectiveGroup::StartNaiveGather(const std::shared_ptr<Op>& op) {
                                                 resume = std::move(resume)] {
                     if (op->finished) return;
                     Rank* root = ranks_[0].get();
-                    if (root->data_region.valid() && op->count > 0) {
-                      const uint64_t park =
-                          naive_slot_offset_ +
-                          static_cast<uint64_t>(k - 1) * max_elements_ * sizeof(float);
-                      const float* src =
-                          reinterpret_cast<const float*>(root->slot_ptr() + park);
-                      float* dst = root->data_ptr();
-                      for (uint64_t i = 0; i < op->count; ++i) dst[i] += src[i];
-                    }
+                    root->FoldSlot(naive_slot_offset_ + static_cast<uint64_t>(k - 1) *
+                                                            max_elements_ * sizeof(float),
+                                   0, op->count);
                     sim::TraceSpan(RankTrack(0), StrCat("reduce r", k), begin,
                                    simulator()->Now());
                     if (++op->naive_reduced == n - 1) {

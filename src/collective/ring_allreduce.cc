@@ -1,9 +1,13 @@
 // Ring reduce-scatter / all-gather / fused all-reduce.
 //
-// The ring is the rank order 0..N-1 (rank r sends only to (r+1) % N). Each
-// pipeline lane runs the schedule independently over its own slice of the
-// vector; a lane's all-gather begins the moment its reduce-scatter finishes,
-// so later lanes' reduce traffic overlaps earlier lanes' gather traffic.
+// The flat ring is the rank order 0..N-1 (rank r sends only to (r+1) % N).
+// Each pipeline lane runs the schedule independently over its own slice of
+// the vector; a lane's all-gather begins the moment its reduce-scatter
+// finishes, so later lanes' reduce traffic overlaps earlier lanes' gather
+// traffic. One lane at one member is RunRingLane, and it is the only ring
+// code: StartRing runs it at every rank over the rank order, and the
+// hierarchical schedule's level 2 runs it at each rack leader over the
+// leader list (N = racks, r = rack ordinal).
 //
 // With shift parameter d (0 for the fused all-reduce, N-1 for standalone
 // ops, so that standalone reduce-scatter leaves rank r owning chunk r):
@@ -22,7 +26,6 @@
 // all-gather's in-place writes cannot race the receiver's reads because the
 // write that lands chunk c is causally downstream of every read of c (the
 // dependency chain runs once around the ring).
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -36,35 +39,7 @@ namespace collective {
 
 namespace {
 
-// Near-equal partition of |count| elements into |parts|: piece i gets
-// count/parts elements plus one of the first count%parts remainders.
-void Partition(uint64_t count, int parts, std::vector<uint64_t>* offsets,
-               std::vector<uint64_t>* counts) {
-  offsets->resize(parts);
-  counts->resize(parts);
-  const uint64_t base = count / parts;
-  const uint64_t rem = count % parts;
-  uint64_t off = 0;
-  for (int i = 0; i < parts; ++i) {
-    const uint64_t len = base + (static_cast<uint64_t>(i) < rem ? 1 : 0);
-    (*offsets)[i] = off;
-    (*counts)[i] = len;
-    off += len;
-  }
-}
-
-struct ChunkRange {
-  uint64_t offset = 0;  // Elements, relative to the lane start.
-  uint64_t count = 0;   // Elements.
-};
-
-ChunkRange LaneChunk(uint64_t lane_count, int n, int c) {
-  const uint64_t base = lane_count / n;
-  const uint64_t rem = lane_count % n;
-  const uint64_t idx = static_cast<uint64_t>(c);
-  return ChunkRange{idx * base + std::min<uint64_t>(idx, rem),
-                    base + (idx < rem ? 1 : 0)};
-}
+int Mod(int a, int n) { return (a % n + n) % n; }
 
 }  // namespace
 
@@ -75,116 +50,103 @@ void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op, bool do_reduce_sc
   // Standalone ops run single-lane so their chunk c is the public N-way
   // partition (Chunk()); the fused all-reduce pipelines across lanes.
   const bool fused = do_reduce_scatter && do_all_gather;
-  const int lanes = fused ? options_.pipeline_depth : 1;
-  Partition(op->count, lanes, &op->lane_offset, &op->lane_count);
-
-  const int steps_rs = do_reduce_scatter ? n - 1 : 0;
-  const int steps_ag = do_all_gather ? n - 1 : 0;
-  const int total_steps = steps_rs + steps_ag;
-  const int delta = fused ? 0 : n - 1;
-
-  int active_lanes = 0;
-  for (int l = 0; l < lanes; ++l) {
-    if (op->lane_count[l] > 0) active_lanes++;
-  }
-  op->pending_units = active_lanes * n;
-  if (op->pending_units == 0) {
-    Finish(op);
-    return;
-  }
+  if (!StartLanes(op, fused ? options_.pipeline_depth : 1, /*units_per_lane=*/n)) return;
+  const int total_steps = (do_reduce_scatter ? n - 1 : 0) + (do_all_gather ? n - 1 : 0);
 
   for (int r = 0; r < n; ++r) {
-    for (int l = 0; l < lanes; ++l) {
-      const uint64_t lane_off = op->lane_offset[l];
-      const uint64_t lane_cnt = op->lane_count[l];
-      if (lane_cnt == 0) continue;
-      const int succ = (r + 1) % n;
-      const int flag_base = l * total_steps;
-      const int owner = (r + 1 + delta) % n;
+    for (int l = 0; l < static_cast<int>(op->lanes.size()); ++l) {
+      if (op->lanes[l].count == 0) continue;
+      RingLane lane;
+      lane.members = &rank_order_;
+      lane.pos = r;
+      lane.lane = l;
+      lane.delta = fused ? 0 : n - 1;
+      lane.slot_cap_elements = chunk_cap_elements_;
+      lane.flag_base = l * total_steps;
+      lane.reduce_scatter = do_reduce_scatter;
+      lane.all_gather = do_all_gather;
+      RunRingLane(op, std::move(lane));
+    }
+  }
+}
 
-      auto post_rs = [this, op, r, l, succ, lane_off, lane_cnt, delta, n, flag_base](int s) {
-        const int send_chunk = ((r - s + delta) % n + n) % n;
-        const ChunkRange chunk = LaneChunk(lane_cnt, n, send_chunk);
-        Rank* self = ranks_[r].get();
-        const Rank::PeerAddrs& peer = self->peers[succ];
-        const uint64_t slot_off =
-            (static_cast<uint64_t>(l) * (n - 1) + s) * chunk_cap_elements_ * sizeof(float);
-        PostChunk(op, r, succ, l, self->data_addr + (lane_off + chunk.offset) * sizeof(float),
-                  self->data_lkey, peer.slots.addr + slot_off, peer.slots.rkey,
-                  chunk.count * sizeof(float), flag_base + s);
-      };
+void CollectiveGroup::RunRingLane(const std::shared_ptr<Op>& op, RingLane spec) {
+  auto lane = std::make_shared<RingLane>(std::move(spec));
+  lane->n = static_cast<int>(lane->members->size());
+  lane->rank = (*lane->members)[lane->pos];
+  lane->succ = (*lane->members)[(lane->pos + 1) % lane->n];
+  lane->steps_rs = lane->reduce_scatter ? lane->n - 1 : 0;
+  lane->steps_ag = lane->all_gather ? lane->n - 1 : 0;
+  lane->phase_start = simulator()->Now();
 
-      auto post_ag = [this, op, r, l, succ, lane_off, lane_cnt, owner, n, flag_base,
-                      steps_rs](int t) {
-        const int send_chunk = ((owner - t) % n + n) % n;
-        const ChunkRange chunk = LaneChunk(lane_cnt, n, send_chunk);
-        Rank* self = ranks_[r].get();
-        const Rank::PeerAddrs& peer = self->peers[succ];
-        const uint64_t byte_off = (lane_off + chunk.offset) * sizeof(float);
-        PostChunk(op, r, succ, l, self->data_addr + byte_off, self->data_lkey,
-                  peer.data.addr + byte_off, peer.data.rkey, chunk.count * sizeof(float),
-                  flag_base + steps_rs + t);
-      };
-
-      if (steps_rs > 0) {
-        post_rs(0);
-      } else {
-        post_ag(0);
-      }
-
-      auto phase_start = std::make_shared<int64_t>(simulator()->Now());
-      auto on_arrival = [this, op, r, l, lane_off, lane_cnt, delta, n, steps_rs, steps_ag,
-                         post_rs, post_ag,
-                         phase_start](int index, std::function<void()> resume) {
-        if (index < steps_rs) {
-          // Reduce-scatter arrival s: fold slot (l, s) into the chunk it
+  RingLaneStep(op, *lane, 0);
+  const int total_steps = lane->steps_rs + lane->steps_ag;
+  StartWaiter(
+      op, lane->rank, lane->flag_base, total_steps,
+      [this, op, lane, total_steps](int index, std::function<void()> resume) {
+        const ChunkRange& range = op->lanes[lane->lane];
+        if (index < lane->steps_rs) {
+          // Reduce-scatter arrival s: fold slot (lane, s) into the chunk it
           // carries, then (causally after the reduce) send the next step.
-          const int s = index;
-          const int recv_chunk = ((r - s - 1 + delta) % n + n) % n;
-          const ChunkRange chunk = LaneChunk(lane_cnt, n, recv_chunk);
-          const uint64_t bytes = chunk.count * sizeof(float);
+          const ChunkRange chunk =
+              SplitRange(range.count, lane->n, Mod(lane->pos - index - 1 + lane->delta, lane->n));
           simulator()->ScheduleAfter(
-              ReduceNs(bytes),
-              [this, op, r, l, s, chunk, lane_off, lane_cnt, n, steps_rs, steps_ag, post_rs,
-               post_ag, phase_start, resume = std::move(resume)] {
+              ReduceNs(chunk.count * sizeof(float)),
+              [this, op, lane, index, chunk, resume = std::move(resume)] {
                 if (op->finished) return;
-                Rank* self = ranks_[r].get();
-                if (self->data_region.valid() && chunk.count > 0) {
-                  const uint64_t slot_off =
-                      (static_cast<uint64_t>(l) * (n - 1) + s) * chunk_cap_elements_ *
-                      sizeof(float);
-                  const float* src =
-                      reinterpret_cast<const float*>(self->slot_ptr() + slot_off);
-                  float* dst = self->data_ptr() + lane_off + chunk.offset;
-                  for (uint64_t i = 0; i < chunk.count; ++i) dst[i] += src[i];
+                const ChunkRange& range = op->lanes[lane->lane];
+                ranks_[lane->rank]->FoldSlot(lane->slot_byte_offset(index),
+                                             range.offset + chunk.offset, chunk.count);
+                if (index + 1 == lane->steps_rs && lane->phase_spans) {
+                  sim::TraceSpan(RankTrack(lane->rank),
+                                 StrCat("rs l", lane->lane, " ", range.count, "e"),
+                                 lane->phase_start, simulator()->Now());
+                  lane->phase_start = simulator()->Now();
                 }
-                if (s + 1 < steps_rs) {
-                  post_rs(s + 1);
-                } else {
-                  sim::TraceSpan(RankTrack(r), StrCat("rs l", l, " ", lane_cnt, "e"),
-                                 *phase_start, simulator()->Now());
-                  *phase_start = simulator()->Now();
-                  if (steps_ag > 0) post_ag(0);
-                }
+                RingLaneStep(op, *lane, index + 1);
                 resume();
               });
           return;
         }
         // All-gather arrival t: the chunk already sits at its final offset;
-        // forward it unless this was the last step.
-        const int t = index - steps_rs;
-        if (t + 1 < steps_ag) {
-          post_ag(t + 1);
-        } else {
-          sim::TraceSpan(RankTrack(r), StrCat("ag l", l, " ", lane_cnt, "e"), *phase_start,
-                         simulator()->Now());
+        // forward it, or after the last step run the lane's finish step.
+        if (index + 1 == total_steps && lane->phase_spans) {
+          sim::TraceSpan(RankTrack(lane->rank), StrCat("ag l", lane->lane, " ", range.count, "e"),
+                         lane->phase_start, simulator()->Now());
         }
+        RingLaneStep(op, *lane, index + 1);
         resume();
-      };
+      });
+}
 
-      StartWaiter(op, r, flag_base, total_steps, std::move(on_arrival));
-    }
+void CollectiveGroup::RingLaneStep(const std::shared_ptr<Op>& op, const RingLane& lane,
+                                   int step) {
+  if (step == lane.steps_rs + lane.steps_ag) {
+    if (lane.on_done) lane.on_done();
+    return;
   }
+  const ChunkRange& range = op->lanes[lane.lane];
+  Rank* self = ranks_[lane.rank].get();
+  const Rank::PeerAddrs& peer = self->peers[lane.succ];
+  if (step < lane.steps_rs) {
+    // Reduce-scatter step s: into the successor's slot (lane, s).
+    const ChunkRange chunk =
+        SplitRange(range.count, lane.n, Mod(lane.pos - step + lane.delta, lane.n));
+    PostChunk(op, lane.rank, lane.succ, lane.lane,
+              self->data_addr + (range.offset + chunk.offset) * sizeof(float), self->data_lkey,
+              peer.slots.addr + lane.slot_byte_offset(step), peer.slots.rkey,
+              chunk.count * sizeof(float), lane.flag_base + step);
+    return;
+  }
+  // All-gather step t: straight to the chunk's final offset in the
+  // successor's data buffer.
+  const int owner = (lane.pos + 1 + lane.delta) % lane.n;
+  const ChunkRange chunk =
+      SplitRange(range.count, lane.n, Mod(owner - (step - lane.steps_rs), lane.n));
+  const uint64_t byte_off = (range.offset + chunk.offset) * sizeof(float);
+  PostChunk(op, lane.rank, lane.succ, lane.lane, self->data_addr + byte_off, self->data_lkey,
+            peer.data.addr + byte_off, peer.data.rkey, chunk.count * sizeof(float),
+            lane.flag_base + step);
 }
 
 }  // namespace collective

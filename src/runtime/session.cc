@@ -10,6 +10,9 @@
 namespace rdmadl {
 namespace runtime {
 
+// Simulator event budget per step: guards against protocol deadlocks.
+constexpr uint64_t kMaxEventsPerStep = 400'000'000;
+
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options),
       fabric_(&simulator_, options.cost, options.num_machines, options.topology),
@@ -78,7 +81,7 @@ Status DistributedSession::Setup() {
     done = true;
   });
   RDMADL_RETURN_IF_ERROR(cluster_->simulator()->RunUntilPredicate(
-      [&] { return done; }, options_.max_events_per_step));
+      [&] { return done; }, kMaxEventsPerStep));
   RDMADL_RETURN_IF_ERROR(setup_status);
   setup_done_ = true;
   return OkStatus();
@@ -103,8 +106,8 @@ Status DistributedSession::RunStep(const std::unordered_map<std::string, tensor:
   Status sim_status =
       options_.step_timeout_ns > 0
           ? cluster_->simulator()->RunUntilPredicateOrDeadline(
-                step_done, start + options_.step_timeout_ns, options_.max_events_per_step)
-          : cluster_->simulator()->RunUntilPredicate(step_done, options_.max_events_per_step);
+                step_done, start + options_.step_timeout_ns, kMaxEventsPerStep)
+          : cluster_->simulator()->RunUntilPredicate(step_done, kMaxEventsPerStep);
   if (!step_status.ok() || !sim_status.ok()) {
     // The step is dead. Abort every executor still in flight NOW: their
     // scheduled events capture this frame's |pending|/|step_status| by

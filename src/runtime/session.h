@@ -75,8 +75,6 @@ class Cluster {
 
 struct SessionOptions {
   ExecutorOptions executor;
-  // Simulator event budget per step (guards against protocol deadlocks).
-  uint64_t max_events_per_step = 400'000'000;
   // Virtual-time budget per step. If > 0 and a step is still incomplete at
   // now + step_timeout_ns, RunStep aborts every in-flight executor and
   // returns kDeadlineExceeded instead of hanging virtual time (e.g. after a

@@ -346,7 +346,6 @@ Status TrainingDriver::BuildAndSetupSession() {
   MakeMechanism();
 
   runtime::SessionOptions session_options;
-  session_options.executor.num_workers = config_.executor_workers;
   session_options.executor.batch_multiplier = std::max(
       1.0, static_cast<double>(config_.batch_size) / config_.model.saturation_batch);
   session_options.step_timeout_ns = config_.step_timeout_ns;
@@ -368,7 +367,6 @@ Status TrainingDriver::Initialize(int warmup_steps) {
   cluster_options.topology = config_.topology;
   cluster_options.mode = ops::ComputeMode::kSimulated;
   cluster_options.process_defaults.rdma_arena_bytes = 96ull << 30;  // Virtual.
-  cluster_options.process_defaults.num_worker_contexts = config_.executor_workers;
   cluster_options.process_defaults.num_cqs = config_.num_cqs;
   cluster_options.process_defaults.num_qps_per_peer = config_.num_qps_per_peer;
   cluster_options.worker_tensors_on_gpu = config_.tensors_on_gpu;
@@ -407,7 +405,6 @@ Status TrainingDriver::Initialize(int warmup_steps) {
     copts.transport = config_.mechanism == MechanismKind::kGrpcTcp
                           ? collective::Transport::kTcpStaging
                           : collective::Transport::kRdmaZeroCopy;
-    copts.pipeline_depth = config_.collective_pipeline_depth;
     copts.materialize = false;  // Virtual gradient buffers: timing only.
     copts.num_cqs = config_.num_cqs;
     copts.op_timeout_ns = config_.step_timeout_ns;

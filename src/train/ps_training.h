@@ -61,7 +61,6 @@ struct TrainingConfig {
   // step — a conservative bound that does not overlap it with backprop.
   TrainingMode mode = TrainingMode::kParameterServer;
   collective::Algorithm collective_algorithm = collective::Algorithm::kRing;
-  int collective_pipeline_depth = 4;
   // Local mode: the whole graph on one worker, no PS, no communication (the
   // "Local" line of Figure 11).
   bool local_only = false;
@@ -79,7 +78,6 @@ struct TrainingConfig {
   net::CostModel cost;
   // Fabric shape (flat by default; rack/spine for cluster-scale studies).
   net::TopologyConfig topology;
-  int executor_workers = 4;
   int num_cqs = 4;           // §5: "4 CQs per device and 4 QPs per connection".
   int num_qps_per_peer = 4;
   // ---- Fault tolerance (pair with sim::FaultInjector on the fabric) ----

@@ -291,12 +291,36 @@ TEST(CollectiveConformanceTest, MultiLevelSchedulesHandleDegenerateCounts) {
   }
 }
 
+// Number of trace events in a Chrome-trace capture whose name starts with
+// |prefix|.
+int SpanCount(const std::string& trace, const std::string& prefix) {
+  const std::string needle = "{\"name\":\"" + prefix;
+  int count = 0;
+  for (size_t at = trace.find(needle); at != std::string::npos;
+       at = trace.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
 // Same-seed determinism: two fresh worlds running the identical schedule
 // must agree byte-for-byte — results, completion time, and the full
 // Chrome-trace capture (every span on every track at every timestamp).
+// The capture also pins the schedule-span contract that perfbench's trace
+// gate reads: each algorithm emits only its own span families, one per
+// (rank, lane, phase) it runs.
 TEST(CollectiveConformanceTest, SameSeedRunsAreByteIdentical) {
-  for (Algorithm algorithm : {Algorithm::kRing, Algorithm::kHierarchical,
-                              Algorithm::kInNetwork}) {
+  struct Families {
+    Algorithm algorithm;
+    int rs, ag, tree, ring, innet;
+  };
+  // Ring and tree: one span per (rank, lane, phase), 10 ranks x 4 lanes; the
+  // leader ring runs on the 3 rack leaders; in-network emits one span per
+  // (lane, aggregation window), 4 lanes x 2 windows.
+  for (const Families& expect : {Families{Algorithm::kRing, 40, 40, 0, 0, 0},
+                                 Families{Algorithm::kHierarchical, 0, 0, 40, 12, 0},
+                                 Families{Algorithm::kInNetwork, 0, 0, 0, 0, 8}}) {
+    const Algorithm algorithm = expect.algorithm;
     std::string first_trace;
     int64_t first_now = -1;
     std::vector<float> first_data;
@@ -325,6 +349,12 @@ TEST(CollectiveConformanceTest, SameSeedRunsAreByteIdentical) {
         EXPECT_EQ(data, first_data);
       }
     }
+    const std::string label = AlgorithmName(algorithm);
+    EXPECT_EQ(SpanCount(first_trace, "rs l"), expect.rs) << label;
+    EXPECT_EQ(SpanCount(first_trace, "ag l"), expect.ag) << label;
+    EXPECT_EQ(SpanCount(first_trace, "h-tree l"), expect.tree) << label;
+    EXPECT_EQ(SpanCount(first_trace, "h-ring l"), expect.ring) << label;
+    EXPECT_EQ(SpanCount(first_trace, "innet l"), expect.innet) << label;
   }
 }
 

@@ -5,16 +5,19 @@
 //     the lease timeout never cause even a suspicion, across a seed sweep;
 //   * CheckpointManager round-trips variable bytes (snapshot -> clobber ->
 //     restore) and retargets shards to a different device;
-//   * CollectiveGroup::Reconfigure shrinks the ring and the next all-reduce
+//   * CollectiveGroup::Reconfigure shrinks a ring, naive-gather or
+//     hierarchical group, materialized or virtual, and the next all-reduce
 //     computes exact sums among the survivors;
 //   * the zero-copy mechanism's per-edge degradation ladder demotes an edge
 //     after repeated zero-copy failures, serves it over the staged RPC path,
 //     and re-promotes after a clean probation span.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/collective/collective.h"
@@ -252,7 +255,7 @@ TEST(CheckpointTest, RestoreRetargetsShardToSurvivor) {
 }
 
 // ---------------------------------------------------------------------------
-// Reconfigure: the ring shrinks to the survivors and the next all-reduce is
+// Reconfigure: the group shrinks to the survivors and the next all-reduce is
 // exact among them (the chunk capacity grew; slots were reallocated).
 // ---------------------------------------------------------------------------
 
@@ -283,51 +286,69 @@ float ExpectedRankSum(int n, uint64_t i) {
   return static_cast<float>((i % 7 + 1) * n * (n + 1) / 2);
 }
 
-TEST(ReconfigureTest, RingShrinksAndSurvivorSumsAreExact) {
+// Parameterized on (algorithm, materialize). The ring loses a middle host;
+// the naive gather and the hierarchical tree lose host 0 first, so the new
+// rank 0 must take over the gather parking area or the tree leadership.
+// Materialized groups check exact survivor sums; virtual ones (no bytes)
+// check that every op completes.
+class ReconfigureShrinkTest
+    : public ::testing::TestWithParam<std::tuple<collective::Algorithm, bool>> {};
+
+TEST_P(ReconfigureShrinkTest, SurvivorSumsAreExact) {
+  const auto [algorithm, materialize] = GetParam();
   const uint64_t count = 1000;  // Not divisible by 3: survivor chunks uneven.
+  const bool drops_root = algorithm != collective::Algorithm::kRing;
+  const std::vector<std::vector<int>> shrinks =
+      drops_root ? std::vector<std::vector<int>>{{1, 2, 3}, {1, 3}}
+                 : std::vector<std::vector<int>>{{0, 1, 3}, {0, 3}};
   World world(4);
-  std::vector<int> hosts{0, 1, 2, 3};
-  auto group_or = CollectiveGroup::Create(&world.directory, hosts, count);
+  CollectiveOptions options;
+  options.algorithm = algorithm;
+  options.materialize = materialize;
+  auto group_or = CollectiveGroup::Create(&world.directory, {0, 1, 2, 3}, count, options);
   ASSERT_TRUE(group_or.ok()) << group_or.status();
   auto group = std::move(group_or).value();
 
-  FillInputs(group.get(), count);
-  ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
-                group->AllReduce(count, std::move(done));
-              }).ok());
-
-  // Host 2 is confirmed dead; the group rebuilds over the survivors.
-  ASSERT_TRUE(group->Reconfigure({0, 1, 3}).ok());
-  EXPECT_EQ(group->size(), 3);
-  EXPECT_EQ(group->hosts(), (std::vector<int>{0, 1, 3}));
-  EXPECT_EQ(group->stats().reconfigurations, 1);
-
-  // The next collective re-runs the address exchange and is exact over the
-  // new 3-way chunking.
-  FillInputs(group.get(), count);
-  ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
-                group->AllReduce(count, std::move(done));
-              }).ok());
-  for (int r = 0; r < 3; ++r) {
-    const float* data = group->data(r);
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSERT_EQ(data[i], ExpectedRankSum(3, i)) << "rank=" << r << " i=" << i;
+  auto all_reduce_exact = [&] {
+    if (materialize) FillInputs(group.get(), count);
+    ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
+                  group->AllReduce(count, std::move(done));
+                }).ok());
+    if (!materialize) return;
+    const int n = group->size();
+    for (int r = 0; r < n; ++r) {
+      const float* data = group->data(r);
+      for (uint64_t i = 0; i < count; ++i) {
+        ASSERT_EQ(data[i], ExpectedRankSum(n, i)) << "rank=" << r << " i=" << i;
+      }
     }
-  }
+  };
+  all_reduce_exact();
 
-  // Shrinking further still works (repeat reconfigurations compose).
-  ASSERT_TRUE(group->Reconfigure({0, 3}).ok());
-  FillInputs(group.get(), count);
-  ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
-                group->AllReduce(count, std::move(done));
-              }).ok());
-  for (int r = 0; r < 2; ++r) {
-    const float* data = group->data(r);
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSERT_EQ(data[i], ExpectedRankSum(2, i)) << "rank=" << r << " i=" << i;
-    }
+  // Each shrink confirms a death; the group rebuilds over the survivors and
+  // the next collective re-runs the address exchange over the new chunking.
+  // Repeat reconfigurations compose.
+  for (size_t k = 0; k < shrinks.size(); ++k) {
+    ASSERT_TRUE(group->Reconfigure(shrinks[k]).ok());
+    EXPECT_EQ(group->size(), static_cast<int>(shrinks[k].size()));
+    EXPECT_EQ(group->hosts(), shrinks[k]);
+    EXPECT_EQ(group->stats().reconfigurations, static_cast<int>(k + 1));
+    all_reduce_exact();
   }
+  EXPECT_EQ(group->stats().allreduces, 3);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AlgorithmsAndModes, ReconfigureShrinkTest,
+    ::testing::Combine(::testing::Values(collective::Algorithm::kRing,
+                                         collective::Algorithm::kNaiveGather,
+                                         collective::Algorithm::kHierarchical),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ReconfigureShrinkTest::ParamType>& info) {
+      std::string name = collective::AlgorithmName(std::get<0>(info.param));
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name + (std::get<1>(info.param) ? "Materialized" : "Virtual");
+    });
 
 TEST(ReconfigureTest, RejectsNonSubsetAndBusyGroups) {
   World world(3);
