@@ -106,7 +106,7 @@ TopoPoint SwitchReduceTopology() {
 }
 
 // Latency spikes and short link-down blips: enough chaos to shake event
-// ordering and the pool's reconnect path, but nothing that fails a transfer,
+// ordering, but nothing that fails a transfer,
 // so the sweep must still complete deterministically.
 void ConfigureChaos(sim::FaultInjector* injector, uint64_t seed, int hosts,
                     bool stragglers) {

@@ -5,7 +5,7 @@
 // rank-distinct values, the ring reduce-scatter + all-gather runs entirely
 // over preallocated, address-exchanged ring buffers with one-sided zero-copy
 // writes (§3.2's static placement), and every rank ends up holding the exact
-// element-wise sum. Also shows a broadcast from rank 0.
+// element-wise sum.
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build
 //               ./build/examples/ring_allreduce
@@ -62,14 +62,5 @@ int main() {
               group->stats().bytes_sent / (1024.0 * 1024.0),
               static_cast<unsigned long long>(group->stats().ring_steps));
 
-  // 5. Broadcast rank 0's (reduced) buffer — a no-op here since all ranks
-  //    already agree, but it exercises the pipelined chain broadcast.
-  group->data(0)[0] = 42.0f;
-  status = Internal("broadcast never completed");
-  group->Broadcast(/*root=*/0, kElements, [&](const Status& s) { status = s; });
-  CHECK_OK(simulator.Run());
-  CHECK_OK(status);
-  for (int r = 0; r < group->size(); ++r) CHECK(group->data(r)[0] == 42.0f);
-  std::printf("broadcast: rank 0's update reached all %d ranks\n", group->size());
   return 0;
 }

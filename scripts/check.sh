@@ -25,12 +25,13 @@
 #                                 # seed list — every test runs with the
 #                                 # protocol checker installed and fails on
 #                                 # any diagnostic
-#   scripts/check.sh --bench-smoke # plain build, then run the micro benches
-#                                 # in their fast configuration; fails on a
-#                                 # crash or on non-deterministic stdout
-#                                 # (bench_fig8_micro --quick --sweep is run
-#                                 # twice and the outputs diffed). Also part
-#                                 # of the default (no-flag) flow.
+#   scripts/check.sh --bench-smoke # plain build, then `ctest -L determinism`
+#                                 # (bench_explore, bench_fig8_micro --quick
+#                                 # --sweep and bench_scale --quick
+#                                 # --collectives, each run twice with stdout
+#                                 # diffed) and a crash-only run of
+#                                 # bench_micro_components. Also part of the
+#                                 # default (no-flag) flow.
 #   scripts/check.sh --scale      # cluster-scale smoke: a 256-host all-reduce
 #                                 # and PS step (bench_scale --smoke) under
 #                                 # RdmaCheck plus a seeded chaos storm, run
@@ -69,17 +70,16 @@
 #                                 # pass over the gdr-labeled suites. A smoke
 #                                 # subset rides the default flow via the
 #                                 # `gdr` ctest label.
-#   scripts/check.sh --explore    # schedule-space exploration (ISSUE 9): the
-#                                 # explorer's own suite (mutations, POR,
-#                                 # minimizer, stall detector), the Explore*
-#                                 # harness bodies in the fault/conformance/
-#                                 # congestion suites under RDMADL_EXPLORE=16,
-#                                 # and the bench_explore report run twice
-#                                 # with stdout diffed (exploration order,
-#                                 # pruning counts and detection schedules
-#                                 # must be byte-identical across runs). A
-#                                 # smoke subset rides the default flow via
-#                                 # the `explore` ctest label.
+#   scripts/check.sh --explore    # schedule-space exploration: `ctest -L
+#                                 # explore`, i.e. the explorer's own suite
+#                                 # (mutations, POR, minimizer, stall
+#                                 # detector) canonical and under
+#                                 # RDMADL_EXPLORE=16, the Explore* harness
+#                                 # bodies in the fault/conformance/congestion
+#                                 # suites under RDMADL_EXPLORE=16, and the
+#                                 # bench_explore report run twice with stdout
+#                                 # diffed. The same entries ride the default
+#                                 # flow's ctest.
 #
 # The chaos/elastic/check/scale/gdr suites are also registered as ctest labels,
 # so `ctest -L chaos` / `ctest -L elastic` / `ctest -L check` /
@@ -163,13 +163,12 @@ same_stdout_twice() {
   fi
 }
 
-# Bench smoke: bench_fig8_micro's quick sweeps twice, plus a crash-only run
-# of bench_micro_components (it reports wall-clock, so nothing to diff).
+# Bench smoke: a crash-only run of bench_micro_components (it reports
+# wall-clock, so nothing to diff; the two-run bench diffs are the ctest
+# `determinism` entries).
 bench_smoke() {
-  same_stdout_twice "bench smoke: bench_fig8_micro" "" \
-    "$1/bench/bench_fig8_micro" --quick --sweep
   "$1/bench/bench_micro_components" --benchmark_min_time=0.01 >/dev/null
-  echo "bench smoke passed (deterministic stdout, no crashes)"
+  echo "bench smoke passed (no crashes)"
 }
 
 # Congestion seed run: bench_scale --quick with bounded queues, ECN, DCQCN
@@ -177,15 +176,6 @@ bench_smoke() {
 congestion_seed_run() {
   same_stdout_twice "congestion sweep: seed $2" "" \
     "$1/bench/bench_scale" --quick --check="$2" --congestion
-}
-
-# Exploration smoke: the bench_explore report (POR state reduction, seeded
-# mutation detection, clean baselines); the explorer's DFS over commutation
-# points is deterministic, so pruning counts, detection schedules and
-# minimized repro sizes must replay byte-identically.
-explore_smoke() {
-  same_stdout_twice "explore smoke: bench_explore" "" "$1/bench/bench_explore"
-  echo "explore smoke passed (schedule exploration deterministic, mutations caught)"
 }
 
 # GDR seed run: the device-resident chaos pair (GdrChaosSweepTest: tensors
@@ -231,7 +221,6 @@ case "$MODE" in
     scale_smoke "${BUILD_DIR:-build}"
     congestion_seed_run "${BUILD_DIR:-build}" 1
     echo "congestion smoke passed (seed 1 deterministic and checker-clean)"
-    explore_smoke "${BUILD_DIR:-build}"
     gdr_smoke "${BUILD_DIR:-build}"
     build_and_test address "${BUILD_DIR:-build-sanitize}"
     ;;
@@ -293,6 +282,7 @@ case "$MODE" in
     ;;
   bench-smoke)
     plain_build
+    ctest --test-dir "$BUILD_DIR" -L determinism --output-on-failure
     bench_smoke "$BUILD_DIR"
     ;;
   scale)
@@ -365,25 +355,16 @@ case "$MODE" in
     echo "gdr sweep passed for seeds: $SEEDS"
     ;;
   explore)
-    # Schedule-space exploration sweep (ISSUE 9). The explorer's own suite
-    # runs first — tie permutations, timing perturbations, POR pruning
-    # invariants, the stall detector, the ddmin minimizer, and the four
-    # seeded protocol mutations the explorer must catch — in canonical mode
-    # and then with RDMADL_EXPLORE=16 so every ExploreForTest body actually
-    # enumerates schedules. The Explore* harness bodies embedded in the
-    # fault, conformance and congestion suites run under the same bound:
-    # retry cursors, flat-ring all-reduce and DCQCN incast must stay clean
-    # under every explored ordering. Finally the bench_explore report runs
-    # twice with stdout diffed.
+    # Schedule-space exploration sweep. The explorer's own suite — tie
+    # permutations, timing perturbations, POR pruning invariants, the stall
+    # detector, the ddmin minimizer, and the four seeded protocol mutations
+    # the explorer must catch — runs canonical and with RDMADL_EXPLORE=16 so
+    # every ExploreForTest body enumerates schedules. The Explore* harness
+    # bodies in the fault, conformance and congestion suites run under the
+    # same bound. bench_explore runs twice with stdout diffed: pruning
+    # counts, detection schedules and repro sizes must replay byte-identical.
     plain_build
-    "$BUILD_DIR/tests/explore_test" --gtest_brief=1
-    RDMADL_EXPLORE=16 "$BUILD_DIR/tests/explore_test" --gtest_brief=1
-    for suite in fault_test collective_conformance_test congestion_test; do
-      echo "=== explore harness: $suite (RDMADL_EXPLORE=16) ==="
-      RDMADL_EXPLORE=16 "$BUILD_DIR/tests/$suite" --gtest_brief=1 \
-        --gtest_filter='Explore*'
-    done
-    explore_smoke "$BUILD_DIR"
+    ctest --test-dir "$BUILD_DIR" -L explore --output-on-failure
     echo "exploration sweep passed (explorer suite, harness bodies, bench report)"
     ;;
 esac

@@ -53,7 +53,7 @@ enum class DiagKind {
   kPrematureFlagRead,    // Completion flag trusted before its byte landed.
   kLeakedMemoryRegion,   // MR still registered at Finalize().
   kLeakedArenaBlock,     // Arena destroyed with live carve-outs.
-  kQpDestroyedInFlight,  // QP destroyed (e.g. pool eviction) with a WR in
+  kQpDestroyedInFlight,  // QP destroyed (e.g. device teardown) with a WR in
                          // flight: its wire events would touch freed state.
   kTornRead,             // Flag trusted while a write into its guarded payload
                          // range still had undelivered bytes: the reader would
@@ -149,7 +149,7 @@ class RdmaCheck {
   // only; reads race with nothing in this model).
   void ReadPosted(int src_host, int target_host, uint32_t qp_num, uint64_t wr_id,
                   uint64_t remote_addr, uint64_t length, uint32_t rkey, int64_t now_ns);
-  // A QP was destroyed (pool eviction, device teardown). Destroying a QP
+  // A QP was destroyed (device teardown). Destroying a QP
   // whose write is still in flight is a protocol violation: the pending wire
   // events reference the dead QP.
   void QpDestroyed(int host, uint32_t qp_num, int64_t now_ns);

@@ -12,18 +12,10 @@
 // make the flag the last byte to land, so the receiver's poller observes
 // arrival exactly as in the paper's §3.2 protocol.
 //
-// Implemented collectives, all virtual-time state machines driven by the
-// simulation kernel:
-//
-//   ReduceScatter  — ring: N-1 steps; rank r ends owning the fully reduced
-//                    chunk r of the vector.
-//   AllGather      — ring: N-1 steps; every rank ends with every chunk.
-//   AllReduce      — their composition, fused per pipeline lane (a lane's
-//                    all-gather begins the moment its reduce-scatter ends; no
-//                    global barrier between phases).
-//   Broadcast      — chained ring pipeline from |root| (initial weight
-//                    distribution), segmented so hop k forwards segment j
-//                    while the root is still sending segment j+1.
+// The one collective is AllReduce, a virtual-time state machine driven by
+// the simulation kernel. Its ring schedule is a reduce-scatter fused with an
+// all-gather per pipeline lane: a lane's all-gather begins the moment its
+// reduce-scatter ends, with no global barrier between phases.
 //
 // Chunked pipelining: the vector is split into |pipeline_depth| lanes that
 // run the ring independently and concurrently, so the egress link of a host
@@ -63,18 +55,17 @@ namespace collective {
 enum class Algorithm {
   kRing,         // Bandwidth-optimal ring (reduce-scatter + all-gather).
   kNaiveGather,  // Gather-to-root, reduce at root, scatter result (star).
-  // Two-level topology-aware all-reduce (AllReduce only; the standalone
-  // collectives keep their flat-ring schedules): binomial reduce trees
-  // within each rack feed a fused ring over the rack leaders across the
-  // spine, then binomial broadcast trees fan the result back out. Lanes
+  // Two-level topology-aware all-reduce: binomial reduce trees within each
+  // rack feed a fused ring over the rack leaders across the spine, then
+  // binomial broadcast trees fan the result back out. Lanes
   // pipeline the level handoff: one lane's leader ring runs while another
   // lane's rack trees are still reducing. On a flat fabric the whole group
   // is one "rack", so this degenerates to a single binomial tree.
   kHierarchical,
-  // NetReduce-style in-network reduction (AllReduce only): every rank
-  // streams aggregation windows into its ToR's reduction engine; partials
-  // cross the spine aggregator and the result streams back down. Requires a
-  // topology with switch_reduce enabled.
+  // NetReduce-style in-network reduction: every rank streams aggregation
+  // windows into its ToR's reduction engine; partials cross the spine
+  // aggregator and the result streams back down. Requires a topology with
+  // switch_reduce enabled.
   kInNetwork,
   // Resolved once at Create from the fabric shape and tensor size: flat or
   // single-rack groups run kRing; multi-rack groups run kInNetwork when the
@@ -116,9 +107,6 @@ struct CollectiveOptions {
 
 struct CollectiveStats {
   int64_t allreduces = 0;
-  int64_t reduce_scatters = 0;
-  int64_t all_gathers = 0;
-  int64_t broadcasts = 0;
   int64_t ring_steps = 0;    // Chunk transfers posted (any algorithm).
   uint64_t bytes_sent = 0;   // Payload bytes put on the wire.
   int64_t setup_rpcs = 0;    // Address-distribution calls (setup only).
@@ -163,17 +151,6 @@ class CollectiveGroup {
   // on completion every rank holds the full sum.
   void AllReduce(uint64_t count, DoneCallback done);
 
-  // Ring reduce-scatter: rank r ends owning the reduced chunk r (chunks are
-  // the near-equal N-way partition of [0, count)).
-  void ReduceScatter(uint64_t count, DoneCallback done);
-
-  // Ring all-gather: assumes rank r's chunk r is valid; every rank ends with
-  // all chunks.
-  void AllGather(uint64_t count, DoneCallback done);
-
-  // Pipelined chained broadcast of |root|'s first |count| elements.
-  void Broadcast(int root, uint64_t count, DoneCallback done);
-
   bool busy() const { return op_ != nullptr; }
   const CollectiveStats& stats() const { return stats_; }
 
@@ -193,10 +170,6 @@ class CollectiveGroup {
 
   // Host ids of the current members, in rank order.
   std::vector<int> hosts() const;
-
-  // The N-way chunk partition used by ReduceScatter/AllGather/AllReduce
-  // (chunk c of a |count|-element vector): {offset, length} in elements.
-  std::pair<uint64_t, uint64_t> Chunk(uint64_t count, int c) const;
 
  private:
   struct Rank;
@@ -254,11 +227,9 @@ class CollectiveGroup {
   const net::CostModel& cost() const;
 
   // Algorithm entry points (ring_allreduce.cc, naive_allreduce.cc,
-  // broadcast.cc, hierarchical_allreduce.cc, innetwork_allreduce.cc).
-  void StartRing(const std::shared_ptr<Op>& op, bool do_reduce_scatter,
-                 bool do_all_gather);
+  // hierarchical_allreduce.cc, innetwork_allreduce.cc).
+  void StartRing(const std::shared_ptr<Op>& op);
   void StartNaiveGather(const std::shared_ptr<Op>& op);
-  void StartBroadcast(const std::shared_ptr<Op>& op);
   void StartHierarchical(const std::shared_ptr<Op>& op);
   void StartInNetwork(const std::shared_ptr<Op>& op);
   // One ring lane at one member (the flat ring and the hierarchical leader

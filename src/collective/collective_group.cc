@@ -1,8 +1,7 @@
 // CollectiveGroup core: resource setup (buffers, registration, address
 // distribution), op lifecycle, the chunk-post primitive for both transports,
 // and the flag pollers. The algorithm schedules live in ring_allreduce.cc,
-// hierarchical_allreduce.cc, innetwork_allreduce.cc, naive_allreduce.cc and
-// broadcast.cc.
+// hierarchical_allreduce.cc, innetwork_allreduce.cc and naive_allreduce.cc.
 #include <algorithm>
 #include <cstring>
 #include <set>
@@ -142,9 +141,8 @@ void CollectiveGroup::BuildRacks(const std::vector<int>& hosts) {
 void CollectiveGroup::ComputeLayout(int n) {
   const int lanes = options_.pipeline_depth;
 
-  // Ring slot capacity is sized for the single-lane case (standalone
-  // reduce-scatter / all-gather run unpipelined so chunk c matches the public
-  // N-way partition); fused all-reduce lanes use strictly smaller chunks.
+  // Ring slot capacity is sized as if one lane carried the whole vector, an
+  // upper bound on every pipeline lane's chunk.
   chunk_cap_elements_ = CeilDiv(max_elements_, static_cast<uint64_t>(n));
   ring_slot_bytes_ = static_cast<uint64_t>(lanes) * (n > 1 ? n - 1 : 0) * chunk_cap_elements_ *
                      sizeof(float);
@@ -202,8 +200,7 @@ void CollectiveGroup::ComputeLayout(int n) {
   // One flag byte per expected arrival of the busiest op shape, rounded up so
   // the block and its trailing constant source byte share one registration.
   const int ring_flags = lanes * (n > 1 ? 2 * (n - 1) : 1);
-  flag_capacity_ =
-      std::max({ring_flags, n, kBroadcastSegments, 1, hier_flags, innet_flags});
+  flag_capacity_ = std::max({ring_flags, n, hier_flags, innet_flags});
   flag_capacity_ = static_cast<int>(CeilDiv(flag_capacity_, 64) * 64);
 }
 
@@ -372,11 +369,6 @@ float* CollectiveGroup::data(int rank) const {
   return ranks_[rank]->data_ptr();
 }
 
-std::pair<uint64_t, uint64_t> CollectiveGroup::Chunk(uint64_t count, int c) const {
-  const ChunkRange chunk = SplitRange(count, size(), c);
-  return {chunk.offset, chunk.count};
-}
-
 int64_t CollectiveGroup::ReduceNs(uint64_t bytes) const {
   return CostNs(bytes, cost().reduce_bytes_per_sec);
 }
@@ -395,7 +387,6 @@ const std::string& CollectiveGroup::RankTrack(int rank) const {
 
 void CollectiveGroup::AllReduce(uint64_t count, DoneCallback done) {
   auto op = std::make_shared<Op>();
-  op->kind = Op::Kind::kAllReduce;
   op->count = count;
   op->done = std::move(done);
   Begin(op, [this, op] {
@@ -410,41 +401,10 @@ void CollectiveGroup::AllReduce(uint64_t count, DoneCallback done) {
         StartInNetwork(op);
         break;
       default:
-        StartRing(op, /*do_reduce_scatter=*/true, /*do_all_gather=*/true);
+        StartRing(op);
         break;
     }
   });
-}
-
-void CollectiveGroup::ReduceScatter(uint64_t count, DoneCallback done) {
-  auto op = std::make_shared<Op>();
-  op->kind = Op::Kind::kReduceScatter;
-  op->count = count;
-  op->done = std::move(done);
-  Begin(op, [this, op] { StartRing(op, /*do_reduce_scatter=*/true, /*do_all_gather=*/false); });
-}
-
-void CollectiveGroup::AllGather(uint64_t count, DoneCallback done) {
-  auto op = std::make_shared<Op>();
-  op->kind = Op::Kind::kAllGather;
-  op->count = count;
-  op->done = std::move(done);
-  Begin(op, [this, op] { StartRing(op, /*do_reduce_scatter=*/false, /*do_all_gather=*/true); });
-}
-
-void CollectiveGroup::Broadcast(int root, uint64_t count, DoneCallback done) {
-  auto op = std::make_shared<Op>();
-  op->kind = Op::Kind::kBroadcast;
-  op->count = count;
-  op->root = root;
-  op->done = std::move(done);
-  if (root < 0 || root >= size()) {
-    simulator()->ScheduleAfter(0, [op, root] {
-      if (op->done) op->done(InvalidArgument(StrCat("broadcast root ", root, " out of range")));
-    });
-    return;
-  }
-  Begin(op, [this, op] { StartBroadcast(op); });
 }
 
 void CollectiveGroup::Begin(std::shared_ptr<Op> op, std::function<void()> start) {
@@ -505,8 +465,10 @@ std::vector<std::pair<int, int>> CollectiveGroup::RequiredAddressPairs() const {
   // Deduplicated, deterministically ordered: hierarchical tree edges can
   // coincide with ring-successor edges.
   std::set<std::pair<int, int>> set;
-  // Ring successors: the ring reduce-scatter/all-gather schedules and the
-  // chained broadcast (any root) only ever write rank -> (rank + 1) % n.
+  // Ring successors: the flat ring only ever writes rank -> (rank + 1) % n.
+  // Every algorithm exchanges them although only the flat ring writes over
+  // them; dropping them for the others would change the setup RPC and QP
+  // counts the benches record.
   for (int r = 0; r < n; ++r) set.emplace(r, (r + 1) % n);
   if (options_.algorithm == Algorithm::kNaiveGather) {
     // Star to and from the gather root.
@@ -588,27 +550,9 @@ void CollectiveGroup::ExchangeAddresses(std::function<void()> then) {
 void CollectiveGroup::Finish(const std::shared_ptr<Op>& op) {
   if (op->finished) return;
   op->finished = true;
-  const int64_t now = simulator()->Now();
-  const char* name = "collective";
-  switch (op->kind) {
-    case Op::Kind::kAllReduce:
-      stats_.allreduces++;
-      name = "allreduce";
-      break;
-    case Op::Kind::kReduceScatter:
-      stats_.reduce_scatters++;
-      name = "reduce-scatter";
-      break;
-    case Op::Kind::kAllGather:
-      stats_.all_gathers++;
-      name = "all-gather";
-      break;
-    case Op::Kind::kBroadcast:
-      stats_.broadcasts++;
-      name = "broadcast";
-      break;
-  }
-  sim::TraceSpan("collective", StrCat(name, " ", op->count, " elems"), op->start_ns, now);
+  stats_.allreduces++;
+  sim::TraceSpan("collective", StrCat("allreduce ", op->count, " elems"), op->start_ns,
+                 simulator()->Now());
   ForgetDeclaredFlags(op);
   op_.reset();
   if (op->done) op->done(OkStatus());

@@ -9,10 +9,10 @@
 // traffic.
 //
 // Level 2 — inter-rack ring over the rack leaders. Each leader runs the flat
-// ring's lane routine (RunRingLane, fused, delta = 0) over the leader list,
-// with its own slot area and flags, on the rack-reduced slice; only these
-// messages cross the spine, and the multi-level engine routing caps their
-// stripe fan-out to one QP lane (they all funnel through the same uplink).
+// ring's lane routine (RunRingLane) over the leader list, with its own slot
+// area and flags, on the rack-reduced slice; only these messages cross the
+// spine, and the multi-level engine routing caps their stripe fan-out to one
+// QP lane (they all funnel through the same uplink).
 //
 // Level 3 — intra-rack binomial broadcast, the mirror of level 1: the leader
 // pushes the globally reduced slice down the tree (child q receives from

@@ -1,7 +1,6 @@
 // Private state of CollectiveGroup, shared by the algorithm translation units
 // (collective_group.cc, ring_allreduce.cc, hierarchical_allreduce.cc,
-// innetwork_allreduce.cc, naive_allreduce.cc, broadcast.cc). Not part of the
-// public API.
+// innetwork_allreduce.cc, naive_allreduce.cc). Not part of the public API.
 #ifndef RDMADL_SRC_COLLECTIVE_INTERNAL_H_
 #define RDMADL_SRC_COLLECTIVE_INTERNAL_H_
 
@@ -19,9 +18,6 @@
 namespace rdmadl {
 namespace collective {
 
-// Segments a Broadcast is chopped into for chained pipelining.
-constexpr int kBroadcastSegments = 8;
-
 inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
 // A contiguous element range.
@@ -32,8 +28,7 @@ struct ChunkRange {
 
 // Piece |i| of the near-equal split of |count| elements into |parts|: every
 // piece gets count/parts elements and the first count%parts one more. The
-// one split behind pipeline lanes, ring chunks, Chunk() and broadcast
-// segments.
+// one split behind pipeline lanes and ring chunks.
 inline ChunkRange SplitRange(uint64_t count, uint64_t parts, uint64_t i) {
   const uint64_t base = count / parts;
   const uint64_t rem = count % parts;
@@ -118,11 +113,7 @@ struct CollectiveGroup::Rank {
 // completion that races with teardown (e.g. after a failure finished the op
 // early) finds |finished| set and backs off instead of touching freed state.
 struct CollectiveGroup::Op {
-  enum class Kind { kAllReduce, kReduceScatter, kAllGather, kBroadcast };
-
-  Kind kind = Kind::kAllReduce;
   uint64_t count = 0;  // Elements.
-  int root = 0;        // Broadcast only.
   DoneCallback done;
   int64_t start_ns = 0;
   // Absolute virtual-time budget (0 = none). Begin arms a backstop timer at
@@ -157,20 +148,17 @@ struct CollectiveGroup::Op {
 };
 
 // One pipeline lane of the ring schedule at one member; the schedule is
-// described in ring_allreduce.cc. Step k (reduce-scatter steps first) lands
-// on flag flag_base + k at the successor.
+// described in ring_allreduce.cc. Step k (the n-1 reduce-scatter steps, then
+// the n-1 all-gather steps) lands on flag flag_base + k at the successor.
 struct CollectiveGroup::RingLane {
   const std::vector<int>* members = nullptr;  // Ring order; group-owned.
   int pos = 0;                  // This rank's index in |members|.
   int lane = 0;                 // Pipeline lane: index into Op::lanes, QP lane.
-  int delta = 0;                // Chunk shift: 0 fused, n-1 standalone.
   // Reduce-scatter slot (lane, s) sits slot_offset bytes plus
   // (lane * (n-1) + s) * slot_cap_elements floats into a member's slots.
   uint64_t slot_offset = 0;
   uint64_t slot_cap_elements = 0;
   int flag_base = 0;
-  bool reduce_scatter = true;
-  bool all_gather = true;
   bool phase_spans = true;  // Trace "rs l"/"ag l" at the end of each phase.
   // Runs after the lane's last arrival is handled (may be empty).
   std::function<void()> on_done;
@@ -179,8 +167,6 @@ struct CollectiveGroup::RingLane {
   int n = 0;
   int rank = 0;
   int succ = 0;
-  int steps_rs = 0;
-  int steps_ag = 0;
   int64_t phase_start = 0;
 
   uint64_t slot_byte_offset(int s) const {

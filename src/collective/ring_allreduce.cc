@@ -1,4 +1,4 @@
-// Ring reduce-scatter / all-gather / fused all-reduce.
+// Ring all-reduce: a reduce-scatter fused with an all-gather.
 //
 // The flat ring is the rank order 0..N-1 (rank r sends only to (r+1) % N).
 // Each pipeline lane runs the schedule independently over its own slice of
@@ -9,17 +9,14 @@
 // hierarchical schedule's level 2 runs it at each rack leader over the
 // leader list (N = racks, r = rack ordinal).
 //
-// With shift parameter d (0 for the fused all-reduce, N-1 for standalone
-// ops, so that standalone reduce-scatter leaves rank r owning chunk r):
-//
-//   reduce-scatter step s:  rank r sends lane-chunk (r - s + d) mod N into
-//     its successor's per-step slot (lane, s); on the arrival of step s it
-//     reduces slot (lane, s) into lane-chunk (r - s - 1 + d) mod N. After
-//     N-1 steps rank r owns lane-chunk (r + 1 + d) mod N.
+//   reduce-scatter step s:  rank r sends lane-chunk (r - s) mod N into its
+//     successor's per-step slot (lane, s); on the arrival of step s it
+//     reduces slot (lane, s) into lane-chunk (r - s - 1) mod N. After N-1
+//     steps rank r owns lane-chunk (r + 1) mod N.
 //   all-gather step t: rank r sends lane-chunk (owner - t) mod N, where
-//     owner = (r + 1 + d) mod N, directly into its successor's data buffer
-//     at the chunk's final offset — no landing slot and no receiver copy;
-//     on arrival t it may immediately forward that chunk (step t+1).
+//     owner = (r + 1) mod N, directly into its successor's data buffer at
+//     the chunk's final offset — no landing slot and no receiver copy; on
+//     arrival t it may immediately forward that chunk (step t+1).
 //
 // Per-step slots make the schedule self-throttling-free: a sender running
 // ahead can never overwrite a slot its successor has not consumed, and the
@@ -43,15 +40,10 @@ int Mod(int a, int n) { return (a % n + n) % n; }
 
 }  // namespace
 
-void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op, bool do_reduce_scatter,
-                                bool do_all_gather) {
+void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op) {
   const int n = size();
   CHECK_GT(n, 1);
-  // Standalone ops run single-lane so their chunk c is the public N-way
-  // partition (Chunk()); the fused all-reduce pipelines across lanes.
-  const bool fused = do_reduce_scatter && do_all_gather;
-  if (!StartLanes(op, fused ? options_.pipeline_depth : 1, /*units_per_lane=*/n)) return;
-  const int total_steps = (do_reduce_scatter ? n - 1 : 0) + (do_all_gather ? n - 1 : 0);
+  if (!StartLanes(op, options_.pipeline_depth, /*units_per_lane=*/n)) return;
 
   for (int r = 0; r < n; ++r) {
     for (int l = 0; l < static_cast<int>(op->lanes.size()); ++l) {
@@ -60,11 +52,8 @@ void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op, bool do_reduce_sc
       lane.members = &rank_order_;
       lane.pos = r;
       lane.lane = l;
-      lane.delta = fused ? 0 : n - 1;
       lane.slot_cap_elements = chunk_cap_elements_;
-      lane.flag_base = l * total_steps;
-      lane.reduce_scatter = do_reduce_scatter;
-      lane.all_gather = do_all_gather;
+      lane.flag_base = l * 2 * (n - 1);
       RunRingLane(op, std::move(lane));
     }
   }
@@ -75,29 +64,27 @@ void CollectiveGroup::RunRingLane(const std::shared_ptr<Op>& op, RingLane spec) 
   lane->n = static_cast<int>(lane->members->size());
   lane->rank = (*lane->members)[lane->pos];
   lane->succ = (*lane->members)[(lane->pos + 1) % lane->n];
-  lane->steps_rs = lane->reduce_scatter ? lane->n - 1 : 0;
-  lane->steps_ag = lane->all_gather ? lane->n - 1 : 0;
   lane->phase_start = simulator()->Now();
 
   RingLaneStep(op, *lane, 0);
-  const int total_steps = lane->steps_rs + lane->steps_ag;
+  const int phase_steps = lane->n - 1;
   StartWaiter(
-      op, lane->rank, lane->flag_base, total_steps,
-      [this, op, lane, total_steps](int index, std::function<void()> resume) {
+      op, lane->rank, lane->flag_base, 2 * phase_steps,
+      [this, op, lane, phase_steps](int index, std::function<void()> resume) {
         const ChunkRange& range = op->lanes[lane->lane];
-        if (index < lane->steps_rs) {
+        if (index < phase_steps) {
           // Reduce-scatter arrival s: fold slot (lane, s) into the chunk it
           // carries, then (causally after the reduce) send the next step.
           const ChunkRange chunk =
-              SplitRange(range.count, lane->n, Mod(lane->pos - index - 1 + lane->delta, lane->n));
+              SplitRange(range.count, lane->n, Mod(lane->pos - index - 1, lane->n));
           simulator()->ScheduleAfter(
               ReduceNs(chunk.count * sizeof(float)),
-              [this, op, lane, index, chunk, resume = std::move(resume)] {
+              [this, op, lane, index, chunk, phase_steps, resume = std::move(resume)] {
                 if (op->finished) return;
                 const ChunkRange& range = op->lanes[lane->lane];
                 ranks_[lane->rank]->FoldSlot(lane->slot_byte_offset(index),
                                              range.offset + chunk.offset, chunk.count);
-                if (index + 1 == lane->steps_rs && lane->phase_spans) {
+                if (index + 1 == phase_steps && lane->phase_spans) {
                   sim::TraceSpan(RankTrack(lane->rank),
                                  StrCat("rs l", lane->lane, " ", range.count, "e"),
                                  lane->phase_start, simulator()->Now());
@@ -110,7 +97,7 @@ void CollectiveGroup::RunRingLane(const std::shared_ptr<Op>& op, RingLane spec) 
         }
         // All-gather arrival t: the chunk already sits at its final offset;
         // forward it, or after the last step run the lane's finish step.
-        if (index + 1 == total_steps && lane->phase_spans) {
+        if (index + 1 == 2 * phase_steps && lane->phase_spans) {
           sim::TraceSpan(RankTrack(lane->rank), StrCat("ag l", lane->lane, " ", range.count, "e"),
                          lane->phase_start, simulator()->Now());
         }
@@ -121,17 +108,17 @@ void CollectiveGroup::RunRingLane(const std::shared_ptr<Op>& op, RingLane spec) 
 
 void CollectiveGroup::RingLaneStep(const std::shared_ptr<Op>& op, const RingLane& lane,
                                    int step) {
-  if (step == lane.steps_rs + lane.steps_ag) {
+  const int phase_steps = lane.n - 1;
+  if (step == 2 * phase_steps) {
     if (lane.on_done) lane.on_done();
     return;
   }
   const ChunkRange& range = op->lanes[lane.lane];
   Rank* self = ranks_[lane.rank].get();
   const Rank::PeerAddrs& peer = self->peers[lane.succ];
-  if (step < lane.steps_rs) {
+  if (step < phase_steps) {
     // Reduce-scatter step s: into the successor's slot (lane, s).
-    const ChunkRange chunk =
-        SplitRange(range.count, lane.n, Mod(lane.pos - step + lane.delta, lane.n));
+    const ChunkRange chunk = SplitRange(range.count, lane.n, Mod(lane.pos - step, lane.n));
     PostChunk(op, lane.rank, lane.succ, lane.lane,
               self->data_addr + (range.offset + chunk.offset) * sizeof(float), self->data_lkey,
               peer.slots.addr + lane.slot_byte_offset(step), peer.slots.rkey,
@@ -140,9 +127,9 @@ void CollectiveGroup::RingLaneStep(const std::shared_ptr<Op>& op, const RingLane
   }
   // All-gather step t: straight to the chunk's final offset in the
   // successor's data buffer.
-  const int owner = (lane.pos + 1 + lane.delta) % lane.n;
+  const int owner = (lane.pos + 1) % lane.n;
   const ChunkRange chunk =
-      SplitRange(range.count, lane.n, Mod(owner - (step - lane.steps_rs), lane.n));
+      SplitRange(range.count, lane.n, Mod(owner - (step - phase_steps), lane.n));
   const uint64_t byte_off = (range.offset + chunk.offset) * sizeof(float);
   PostChunk(op, lane.rank, lane.succ, lane.lane, self->data_addr + byte_off, self->data_lkey,
             peer.data.addr + byte_off, peer.data.rkey, chunk.count * sizeof(float),

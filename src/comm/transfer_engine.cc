@@ -62,11 +62,6 @@ int TransferEngine::LaneCountFor(const Endpoint& remote) const {
 }
 
 StatusOr<device::RdmaChannel*> TransferEngine::Channel(const Endpoint& remote, int lane) {
-  const uint64_t pool_gen = device_->qp_pool()->generation();
-  if (pool_gen != pool_generation_) {
-    channel_cache_.clear();
-    pool_generation_ = pool_gen;
-  }
   const std::pair<Endpoint, int> key(remote, lane);
   auto it = channel_cache_.find(key);
   if (it != channel_cache_.end()) return it->second;
@@ -384,12 +379,6 @@ void TransferEngine::Flush(const Endpoint& remote, PeerQueue* queue) {
   (*channel_or)->MemcpyBatch(std::move(ops));
 }
 
-void TransferEngine::FlushCoalesced() {
-  for (auto& [remote, queue] : queues_) {
-    Flush(remote, &queue);
-  }
-}
-
 void TransferEngine::ResetTransientState() {
   // Invalidate scheduled flushes and drop queued writes without invoking
   // their callbacks (the owning step has been aborted; this mirrors
@@ -399,9 +388,6 @@ void TransferEngine::ResetTransientState() {
     queue.pending.clear();
     queue.flush_scheduled = false;
   }
-  // Recovery may tear down or reconnect lanes out from under us; re-resolve
-  // every binding through the pool on the next write.
-  channel_cache_.clear();
 }
 
 void TransferEngine::BeginEpoch(int64_t epoch) { epoch_ = epoch; }

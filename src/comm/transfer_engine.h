@@ -148,9 +148,6 @@ class TransferEngine {
   Route WriteGather(const Endpoint& remote, const std::vector<WriteDesc>& extents,
                     const WriteDesc& flag, int lane_hint, device::MemcpyCallback on_done);
 
-  // Flushes every pending coalesced batch now (end of a step's issue phase).
-  void FlushCoalesced();
-
   // Drops queued-but-unposted coalesced writes without invoking callbacks
   // (teardown/abort aid, mirroring RdmaDevice::DropPendingCallbacks).
   void ResetTransientState();
@@ -207,12 +204,11 @@ class TransferEngine {
     size_t end = 0;
   };
 
-  // Resolves the channel for (remote, lane) via a cache guarded by the QP
-  // pool's generation: any eviction anywhere invalidates it, so a stale
-  // binding is never used after the pool reshuffled lanes. The first use per
-  // generation goes through RdmaDevice::GetChannel, which acquires (or
-  // reconnects) the pooled lane; cache hits skip the pool lookup and rely on
-  // the channel's own lazy reattach if its specific lane was since evicted.
+  // Resolves the channel for (remote, lane). The first use goes through
+  // RdmaDevice::GetChannel, which connects the peer and acquires the pooled
+  // lane; later uses hit a cache. A channel lives as long as its device, so
+  // a cached pointer never dangles, and its own lazy reattach covers a lane
+  // torn down since.
   StatusOr<device::RdmaChannel*> Channel(const Endpoint& remote, int lane);
   Route PostDirect(const Endpoint& remote, const WriteDesc& payload, const WriteDesc& flag,
                    int lane_hint, device::MemcpyCallback on_done);
@@ -240,9 +236,8 @@ class TransferEngine {
   uint64_t generation_ = 0;
   // Round-robin lane for coalesced batches.
   int next_batch_lane_ = 0;
-  // Lane-binding cache; valid only while the pool generation matches.
+  // Lane-binding cache: (remote, lane) -> the device's channel.
   std::map<std::pair<Endpoint, int>, device::RdmaChannel*> channel_cache_;
-  uint64_t pool_generation_ = 0;
 
   tensor::ExtentLruCache<CachedMr> mr_cache_;
   int64_t epoch_ = 0;

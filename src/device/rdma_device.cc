@@ -115,8 +115,8 @@ void RdmaChannel::Memcpy(uint64_t local_addr, const MemRegion& local_region,
 template <typename TakeCallback, typename PostFn>
 void RdmaChannel::Post(size_t n, TakeCallback take_callback, PostFn post) {
   RdmaDevice* dev = device_;
-  // The pool may have evicted this lane since the caller cached the channel;
-  // reconnect.
+  // The lane may have been torn down since the caller cached the channel;
+  // reattach.
   Status s = qp_ == nullptr ? dev->AttachLane(this) : OkStatus();
   if (!s.ok()) {
     for (size_t i = 0; i < n; ++i) dev->FailAsync(take_callback(i), s);
@@ -126,19 +126,9 @@ void RdmaChannel::Post(size_t n, TakeCallback take_callback, PostFn post) {
   dev->next_wr_id_ += n;
   for (size_t i = 0; i < n; ++i) dev->pending_sends_[first + i] = take_callback(i);
   s = post(first);
+  if (s.ok()) return;
   for (uint64_t wr_id = first; wr_id < first + n; ++wr_id) {
-    if (!s.ok()) {
-      dev->FailAsync(std::move(dev->pending_sends_.extract(wr_id).mapped()), s);
-    } else if (dev->memcpy_timeout_ns_ > 0) {
-      dev->simulator()->ScheduleAfter(dev->memcpy_timeout_ns_, [dev, wr_id]() {
-        auto it = dev->pending_sends_.find(wr_id);
-        if (it == dev->pending_sends_.end()) return;  // Completed in time.
-        MemcpyCallback cb = std::move(it->second);
-        dev->pending_sends_.erase(it);
-        dev->abandoned_wr_ids_.insert(wr_id);
-        if (cb) cb(DeadlineExceeded("RDMA memcpy timed out"));
-      });
-    }
+    dev->FailAsync(std::move(dev->pending_sends_.extract(wr_id).mapped()), s);
   }
 }
 
@@ -251,8 +241,8 @@ StatusOr<std::unique_ptr<RdmaDevice>> RdmaDevice::Create(DeviceDirectory* direct
     RdmaDevice* raw = dev.get();
     RDMADL_RETURN_IF_ERROR(directory->qp_pool()->RegisterEndpoint(
         local, local.host_id, /*cqs=*/[raw]() { return raw->NextCq(); },
-        /*on_evict=*/[raw](const Endpoint& /*self*/, const Endpoint& remote, int lane) {
-          raw->OnLaneEvicted(remote, lane);
+        /*on_teardown=*/[raw](const Endpoint& /*self*/, const Endpoint& remote, int lane) {
+          raw->OnLaneTornDown(remote, lane);
         }));
   }
   directory->devices_[local] = dev.get();
@@ -279,22 +269,14 @@ rdma::CompletionQueue* RdmaDevice::NextCq() {
 }
 
 Status RdmaDevice::Connect(RdmaDevice* remote) {
-  PeerConnection& mine = peers_[remote->local_];
-  PeerConnection& theirs = remote->peers_[local_];
-  CHECK(mine.channels.empty() && theirs.channels.empty());
   if (num_qps_per_peer_ != remote->num_qps_per_peer_) {
     return InvalidArgument("peer devices configured with different QP counts");
   }
   // Data lanes come from the shared pool on first use; only the dedicated
   // two-sided QP for the address-distribution RPC is created eagerly (it has
   // to exist before any one-sided traffic can be set up). It is unpooled but
-  // still counts against the NIC's QP cap, so make room first.
-  rdma::QpPool* pool = directory_->qp_pool();
-  const bool colocated = local_.host_id == remote->local_.host_id;
-  RDMADL_RETURN_IF_ERROR(pool->ReserveCapacity(local_.host_id, colocated ? 2 : 1));
-  if (!colocated) {
-    RDMADL_RETURN_IF_ERROR(pool->ReserveCapacity(remote->local_.host_id, 1));
-  }
+  // still counts against the NIC's QP cap; a NIC at the cap fails the
+  // connect with kResourceExhausted and no peer entry is left behind.
   rdma::CompletionQueue* my_cq = NextCq();
   rdma::CompletionQueue* their_cq = remote->NextCq();
   RDMADL_ASSIGN_OR_RETURN(rdma::QueuePair * a, nic_->TryCreateQueuePair(my_cq, my_cq));
@@ -304,6 +286,9 @@ Status RdmaDevice::Connect(RdmaDevice* remote) {
     return b.status();
   }
   RDMADL_RETURN_IF_ERROR(a->Connect(*b));
+  PeerConnection& mine = peers_[remote->local_];
+  PeerConnection& theirs = remote->peers_[local_];
+  CHECK(mine.channels.empty() && theirs.channels.empty());
   mine.rpc_qp = a;
   theirs.rpc_qp = *b;
   rpc_qps_[a->qp_num()] = a;
@@ -313,7 +298,7 @@ Status RdmaDevice::Connect(RdmaDevice* remote) {
     remote->PostRpcRecv(*b, remote->AcquireRpcSlot());
   }
   // Channel wrappers exist for the connection's lifetime; their QP bindings
-  // attach lazily (AttachLane) and drop on pool eviction.
+  // attach lazily (AttachLane) and drop when the pool tears the lane down.
   for (int i = 0; i < num_qps_per_peer_; ++i) {
     mine.channels.push_back(
         std::unique_ptr<RdmaChannel>(new RdmaChannel(this, remote->local_, i, nullptr)));
@@ -352,7 +337,7 @@ Status RdmaDevice::AttachLane(RdmaChannel* channel) {
   return OkStatus();
 }
 
-void RdmaDevice::OnLaneEvicted(const Endpoint& remote, int lane) {
+void RdmaDevice::OnLaneTornDown(const Endpoint& remote, int lane) {
   auto it = peers_.find(remote);
   if (it == peers_.end()) return;
   if (lane < static_cast<int>(it->second.channels.size())) {
@@ -409,9 +394,6 @@ void RdmaDevice::DrainCq(rdma::CompletionQueue* cq) {
         LOG(ERROR) << "RPC send completion error: " << wc.status;
       }
       continue;
-    }
-    if (abandoned_wr_ids_.erase(wc.wr_id) > 0) {
-      continue;  // Late completion of a timed-out Memcpy; already reported.
     }
     LOG(WARNING) << "orphan completion wr_id=" << wc.wr_id;
   }

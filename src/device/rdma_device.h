@@ -23,7 +23,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/rdma/qp_pool.h"
@@ -142,11 +141,10 @@ class RdmaChannel {
       : device_(device), remote_(remote), qp_index_(qp_index), qp_(qp) {}
 
   // The one post path under every Memcpy shape. Binds the lane (reattaching
-  // after a pool eviction), gives the |n| WRs consecutive wr_ids and
-  // registers take_callback(i) for the i-th, then calls post(first_wr_id),
-  // which builds and posts the WRs. A failure reaches every callback
-  // asynchronously, for a uniform contract; a successful post arms the
-  // memcpy watchdog per WR.
+  // after the peer's lanes were torn down), gives the |n| WRs consecutive
+  // wr_ids and registers take_callback(i) for the i-th, then calls
+  // post(first_wr_id), which builds and posts the WRs. A failure reaches
+  // every callback asynchronously, for a uniform contract.
   template <typename TakeCallback, typename PostFn>
   void Post(size_t n, TakeCallback take_callback, PostFn post);
 
@@ -162,10 +160,10 @@ using RpcCallback = std::function<void(const Status&, const std::vector<uint8_t>
 
 // Directory of devices in the simulated cluster; stands in for out-of-band
 // connection management (RDMA CM exchange over Ethernet). Also owns the
-// cluster-wide QP pool: data lanes between any two devices are shared,
-// on-demand, and LRU-evicted when a NIC hits cost.max_queue_pairs, so total
-// QP count stays sublinear in hosts² instead of every peer pair paying
-// num_qps_per_peer contexts up front.
+// cluster-wide QP pool: data lanes between any two devices are shared and
+// created on first use, so only the peer pairs and lanes that carry traffic
+// pay QP contexts. A NIC at cost.max_queue_pairs refuses new lanes with
+// kResourceExhausted.
 class DeviceDirectory {
  public:
   explicit DeviceDirectory(rdma::RdmaFabric* rdma_fabric)
@@ -227,19 +225,12 @@ class RdmaDevice {
   // destructor before any of its members go away. Not for use mid-run.
   void DropPendingCallbacks();
 
-  // Watchdog for RdmaChannel::Memcpy: a callback still pending after this
-  // much virtual time fires with kDeadlineExceeded and the eventual late
-  // completion (if any) is discarded. 0 = disabled (default).
-  void set_memcpy_timeout_ns(int64_t timeout_ns) { memcpy_timeout_ns_ = timeout_ns; }
-  int64_t memcpy_timeout_ns() const { return memcpy_timeout_ns_; }
-
   // Delivers |status| to |callback| as an event at the current instant, the
   // uniform way a post failure reaches a Memcpy caller. A null callback is
   // dropped.
   void FailAsync(MemcpyCallback callback, Status status);
 
   const Endpoint& endpoint() const { return local_; }
-  rdma::QpPool* qp_pool() const { return directory_->qp_pool(); }
   rdma::NicDevice* nic() const { return nic_; }
   sim::Simulator* simulator() const { return nic_->simulator(); }
   const net::CostModel& cost() const { return nic_->cost(); }
@@ -251,9 +242,9 @@ class RdmaDevice {
   friend struct MemRegion::Impl;
 
   // Data QPs are not owned here: channels bind lazily to pooled lanes
-  // (DeviceDirectory::qp_pool) and drop the binding when the pool evicts
-  // them. Channel wrappers themselves live for the device's lifetime, so
-  // callers may cache RdmaChannel* across evictions.
+  // (DeviceDirectory::qp_pool) and drop the binding when the peer's device
+  // goes away and the pool tears the lane down. Channel wrappers themselves
+  // live for the device's lifetime, so callers may cache RdmaChannel*.
   struct PeerConnection {
     std::vector<std::unique_ptr<RdmaChannel>> channels;
     rdma::QueuePair* rpc_qp = nullptr;          // Dedicated two-sided RPC QP.
@@ -268,12 +259,11 @@ class RdmaDevice {
   // Establishes the RPC QP pair and lazy channel wrappers between this
   // device and |remote|; data lanes attach from the pool on first use.
   Status Connect(RdmaDevice* remote);
-  // Binds |channel| to its pooled lane (creating or reconnecting it on
-  // demand); a pool hit only touches the LRU clock.
+  // Binds |channel| to its pooled lane, creating the lane on first use.
   Status AttachLane(RdmaChannel* channel);
-  // Pool eviction callback: drop the cached QP binding so the next use
+  // Pool teardown callback: drop the cached QP binding so the next use
   // reattaches.
-  void OnLaneEvicted(const Endpoint& remote, int lane);
+  void OnLaneTornDown(const Endpoint& remote, int lane);
   // Picks the next CQ round-robin for a newly created QP (Figure 4).
   rdma::CompletionQueue* NextCq();
   // Drains one CQ, dispatching Memcpy callbacks and RPC messages.
@@ -301,13 +291,9 @@ class RdmaDevice {
   uint64_t next_wr_id_ = 1;
   uint64_t next_call_id_ = 1;
 
-  int64_t memcpy_timeout_ns_ = 0;
-
   std::vector<rdma::CompletionQueue*> cqs_;
   std::map<Endpoint, PeerConnection> peers_;
   std::unordered_map<uint64_t, MemcpyCallback> pending_sends_;
-  // Memcpys whose timeout already fired; their late completions are dropped.
-  std::unordered_set<uint64_t> abandoned_wr_ids_;
   // Outstanding RPC recv WRs per rpc_qp (qp_num -> count), so recovery knows
   // how many flushed buffers to repost.
   std::unordered_map<uint32_t, int> rpc_recv_posted_;

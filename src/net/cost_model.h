@@ -58,9 +58,9 @@ struct CostModel {
   int max_memory_regions = 2048;
   // Hardware limit on live queue pairs per NIC. Real NICs degrade sharply
   // once the QP context cache misses (RDMAvisor's motivating observation);
-  // here it is a hard cap so the QP pool's evict-and-reconnect machinery is
-  // actually exercised at scale. Sized so a 256-host parameter-server job
-  // fits (2 RPC QPs per peer edge plus the pooled data lanes).
+  // here it is a hard cap: creating a QP past it fails with
+  // kResourceExhausted. Sized so a 256-host parameter-server job fits (2 RPC
+  // QPs per peer edge plus the pooled data lanes).
   int max_queue_pairs = 2048;
 
   // ----------------------------------------------------------------- TCP/IP

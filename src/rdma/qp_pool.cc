@@ -9,27 +9,24 @@ namespace rdmadl {
 namespace rdma {
 
 Status QpPool::RegisterEndpoint(const Endpoint& ep, int host_id, CqProvider cqs,
-                                EvictionObserver on_evict) {
+                                TeardownObserver on_teardown) {
   if (cqs == nullptr) return InvalidArgument("CQ provider required");
   if (endpoints_.count(ep) > 0) {
     return FailedPrecondition(StrCat("endpoint ", ep.ToString(), " already registered"));
   }
-  endpoints_[ep] = EndpointState{host_id, std::move(cqs), std::move(on_evict)};
+  endpoints_[ep] = EndpointState{host_id, std::move(cqs), std::move(on_teardown)};
   return OkStatus();
 }
 
 void QpPool::UnregisterEndpoint(const Endpoint& ep) {
-  bool destroyed = false;
   for (auto it = lanes_.begin(); it != lanes_.end();) {
     if (it->first.lo == ep || it->first.hi == ep) {
       TearDownLane(it->first, it->second);
       it = lanes_.erase(it);
-      destroyed = true;
     } else {
       ++it;
     }
   }
-  if (destroyed) ++generation_;
   endpoints_.erase(ep);
 }
 
@@ -45,7 +42,6 @@ StatusOr<QueuePair*> QpPool::Acquire(const Endpoint& local, const Endpoint& remo
   auto it = lanes_.find(key);
   if (it != lanes_.end()) {
     ++stats_.hits;
-    it->second.last_use = ++use_clock_;
     return local == key.lo ? it->second.lo_qp : it->second.hi_qp;
   }
 
@@ -57,17 +53,8 @@ StatusOr<QueuePair*> QpPool::Acquire(const Endpoint& local, const Endpoint& remo
                (lo_state == endpoints_.end() ? key.lo : key.hi).ToString()));
   }
 
-  // Make room on both NICs before creating anything: a colocated pair needs
-  // two free contexts on the same NIC.
-  const int lo_host = lo_state->second.host_id;
-  const int hi_host = hi_state->second.host_id;
-  NicDevice* lo_nic = rdma_->nic(lo_host);
-  NicDevice* hi_nic = rdma_->nic(hi_host);
-  RDMADL_RETURN_IF_ERROR(ReserveCapacity(lo_host, lo_host == hi_host ? 2 : 1));
-  if (lo_host != hi_host) {
-    RDMADL_RETURN_IF_ERROR(ReserveCapacity(hi_host, 1));
-  }
-
+  NicDevice* lo_nic = rdma_->nic(lo_state->second.host_id);
+  NicDevice* hi_nic = rdma_->nic(hi_state->second.host_id);
   StatusOr<QueuePair*> lo_qp = [&]() -> StatusOr<QueuePair*> {
     CompletionQueue* cq = lo_state->second.cqs();
     return lo_nic->TryCreateQueuePair(cq, cq);
@@ -85,58 +72,20 @@ StatusOr<QueuePair*> QpPool::Acquire(const Endpoint& local, const Endpoint& remo
   if (!connected.ok()) return connected;
 
   ++stats_.creates;
-  if (!ever_connected_.insert(key).second) ++stats_.reconnects;
   Lane& entry = lanes_[key];
   entry.lo_qp = *lo_qp;
   entry.hi_qp = *hi_qp;
-  entry.last_use = ++use_clock_;
   return local == key.lo ? entry.lo_qp : entry.hi_qp;
-}
-
-Status QpPool::ReserveCapacity(int host_id, int count) {
-  NicDevice* nic = rdma_->nic(host_id);
-  while (nic->num_queue_pairs() + count > nic->cost().max_queue_pairs) {
-    Status evicted = EvictOneIdleLane(host_id);
-    if (!evicted.ok()) {
-      ++stats_.exhausted;
-      return evicted;
-    }
-  }
-  return OkStatus();
-}
-
-Status QpPool::EvictOneIdleLane(int host_id) {
-  auto victim = lanes_.end();
-  for (auto it = lanes_.begin(); it != lanes_.end(); ++it) {
-    auto lo_state = endpoints_.find(it->first.lo);
-    auto hi_state = endpoints_.find(it->first.hi);
-    const bool touches = (lo_state != endpoints_.end() && lo_state->second.host_id == host_id) ||
-                         (hi_state != endpoints_.end() && hi_state->second.host_id == host_id);
-    if (!touches) continue;
-    if (!it->second.lo_qp->idle() || !it->second.hi_qp->idle()) continue;
-    if (victim == lanes_.end() || it->second.last_use < victim->second.last_use) {
-      victim = it;
-    }
-  }
-  if (victim == lanes_.end()) {
-    return ResourceExhausted(
-        StrCat("NIC QP limit reached on host", host_id, " and no pooled lane is idle"));
-  }
-  TearDownLane(victim->first, victim->second);
-  lanes_.erase(victim);
-  ++stats_.evictions;
-  ++generation_;
-  return OkStatus();
 }
 
 void QpPool::TearDownLane(const LaneKey& key, const Lane& lane) {
   auto lo_state = endpoints_.find(key.lo);
   auto hi_state = endpoints_.find(key.hi);
-  if (lo_state != endpoints_.end() && lo_state->second.on_evict) {
-    lo_state->second.on_evict(key.lo, key.hi, key.lane);
+  if (lo_state != endpoints_.end() && lo_state->second.on_teardown) {
+    lo_state->second.on_teardown(key.lo, key.hi, key.lane);
   }
-  if (hi_state != endpoints_.end() && hi_state->second.on_evict) {
-    hi_state->second.on_evict(key.hi, key.lo, key.lane);
+  if (hi_state != endpoints_.end() && hi_state->second.on_teardown) {
+    hi_state->second.on_teardown(key.hi, key.lo, key.lane);
   }
   if (lo_state != endpoints_.end()) {
     (void)rdma_->nic(lo_state->second.host_id)->DestroyQueuePair(lane.lo_qp);

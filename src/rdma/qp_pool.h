@@ -1,28 +1,18 @@
-// QpPool: on-demand, LRU-evictable shared queue-pair lanes.
+// QpPool: on-demand, create-once shared queue-pair lanes.
 //
-// PR 5's transfer engine striped tensors over eagerly-created per-peer QP
-// lanes: every connected peer pair paid num_qps_per_peer QPs up front, O(n²)
-// across the cluster — the exact scaling wall RDMAvisor ("RDMA as a
-// Service") documents for datacenter RDMA. The pool replaces eager creation
-// with on-demand acquisition: a lane (a connected QP pair between two
-// endpoints, indexed by stripe) is created the first time someone asks for
-// it, tracked LRU, and evicted when either NIC runs out of QP contexts
-// (cost.max_queue_pairs). Eviction destroys both ends and notifies both
-// owners so cached channel bindings drop; a later acquire of the same lane
-// key transparently reconnects. Only idle lanes (QueuePair::idle(): nothing
-// queued, in flight, or scheduled) are evictable, so destruction never
-// strands a simulator event — destroying a busy QP is the
-// kQpDestroyedInFlight diagnostic under RdmaCheck.
-//
-// Every eviction bumps generation(); consumers that cache lane lookups
-// (comm::TransferEngine) revalidate against it.
+// Eagerly creating num_qps_per_peer QPs for every connected peer pair costs
+// O(n²) QP contexts across the cluster. The pool creates a lane (a connected
+// QP pair between two endpoints, indexed by stripe) the first time someone
+// asks for it, and the lane lives until one of its endpoints unregisters.
+// The paper gives every connection a fixed set of QPs (§3.1), so lanes are
+// never evicted: at the NIC's QP cap (cost.max_queue_pairs) Acquire fails
+// with kResourceExhausted.
 #ifndef RDMADL_SRC_RDMA_QP_POOL_H_
 #define RDMADL_SRC_RDMA_QP_POOL_H_
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 
 #include "src/rdma/verbs.h"
 #include "src/util/endpoint.h"
@@ -32,11 +22,11 @@ namespace rdmadl {
 namespace rdma {
 
 struct QpPoolStats {
-  uint64_t hits = 0;        // Acquire found a live lane.
-  uint64_t creates = 0;     // Lane created (first connect or reconnect).
-  uint64_t evictions = 0;   // Lanes destroyed to free NIC QP contexts.
-  uint64_t reconnects = 0;  // Creates whose lane key had been evicted before.
-  uint64_t exhausted = 0;   // Acquire failed: cap reached, nothing idle.
+  uint64_t hits = 0;       // Acquire found a live lane.
+  uint64_t creates = 0;    // Lane created.
+  // Lanes destroyed to free NIC QP contexts. The pool never evicts, so this
+  // is always 0; it stays because the scale bench and perfbench report it.
+  uint64_t evictions = 0;
 };
 
 class QpPool {
@@ -44,10 +34,10 @@ class QpPool {
   // Hands out a CQ for each newly created QP on that endpoint (the device's
   // round-robin NextCq).
   using CqProvider = std::function<CompletionQueue*()>;
-  // Notifies an endpoint that its lane |lane| toward |remote| was evicted, so
-  // it can drop cached channel->QP bindings. Runs synchronously inside
-  // Acquire/UnregisterEndpoint, before the QPs are destroyed.
-  using EvictionObserver =
+  // Notifies an endpoint that its lane |lane| toward |remote| is being torn
+  // down, so it can drop cached channel->QP bindings. Runs synchronously
+  // inside UnregisterEndpoint, before the QPs are destroyed.
+  using TeardownObserver =
       std::function<void(const Endpoint& local, const Endpoint& remote, int lane)>;
 
   explicit QpPool(RdmaFabric* rdma) : rdma_(rdma) {}
@@ -57,26 +47,18 @@ class QpPool {
 
   // Endpoints must register before lanes touching them can be acquired.
   Status RegisterEndpoint(const Endpoint& ep, int host_id, CqProvider cqs,
-                          EvictionObserver on_evict);
-  // Destroys every lane touching |ep| (idle or not: the owner is going away)
-  // and forgets the registration. Safe to call for an unknown endpoint.
+                          TeardownObserver on_teardown);
+  // Destroys every lane touching |ep| (the owner is going away), notifying
+  // both ends, and forgets the registration. Safe to call for an unknown
+  // endpoint.
   void UnregisterEndpoint(const Endpoint& ep);
 
-  // Returns |local|'s end of lane |lane| between |local| and |remote|. Hit:
-  // LRU-touch and return. Miss: create + connect a fresh QP pair, evicting
-  // least-recently-used idle lanes if either NIC is at its QP cap. Fails
-  // with kResourceExhausted when the cap is hit and nothing is evictable,
+  // Returns |local|'s end of lane |lane| between |local| and |remote|,
+  // creating and connecting the QP pair on first use. Fails with
+  // kResourceExhausted when either NIC is at its QP cap (no QP is left behind)
   // and kFailedPrecondition for unregistered endpoints.
   StatusOr<QueuePair*> Acquire(const Endpoint& local, const Endpoint& remote, int lane);
 
-  // Evicts idle lanes until |count| more QP contexts fit on |host_id|'s NIC
-  // (used before creating unpooled QPs — e.g. a device's RPC QP — so those,
-  // too, honor cost.max_queue_pairs). kResourceExhausted if nothing idle.
-  Status ReserveCapacity(int host_id, int count);
-
-  // Bumped on every eviction (and unregister that destroyed lanes): any
-  // cached lane lookup made before the bump may now dangle.
-  uint64_t generation() const { return generation_; }
   const QpPoolStats& stats() const { return stats_; }
   int num_lanes() const { return static_cast<int>(lanes_.size()); }
   bool registered(const Endpoint& ep) const { return endpoints_.count(ep) > 0; }
@@ -97,27 +79,20 @@ class QpPool {
   struct Lane {
     QueuePair* lo_qp = nullptr;  // End owned by lo's NIC.
     QueuePair* hi_qp = nullptr;
-    uint64_t last_use = 0;       // LRU clock tick of the latest Acquire.
   };
   struct EndpointState {
     int host_id = -1;
     CqProvider cqs;
-    EvictionObserver on_evict;
+    TeardownObserver on_teardown;
   };
 
-  // Evicts the least-recently-used idle lane with an end on |host_id|.
-  // Returns kResourceExhausted if every such lane is busy.
-  Status EvictOneIdleLane(int host_id);
   // Notifies observers and destroys both QPs of a lane (map entry untouched).
   void TearDownLane(const LaneKey& key, const Lane& lane);
 
   RdmaFabric* rdma_;
   std::map<Endpoint, EndpointState> endpoints_;
-  std::map<LaneKey, Lane> lanes_;       // Ordered: deterministic eviction scans.
-  std::set<LaneKey> ever_connected_;    // Distinguishes reconnects from firsts.
+  std::map<LaneKey, Lane> lanes_;  // Ordered: deterministic teardown order.
   QpPoolStats stats_;
-  uint64_t generation_ = 0;
-  uint64_t use_clock_ = 0;
 };
 
 }  // namespace rdma

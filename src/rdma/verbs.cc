@@ -262,11 +262,8 @@ void QueuePair::OnEcnFeedback(int64_t deliver_ns) {
   }
   // The CNP travels back to the sender; the RP reacts one propagation
   // latency later.
-  ++pending_events_;
-  nic_->simulator()->ScheduleAfter(nic_->cost().rdma_one_way_latency_ns, [this]() {
-    --pending_events_;
-    ApplyCnp();
-  });
+  nic_->simulator()->ScheduleAfter(nic_->cost().rdma_one_way_latency_ns,
+                                   [this]() { ApplyCnp(); });
 }
 
 void QueuePair::ApplyCnp() {
@@ -569,11 +566,8 @@ void QueuePair::FlushPostedSend(const SendWorkRequest& wr) {
   wc.opcode = wr.opcode;
   wc.status = Aborted("WR flushed: QP in error state");
   wc.qp_num = qp_num_;
-  ++pending_events_;
-  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this, wc]() {
-    --pending_events_;
-    send_cq_->Push(wc);
-  });
+  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns,
+                                   [this, wc]() { send_cq_->Push(wc); });
 }
 
 void QueuePair::FlushPostedRecv(const RecvWorkRequest& wr) {
@@ -583,11 +577,8 @@ void QueuePair::FlushPostedRecv(const RecvWorkRequest& wr) {
   wc.opcode = Opcode::kRecv;
   wc.status = Aborted("WR flushed: QP in error state");
   wc.qp_num = qp_num_;
-  ++pending_events_;
-  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this, wc]() {
-    --pending_events_;
-    recv_cq_->Push(wc);
-  });
+  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns,
+                                   [this, wc]() { recv_cq_->Push(wc); });
 }
 
 void QueuePair::DeliverInbound(const uint8_t* src, uint64_t length, bool copy_bytes) {
@@ -621,11 +612,8 @@ void QueuePair::MatchInbound() {
       wc.status = OkStatus();
       wc.byte_len = msg.length;
     }
-    ++pending_events_;
-    nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this, wc]() {
-      --pending_events_;
-      recv_cq_->Push(wc);
-    });
+    nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns,
+                                     [this, wc]() { recv_cq_->Push(wc); });
   }
 }
 

@@ -212,13 +212,6 @@ class QueuePair {
   bool connected() const { return peer_ != nullptr; }
   QpState state() const { return state_; }
   bool in_error() const { return state_ == QpState::kError; }
-  // True when nothing is queued, in flight, or scheduled against this QP: no
-  // simulator event holds a pointer to it, so it is safe to destroy. The QP
-  // pool evicts only idle lanes.
-  bool idle() const {
-    return !engine_busy_ && send_queue_.empty() && recv_queue_.empty() &&
-           inbound_.empty() && pending_events_ == 0;
-  }
   QueuePair* peer() const { return peer_; }
   // The transport failure that moved the QP to kError (OK while kReady).
   const Status& error_cause() const { return error_cause_; }
@@ -339,9 +332,6 @@ class QueuePair {
   // check::kRetryKeepsCursor mutation (resume-from-cursor-on-retry bug).
   uint64_t delivered_ = 0;
   Status pending_status_;     // List-wide completion status (cq_poll delay).
-  // Scheduled events holding `this` outside the engine_busy_ window (flush
-  // completions, recv-side CQE pushes); counted so idle() is exact.
-  int pending_events_ = 0;
   std::deque<Batch> send_queue_;
   std::deque<RecvWorkRequest> recv_queue_;
   std::deque<InboundMessage> inbound_;

@@ -727,10 +727,5 @@ StatusOr<double> TrainingDriver::MeasureStepTimeMs(int steps) {
   return static_cast<double>(elapsed) / steps / 1e6;
 }
 
-StatusOr<double> TrainingDriver::MeasureThroughput(int steps) {
-  RDMADL_ASSIGN_OR_RETURN(double ms, MeasureStepTimeMs(steps));
-  return 1000.0 / ms;  // Mini-batches per second (per worker, synchronized).
-}
-
 }  // namespace train
 }  // namespace rdmadl

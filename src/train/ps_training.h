@@ -168,9 +168,6 @@ class TrainingDriver {
   // Runs |steps| steps and returns the mean virtual step time in ms.
   StatusOr<double> MeasureStepTimeMs(int steps);
 
-  // Aggregate throughput in mini-batches per second (per worker step rate).
-  StatusOr<double> MeasureThroughput(int steps);
-
   // Elastic training loop (requires config.elastic). Runs until |steps|
   // post-warmup steps stand completed. A retryable step failure quiesces the
   // cluster and gives the failure detector its bounded window; a confirmed

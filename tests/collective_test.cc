@@ -125,75 +125,6 @@ TEST(CollectiveTest, RingAllReduceAcrossPipelineDepths) {
   }
 }
 
-TEST(CollectiveTest, ReduceScatterLeavesRankOwningItsChunk) {
-  World world(4);
-  const uint64_t count = 1030;  // 1030 % 4 != 0.
-  auto group = world.MakeGroup(4, count);
-  FillInputs(group.get(), count);
-  ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
-                group->ReduceScatter(count, std::move(done));
-              }).ok());
-  for (int r = 0; r < 4; ++r) {
-    const auto [offset, length] = group->Chunk(count, r);
-    const float* data = group->data(r);
-    for (uint64_t i = offset; i < offset + length; ++i) {
-      ASSERT_EQ(data[i], ExpectedSum(4, i)) << "rank=" << r << " i=" << i;
-    }
-  }
-  EXPECT_EQ(group->stats().reduce_scatters, 1);
-}
-
-TEST(CollectiveTest, AllGatherDistributesEveryChunk) {
-  World world(4);
-  const uint64_t count = 1030;
-  auto group = world.MakeGroup(4, count);
-  // Rank r starts with only its own chunk valid.
-  for (int r = 0; r < 4; ++r) {
-    float* data = group->data(r);
-    for (uint64_t i = 0; i < count; ++i) data[i] = -7.0f;
-    const auto [offset, length] = group->Chunk(count, r);
-    for (uint64_t i = offset; i < offset + length; ++i) {
-      data[i] = static_cast<float>(1000 * r + i % 100);
-    }
-  }
-  ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
-                group->AllGather(count, std::move(done));
-              }).ok());
-  for (int r = 0; r < 4; ++r) {
-    const float* data = group->data(r);
-    for (int owner = 0; owner < 4; ++owner) {
-      const auto [offset, length] = group->Chunk(count, owner);
-      for (uint64_t i = offset; i < offset + length; ++i) {
-        ASSERT_EQ(data[i], static_cast<float>(1000 * owner + i % 100))
-            << "rank=" << r << " owner=" << owner;
-      }
-    }
-  }
-  EXPECT_EQ(group->stats().all_gathers, 1);
-}
-
-TEST(CollectiveTest, BroadcastFromNonzeroRoot) {
-  World world(5);
-  const uint64_t count = 333;
-  auto group = world.MakeGroup(5, count);
-  for (int r = 0; r < 5; ++r) {
-    float* data = group->data(r);
-    for (uint64_t i = 0; i < count; ++i) {
-      data[i] = r == 2 ? static_cast<float>(3 * i + 1) : 0.0f;
-    }
-  }
-  ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
-                group->Broadcast(/*root=*/2, count, std::move(done));
-              }).ok());
-  for (int r = 0; r < 5; ++r) {
-    const float* data = group->data(r);
-    for (uint64_t i = 0; i < count; ++i) {
-      ASSERT_EQ(data[i], static_cast<float>(3 * i + 1)) << "rank=" << r << " i=" << i;
-    }
-  }
-  EXPECT_EQ(group->stats().broadcasts, 1);
-}
-
 TEST(CollectiveTest, NaiveGatherAlgorithmSumsExactly) {
   World world(4);
   CollectiveOptions options;
@@ -294,12 +225,6 @@ TEST(CollectiveTest, TrivialAndInvalidOps) {
   // Count above capacity is rejected.
   Status status = RunOp(&world, [&](DoneCallback done) {
     group->AllReduce(4096, std::move(done));
-  });
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-
-  // Bad broadcast root is rejected.
-  status = RunOp(&world, [&](DoneCallback done) {
-    group->Broadcast(/*root=*/9, 16, std::move(done));
   });
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 
