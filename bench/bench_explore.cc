@@ -18,8 +18,8 @@
 //     earning its keep.
 //
 // Everything printed to stdout derives from virtual time and deterministic
-// counters, so two runs emit byte-identical reports (scripts/check.sh
-// --explore diffs them). Wall-clock throughput (schedules/sec) is real time
+// counters, so two runs emit byte-identical reports (the ctest entry
+// bench_explore_twice diffs them). Wall-clock throughput (schedules/sec) is real time
 // and goes to stderr only.
 #include <cstdint>
 #include <cstdio>

@@ -356,7 +356,7 @@ void Run(bool quick, bool sweep, const std::string& json_path) {
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
   // Wall-clock goes to stderr and the JSON only: stdout must be byte-stable
-  // across runs (scripts/check.sh --bench-smoke diffs it).
+  // across runs (the ctest entry bench_fig8_micro_twice diffs it).
   std::fprintf(stderr, "wall-clock: %.0f ms\n", wall_ms);
   if (emit != nullptr) {
     json.BeginRow();

@@ -40,7 +40,9 @@ void BM_ArenaAllocateFree(benchmark::State& state) {
   tensor::ArenaAllocator arena(storage.data(), storage.size(), "bench");
   const size_t size = state.range(0);
   for (auto _ : state) {
-    void* p = arena.Allocate(size);
+    // const: GCC under ASan miscompiles DoNotOptimize's read-write asm
+    // operand on a non-const lvalue, handing Deallocate a stack address.
+    void* const p = arena.Allocate(size);
     benchmark::DoNotOptimize(p);
     arena.Deallocate(p);
   }

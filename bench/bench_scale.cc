@@ -10,14 +10,14 @@
 //     max_queue_pairs cap.
 //
 // stdout carries only virtual-time results and deterministic counters (the
-// determinism gate in scripts/check.sh --scale diffs two runs byte-for-byte);
+// determinism gates in ctest and scripts/check.sh diff two runs byte-for-byte);
 // wall-clock milliseconds and simulator events/sec go to stderr. --json
 // additionally writes machine-readable rows (BENCH_6.json via scripts/
 // bench.sh).
 //
 // Flags:
 //   --quick        small sweep (CI-sized)
-//   --smoke        single 256-host point per phase (scripts/check.sh --scale)
+//   --smoke        single 256-host point per phase (scripts/check.sh's smoke)
 //   --collectives  all-reduce phase only, with the multi-level algorithm
 //                  series (ring vs hierarchical vs kAuto vs in-network) on
 //                  the oversubscribed rack fabric (BENCH_7.json)

@@ -7,7 +7,7 @@
 // protocol violation during the test or a leak at teardown — fails that
 // test with the full report. With the variable unset the listener is inert
 // and the binary behaves exactly as before, so the same executable serves
-// both the plain suites and `ctest -L check` / `scripts/check.sh --verify`.
+// both the plain suites and `ctest -L check` / `scripts/check.sh --sweep`.
 //
 // Header-only and gtest-dependent by design: only test binaries include it,
 // the rdmadl_check library itself stays gtest-free.

@@ -12,6 +12,15 @@ namespace runtime {
 using graph::Node;
 using tensor::Tensor;
 
+namespace {
+
+// CPU worker contexts per host (inter-op parallelism).
+constexpr int kNumWorkers = 4;
+// Fixed per-op dispatch overhead (kernel launch, scheduling).
+constexpr int64_t kOpDispatchNs = 1'500;
+
+}  // namespace
+
 Executor::Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
                    const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key,
                    ExecutorOptions options)
@@ -20,7 +29,6 @@ Executor::Executor(HostRuntime* host, const graph::Graph* graph, TransferMechani
       mechanism_(mechanism),
       edges_by_key_(edges_by_key),
       options_(options) {
-  CHECK_GT(options_.num_workers, 0);
   kernels_.resize(graph->num_nodes());
   total_deps_.resize(graph->num_nodes(), 0);
   edge_of_node_.resize(graph->num_nodes(), nullptr);
@@ -69,7 +77,7 @@ int64_t Executor::CostOf(const Node& node) const {
   if (injector != nullptr && injector->stragglers_configured()) {
     multiplier *= injector->ComputeDilation(host_->rdma_device()->nic()->host_id());
   }
-  return options_.op_dispatch_ns + static_cast<int64_t>(per_sample_ns * multiplier);
+  return kOpDispatchNs + static_cast<int64_t>(per_sample_ns * multiplier);
 }
 
 const graph::TransferEdge& Executor::EdgeOf(const Node& node) const {
@@ -89,7 +97,7 @@ void Executor::RunStepAsync(const std::unordered_map<std::string, Tensor>* feeds
   pending_ = total_deps_;
   ready_.clear();
   remaining_ = graph_->num_nodes();
-  free_workers_ = options_.num_workers;
+  free_workers_ = kNumWorkers;
   failed_ = false;
   failed_polls_in_row_ = 0;
   delayed_kick_scheduled_ = false;  // A kick from an aborted step is stale.
@@ -201,15 +209,17 @@ void Executor::StartCompute(Node* node) {
   }
   Tensor output = ctx.output();
   const int64_t cost = CostOf(*node);
-  if (options_.serialize_compute && cost > options_.op_dispatch_ns) {
-    // The kernel runs on the accelerator: reserve device time, free the
-    // dispatching CPU worker after the launch overhead.
+  if (cost > kOpDispatchNs) {
+    // Cost-annotated ops serialize on the host's single accelerator
+    // (HostRuntime::compute_unit); the dispatching CPU worker is released
+    // after the launch overhead, so communication ops overlap with device
+    // compute exactly as in TensorFlow.
     const int64_t done_at = host_->compute_unit()->Reserve(
-        host_->simulator()->Now() + options_.op_dispatch_ns, cost - options_.op_dispatch_ns);
+        host_->simulator()->Now() + kOpDispatchNs, cost - kOpDispatchNs);
     sim::TraceSpan(host_->device_name() + " compute", node->name(),
-                   done_at - (cost - options_.op_dispatch_ns), done_at);
+                   done_at - (cost - kOpDispatchNs), done_at);
     const uint64_t epoch = epoch_;
-    host_->simulator()->ScheduleAfter(options_.op_dispatch_ns, [this, epoch]() {
+    host_->simulator()->ScheduleAfter(kOpDispatchNs, [this, epoch]() {
       if (epoch != epoch_) return;
       ReleaseWorker();
     });
@@ -219,6 +229,7 @@ void Executor::StartCompute(Node* node) {
     });
     return;
   }
+  // Dispatch-only ops (no cost annotation) finish on the CPU worker.
   const uint64_t epoch = epoch_;
   host_->simulator()->ScheduleAfter(cost, [this, node, output, epoch]() {
     if (epoch != epoch_) return;
@@ -245,7 +256,7 @@ void Executor::StartSend(Node* node) {
                        host_->simulator()->Now());
         FinishNode(node, tensor);
       });
-  host_->simulator()->ScheduleAfter(options_.op_dispatch_ns + sync_cost, [this, epoch]() {
+  host_->simulator()->ScheduleAfter(kOpDispatchNs + sync_cost, [this, epoch]() {
     if (epoch != epoch_) return;
     ReleaseWorker();
   });
@@ -264,7 +275,7 @@ void Executor::StartRecv(Node* node) {
     }
     FinishNode(node, std::move(tensor));
   });
-  host_->simulator()->ScheduleAfter(options_.op_dispatch_ns, [this, epoch]() {
+  host_->simulator()->ScheduleAfter(kOpDispatchNs, [this, epoch]() {
     if (epoch != epoch_) return;
     ReleaseWorker();
   });

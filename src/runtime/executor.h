@@ -32,18 +32,10 @@ namespace rdmadl {
 namespace runtime {
 
 struct ExecutorOptions {
-  int num_workers = 4;
-  // Compute-time scale: node cost = op_dispatch_ns + cost_ns_attr * batch_multiplier.
-  // The training driver sets the multiplier from the model's GPU-saturation
-  // law (flat until the saturation batch, then linear).
+  // Compute-time scale: node cost = kOpDispatchNs + cost_ns_attr * batch_multiplier
+  // (executor.cc). The training driver sets the multiplier from the model's
+  // GPU-saturation law (flat until the saturation batch, then linear).
   double batch_multiplier = 1.0;
-  // Fixed per-op dispatch overhead (kernel launch, scheduling).
-  int64_t op_dispatch_ns = 1'500;
-  // Cost-annotated ops serialize on the host's single accelerator
-  // (HostRuntime::compute_unit); the dispatching CPU worker is released after
-  // op_dispatch_ns, so communication ops overlap with device compute exactly
-  // as in TensorFlow.
-  bool serialize_compute = true;
 };
 
 struct ExecutorStats {

@@ -48,7 +48,6 @@ struct HostRuntimeOptions {
   std::string device_name;                      // e.g. "worker:0", "ps:1".
   Endpoint endpoint;
   ops::ComputeMode mode = ops::ComputeMode::kReal;
-  int num_worker_contexts = 4;                  // Inter-op parallelism.
   uint64_t seed = 1;
   uint64_t rdma_arena_bytes = 256ull << 20;     // Sized by the memory planner.
   bool tensors_on_gpu = false;                  // Worker tensors in GPU memory.

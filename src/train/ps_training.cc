@@ -355,6 +355,14 @@ Status TrainingDriver::BuildAndSetupSession() {
 }
 
 Status TrainingDriver::Initialize(int warmup_steps) {
+  // The fabric and topology CHECK these; a bad config is the caller's error.
+  if (config_.num_machines <= 0) {
+    return InvalidArgument(StrCat("num_machines must be positive, got ", config_.num_machines));
+  }
+  if (config_.topology.hierarchical() && !(config_.topology.oversubscription > 0.0)) {
+    return InvalidArgument(StrCat("topology oversubscription must be positive, got ",
+                                  config_.topology.oversubscription));
+  }
   const bool all_reduce = config_.mode == TrainingMode::kAllReduce && !config_.local_only;
   const bool dedicated_ps =
       !all_reduce && !config_.local_only && config_.num_ps > 0;
@@ -475,6 +483,7 @@ Status TrainingDriver::QuiesceAfterFailedStep() {
 }
 
 Status TrainingDriver::RunStep() {
+  if (cluster_ == nullptr) return FailedPrecondition("RunStep before Initialize");
   const int64_t step_start = cluster_->simulator()->Now();
   Status status = RunStepOnce();
   for (int attempt = 0; attempt < config_.max_step_retries; ++attempt) {
@@ -718,7 +727,8 @@ StatusOr<ElasticReport> TrainingDriver::RunElastic(int steps) {
 }
 
 StatusOr<double> TrainingDriver::MeasureStepTimeMs(int steps) {
-  CHECK_GT(steps, 0);
+  if (steps <= 0) return InvalidArgument(StrCat("steps must be positive, got ", steps));
+  if (cluster_ == nullptr) return FailedPrecondition("MeasureStepTimeMs before Initialize");
   const int64_t start = cluster_->simulator()->Now();
   for (int i = 0; i < steps; ++i) {
     RDMADL_RETURN_IF_ERROR(RunStep());

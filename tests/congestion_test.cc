@@ -522,8 +522,8 @@ TEST(StragglerTest, DilationSlowsTrainingDeterministically) {
 
 // Chaos seeds 1-10 with congestion AND stragglers enabled: a ring all-reduce
 // completes checker-clean, delivers exact sums, and same-seed reruns are
-// byte-identical (the acceptance sweep of ISSUE 8 in miniature; scripts/
-// check.sh --congestion drives the full bench_scale version).
+// byte-identical (the bench_scale --congestion seed sweep of
+// scripts/check.sh --sweep in miniature).
 TEST(CongestionChaosTest, SeedsOneThroughTenAreCleanAndDeterministic) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     int64_t first_finish = -1;

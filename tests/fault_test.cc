@@ -15,8 +15,9 @@
 //   * everything is deterministic: two runs with the same fault seed produce
 //     byte-identical traces.
 //
-// The seed is RDMADL_FAULT_SEED when set (scripts/check.sh --chaos sweeps
-// it), else a fixed default so plain ctest runs are reproducible.
+// The seed is RDMADL_FAULT_SEED when set (scripts/check.sh --sweep runs
+// seeds 1..10, plain and checked), else a fixed default so plain ctest runs
+// are reproducible.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -425,7 +426,7 @@ TEST(FaultDeterminismTest, SameSeedProducesByteIdenticalTrace) {
 
 // ---------------------------------------------------------------------------
 // Seeded chaos sweep: drops + spikes + a flapping port, seed from
-// RDMADL_FAULT_SEED (scripts/check.sh --chaos runs seeds 1..10). The
+// RDMADL_FAULT_SEED (scripts/check.sh --sweep runs seeds 1..10). The
 // invariant: every attempt either completes with exact sums or fails with a
 // typed transport error, and a bounded number of retries always converges
 // once the flap schedule has drained.
@@ -484,7 +485,8 @@ TEST(ChaosSweepTest, RandomFaultsEitherCompleteExactlyOrFailTyped) {
 // SG-WR cursor restarts every extent of the WQE), failures surface typed,
 // and the same seed replays byte-identically. Link chaos must never push a
 // device-resident send off the D2D route onto a PCIe staging hop.
-// scripts/check.sh --gdr sweeps RDMADL_FAULT_SEED=1..10 over this suite.
+// scripts/check.sh --sweep runs this suite checked over RDMADL_FAULT_SEED=1..10,
+// each seed twice with stdout diffed.
 // ---------------------------------------------------------------------------
 
 train::TrainingConfig DeviceResidentConfig() {

@@ -257,7 +257,7 @@ INSTANTIATE_TEST_SUITE_P(Mechanisms, DeterminismTest,
 class HealingFaultAllReduceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HealingFaultAllReduceTest, RetriedAllReduceConvergesToExactSums) {
-  // scripts/check.sh --chaos sweeps RDMADL_FAULT_SEED; fold it into the
+  // scripts/check.sh --sweep sets RDMADL_FAULT_SEED; fold it into the
   // parameter seed so every sweep iteration exercises fresh schedules.
   uint64_t seed = GetParam();
   if (const char* env = std::getenv("RDMADL_FAULT_SEED")) {

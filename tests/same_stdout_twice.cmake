@@ -1,7 +1,10 @@
 # Runs a command twice and fails unless it exits 0 both times and both
 # stdouts are byte-identical. Every command run this way prints
 # virtual-time results only on stdout (wall-clock goes to stderr, which is
-# dropped), so any difference is nondeterminism in the simulation.
+# dropped; gtest binaries run with --gtest_print_time=0), so any difference
+# is nondeterminism in the simulation. The `determinism` ctest entries and
+# scripts/check.sh (the 256-host smoke and the twice rows of its seed-sweep
+# table) both run it; the environment passes through to the command.
 #
 #   cmake -DRUN=<program> "-DARGS=<arg;arg;...>" -P same_stdout_twice.cmake
 if(NOT RUN)

@@ -220,6 +220,42 @@ TEST(TrainingDriverTest, GrpcRdmaFailsOnSentenceEmbedding) {
   EXPECT_NE(status.message().find("1 GB"), std::string::npos) << status;
 }
 
+// A bad config or call order comes back as a typed Status, never a CHECK-abort.
+TEST(TrainingDriverTest, NoMachinesIsInvalidArgument) {
+  TrainingConfig config;
+  config.model = models::Fcn5();
+  config.num_machines = 0;
+  TrainingDriver driver(config);
+  EXPECT_EQ(driver.Initialize().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TrainingDriverTest, NonPositiveOversubscriptionIsInvalidArgument) {
+  TrainingConfig config;
+  config.model = models::Fcn5();
+  config.num_machines = 4;
+  config.topology.hosts_per_rack = 2;
+  config.topology.oversubscription = 0.0;
+  TrainingDriver driver(config);
+  EXPECT_EQ(driver.Initialize().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TrainingDriverTest, MeasureZeroStepsIsInvalidArgument) {
+  TrainingConfig config;
+  config.model = models::Fcn5();
+  config.num_machines = 2;
+  config.batch_size = 8;
+  TrainingDriver driver(config);
+  ASSERT_TRUE(driver.Initialize().ok());
+  EXPECT_EQ(driver.MeasureStepTimeMs(0).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TrainingDriverTest, RunStepBeforeInitializeIsFailedPrecondition) {
+  TrainingConfig config;
+  config.model = models::Fcn5();
+  TrainingDriver driver(config);
+  EXPECT_EQ(driver.RunStep().code(), StatusCode::kFailedPrecondition);
+}
+
 }  // namespace
 }  // namespace train
 }  // namespace rdmadl
