@@ -40,6 +40,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/check/mutation.h"
+
 namespace rdmadl {
 namespace check {
 
@@ -410,6 +412,18 @@ inline void OnFlagForgotten(int dst_host, const void* flag_addr) {
 }
 inline void OnFlagPolled(int dst_host, const void* flag_addr, int64_t now_ns) {
   if (RdmaCheck* c = RdmaCheck::Current()) c->FlagPolled(dst_host, flag_addr, now_ns);
+}
+// The one poll step (§4 polling-async) of the zero-copy receive and the
+// collective flag pollers: whether the caller may act on the payload |flag|
+// guards. A miss is reported, and trusted only under the seeded
+// kPrematureFlagTrust bug; a trusted flag is reported. Callers clear flags.
+inline bool PollFlag(int host, const uint8_t* flag, int64_t now_ns) {
+  if (*flag == 0) {
+    OnFlagPolled(host, flag, now_ns);
+    if (!MutationEnabled(kPrematureFlagTrust)) return false;
+  }
+  OnFlagTrusted(host, flag, now_ns);
+  return true;
 }
 inline void OnFlagGuards(int dst_host, const void* flag_addr, const void* guard_base,
                          uint64_t guard_bytes) {

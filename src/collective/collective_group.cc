@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/check/mutation.h"
 #include "src/check/rdma_check.h"
 #include "src/collective/internal.h"
 #include "src/net/fabric.h"
@@ -86,6 +85,9 @@ StatusOr<std::unique_ptr<CollectiveGroup>> CollectiveGroup::Create(
   if (max_elements == 0) {
     return InvalidArgument("collective group max_elements must be positive");
   }
+  std::string poll_error =
+      net::IdlePollScheduleError(directory->rdma_fabric()->fabric()->cost());
+  if (!poll_error.empty()) return InvalidArgument(std::move(poll_error));
   const int num_hosts = directory->rdma_fabric()->fabric()->num_hosts();
   std::unordered_set<int> seen;
   for (int host : hosts) {
@@ -780,46 +782,36 @@ void CollectiveGroup::StartWaiter(const std::shared_ptr<Op>& op, int rank, int f
   waiter->flag_base = flag_base;
   waiter->num_flags = num_flags;
   waiter->on_arrival = std::move(on_arrival);
+  ArmWaiter(op, waiter);
+}
+
+void CollectiveGroup::ArmWaiter(const std::shared_ptr<Op>& op,
+                                const std::shared_ptr<Waiter>& waiter) {
+  int64_t delay = cost().flag_poll_cost_ns;
+  if (waiter->misses > 0) delay += net::IdlePollBackoffNs(cost(), waiter->misses - 1);
   // Jittered: poll cadence is scheduling noise, fair game for the explorer.
-  simulator()->ScheduleAfterJittered(cost().flag_poll_cost_ns,
-                                     [this, op, waiter] { PollWaiter(op, waiter); });
+  simulator()->ScheduleAfterJittered(delay, [this, op, waiter] { PollWaiter(op, waiter); });
 }
 
 void CollectiveGroup::PollWaiter(std::shared_ptr<Op> op, std::shared_ptr<Waiter> waiter) {
   if (op->finished) return;
   Rank* rank = ranks_[waiter->rank].get();
-  bool flag_set = rank->flags()[waiter->flag_base + waiter->next] != 0;
-  if (!flag_set) {
-    check::OnFlagPolled(rank->endpoint.host_id,
-                        rank->flags() + waiter->flag_base + waiter->next, simulator()->Now());
-    // Seeded bug (explorer self-validation): trust the flag on a miss.
-    if (check::MutationEnabled(check::kPrematureFlagTrust)) flag_set = true;
-  }
-  if (flag_set) {
-    check::OnFlagTrusted(rank->endpoint.host_id,
-                         rank->flags() + waiter->flag_base + waiter->next, simulator()->Now());
-    waiter->backoff_ns = 0;
-    const int index = waiter->next;
-    auto resume = [this, op, waiter] {
-      if (op->finished) return;
-      waiter->next++;
-      if (waiter->next == waiter->num_flags) {
-        FinishUnit(op);
-        return;
-      }
-      simulator()->ScheduleAfterJittered(cost().flag_poll_cost_ns,
-                                         [this, op, waiter] { PollWaiter(op, waiter); });
-    };
-    waiter->on_arrival(index, std::move(resume));
+  if (!check::PollFlag(rank->endpoint.host_id, rank->flags() + waiter->flag_base + waiter->next,
+                       simulator()->Now())) {
+    ++waiter->misses;
+    ArmWaiter(op, waiter);
     return;
   }
-  // Nothing yet: exponential backoff so an idle poller does not flood the
-  // event queue, resetting to the base interval on any progress.
-  waiter->backoff_ns = waiter->backoff_ns == 0
-                           ? cost().idle_poll_interval_ns
-                           : std::min(waiter->backoff_ns * 2, cost().idle_poll_max_interval_ns);
-  simulator()->ScheduleAfterJittered(waiter->backoff_ns + cost().flag_poll_cost_ns,
-                                     [this, op, waiter] { PollWaiter(op, waiter); });
+  waiter->misses = 0;
+  auto resume = [this, op, waiter] {
+    if (op->finished) return;
+    if (++waiter->next == waiter->num_flags) {
+      FinishUnit(op);
+      return;
+    }
+    ArmWaiter(op, waiter);
+  };
+  waiter->on_arrival(waiter->next, std::move(resume));
 }
 
 }  // namespace collective

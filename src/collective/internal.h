@@ -176,9 +176,8 @@ struct CollectiveGroup::RingLane {
 };
 
 // A sequential flag poller: one per (rank, lane) for the ring, one per
-// expected arrival group otherwise. Watches its flag bytes in index order
-// with exponential backoff (§4: each idle retry is a discrete event, so the
-// interval backs off up to the max and resets on progress).
+// expected arrival group otherwise. Reads its flag bytes in index order with
+// check::PollFlag, backing off on net::IdlePollBackoffNs between misses.
 struct CollectiveGroup::Waiter {
   int rank = 0;
   int flag_base = 0;
@@ -187,8 +186,8 @@ struct CollectiveGroup::Waiter {
   // calls resume() when the poller may advance to the next flag.
   std::function<void(int, std::function<void()>)> on_arrival;
 
-  int next = 0;            // Next expected flag, relative to |flag_base|.
-  int64_t backoff_ns = 0;  // Current idle retry interval (0 = fresh).
+  int next = 0;    // Next expected flag, relative to |flag_base|.
+  int misses = 0;  // Polls of |next| that found it unset, in a row.
 };
 
 }  // namespace collective

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "src/check/mutation.h"
 #include "src/check/rdma_check.h"
 #include "src/net/fabric.h"
 #include "src/sim/trace.h"
@@ -707,59 +706,47 @@ bool ZeroCopyRdmaMechanism::TryRecv(const graph::TransferEdge& edge, Tensor* out
   EdgeState* s = it->second.get();
   switch (s->phase) {
     case RecvPhase::kWaiting: {
-      if (*s->flag_ptr == 0) {
-        check::OnFlagPolled(s->dst->endpoint().host_id, s->flag_ptr,
-                            s->dst->simulator()->Now());
-        // Seeded bug (explorer self-validation): act on the payload as if
-        // the flag were already set.
-        if (!check::MutationEnabled(check::kPrematureFlagTrust)) return false;
-      }
-      check::OnFlagTrusted(s->dst->endpoint().host_id, s->flag_ptr,
-                           s->dst->simulator()->Now());
-      *s->flag_ptr = 0;  // Clear for future use (§3.2).
-      check::OnFlagCleared(s->dst->endpoint().host_id, s->flag_ptr);
-      if (s->protocol == Protocol::kStatic) {
-        if (!s->dst_gpu_staging) {
-          ++stats_.static_transfers;
-          *out = s->recv_tensor;
-          return true;
-        }
-        // Stage the received tensor into GPU memory over PCIe.
-        s->phase = RecvPhase::kStaging;
-        ++stats_.pcie_copies;
-        stats_.pcie_bytes += s->recv_tensor.TotalBytes();
-        const net::CostModel& cost = s->dst->cost();
-        const int64_t pcie_ns =
-            cost.pcie_latency_ns +
-            static_cast<int64_t>(s->recv_tensor.TotalBytes() /
-                                 cost.pcie_bandwidth_bytes_per_sec * 1e9);
-        net::Host* machine =
-            s->dst->rdma_device()->nic()->fabric()->host(s->dst->endpoint().host_id);
-        const int64_t end =
-            machine->pcie().Reserve(s->dst->simulator()->Now(), pcie_ns);
-        s->dst->simulator()->ScheduleAt(end, [s]() { s->phase = RecvPhase::kReady; });
+      if (!check::PollFlag(s->dst->endpoint().host_id, s->flag_ptr,
+                           s->dst->simulator()->Now())) {
         return false;
       }
-      StartDynamicRead(s);
+      *s->flag_ptr = 0;  // Clear for future use (§3.2).
+      check::OnFlagCleared(s->dst->endpoint().host_id, s->flag_ptr);
+      if (s->protocol == Protocol::kDynamic) {
+        StartDynamicRead(s);
+        return false;
+      }
+      if (!s->dst_gpu_staging) break;  // The static tensor is already in place.
+      // Stage the received tensor into GPU memory over PCIe.
+      s->phase = RecvPhase::kStaging;
+      ++stats_.pcie_copies;
+      stats_.pcie_bytes += s->recv_tensor.TotalBytes();
+      const net::CostModel& cost = s->dst->cost();
+      const int64_t pcie_ns =
+          cost.pcie_latency_ns + static_cast<int64_t>(s->recv_tensor.TotalBytes() /
+                                                      cost.pcie_bandwidth_bytes_per_sec * 1e9);
+      net::Host* machine =
+          s->dst->rdma_device()->nic()->fabric()->host(s->dst->endpoint().host_id);
+      const int64_t end = machine->pcie().Reserve(s->dst->simulator()->Now(), pcie_ns);
+      s->dst->simulator()->ScheduleAt(end, [s]() { s->phase = RecvPhase::kReady; });
       return false;
     }
     case RecvPhase::kTransferring:
     case RecvPhase::kStaging:
       return false;
-    case RecvPhase::kReady: {
-      s->phase = RecvPhase::kWaiting;
-      if (s->protocol == Protocol::kStatic) {
-        ++stats_.static_transfers;
-        *out = s->recv_tensor;
-      } else {
-        ++stats_.dynamic_transfers;
-        *out = std::move(s->recv_tensor);
-        s->recv_tensor = Tensor();
-      }
-      return true;
-    }
+    case RecvPhase::kReady:
+      break;
   }
-  return false;
+  s->phase = RecvPhase::kWaiting;
+  if (s->protocol == Protocol::kStatic) {
+    ++stats_.static_transfers;
+    *out = s->recv_tensor;
+  } else {
+    ++stats_.dynamic_transfers;
+    *out = std::move(s->recv_tensor);
+    s->recv_tensor = Tensor();
+  }
+  return true;
 }
 
 void ZeroCopyRdmaMechanism::StartDynamicRead(EdgeState* s) {

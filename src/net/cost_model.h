@@ -9,6 +9,8 @@
 #define RDMADL_SRC_NET_COST_MODEL_H_
 
 #include <cstdint>
+#include <limits>
+#include <string>
 
 namespace rdmadl {
 namespace net {
@@ -110,11 +112,12 @@ struct CostModel {
   int64_t arena_alloc_overhead_ns = 120;        // Pre-registered RDMA arena.
 
   // Polling-async scheduling (§4): cost of one flag check, and the idle retry
-  // interval when the ready queue has nothing else to run. On real hardware a
+  // interval when a poller has nothing else to run. On real hardware a
   // poller simply spins on an idle core; in the discrete-event simulation
   // each retry is an event, so the interval backs off exponentially up to the
-  // max while nothing arrives (resetting on any progress). The max bounds the
-  // added latency at a value negligible against multi-ms tensor transfers.
+  // max while nothing arrives (resetting on any progress): IdlePollBackoffNs
+  // below, validated by IdlePollScheduleError. The max bounds the added
+  // latency at a value negligible against multi-ms tensor transfers.
   int64_t flag_poll_cost_ns = 80;
   int64_t idle_poll_interval_ns = 1'000;
   int64_t idle_poll_max_interval_ns = 16'000;
@@ -133,6 +136,46 @@ struct CostModel {
   double loopback_bandwidth_bytes_per_sec = 16.0e9;
   int64_t loopback_latency_ns = 400;
 };
+
+// Capped exponential backoff: min(base << attempt, cap), safe for any attempt
+// (the naive `base << attempt` overflows int64 past attempt ~40 and goes
+// negative, which would schedule events in the past). Shared by the RC
+// transport-retry schedule, the DCQCN CNP moderation timer and the idle poll
+// schedule.
+inline int64_t CappedBackoffNs(int64_t base_ns, int attempt, int64_t cap_ns) {
+  if (base_ns <= 0) return 0;
+  if (cap_ns <= 0) cap_ns = std::numeric_limits<int64_t>::max();
+  if (base_ns >= cap_ns) return cap_ns;
+  // base << attempt overflows (or exceeds the cap) exactly when
+  // base > cap >> attempt; attempt >= 63 always saturates.
+  if (attempt < 0) attempt = 0;
+  if (attempt >= 63 || base_ns > (cap_ns >> attempt)) return cap_ns;
+  return base_ns << attempt;
+}
+
+// The transport retransmission delay before attempt |attempt| (0-based).
+inline int64_t TransportBackoffNs(const CostModel& cost, int attempt) {
+  return CappedBackoffNs(cost.rdma_transport_retry_base_ns, attempt,
+                         cost.rdma_transport_retry_max_ns);
+}
+
+// The idle poll schedule (§4 polling-async) of the executor's polling pass
+// and the collective flag pollers: how long a poller yields after |misses|
+// idle retries in a row (0-based). On a valid schedule this equals repeated
+// min(2x, max) doubling from the base interval.
+inline int64_t IdlePollBackoffNs(const CostModel& cost, int misses) {
+  return CappedBackoffNs(cost.idle_poll_interval_ns, misses, cost.idle_poll_max_interval_ns);
+}
+
+// Why IdlePollBackoffNs cannot drive a poller, or "" when it can. A zero
+// interval never advances virtual time (the pollers livelock), and a max
+// below the base is not a backoff.
+inline std::string IdlePollScheduleError(const CostModel& cost) {
+  const int64_t base = cost.idle_poll_interval_ns, cap = cost.idle_poll_max_interval_ns;
+  if (base > 0 && cap >= base) return "";
+  return "idle poll schedule needs 0 < idle_poll_interval_ns (" + std::to_string(base) +
+         ") <= idle_poll_max_interval_ns (" + std::to_string(cap) + ")";
+}
 
 // RoCE (RDMA over Converged Ethernet) preset: the paper notes its mechanism,
 // unlike TF's IB-specific gRPC+RDMA path, also runs over RoCE NICs. Same

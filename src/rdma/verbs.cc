@@ -253,8 +253,8 @@ void QueuePair::OnEcnFeedback(int64_t deliver_ns) {
   // further CNPs carry no new information, so the interval backs off
   // exponentially (capped at 16x) — a persistent hotspot must not become a
   // CNP storm. Shares CappedBackoffNs with the transport-retry schedule.
-  const int64_t interval = CappedBackoffNs(cc.dcqcn_cnp_interval_ns, d.cnp_backoff,
-                                           16 * cc.dcqcn_cnp_interval_ns);
+  const int64_t interval = net::CappedBackoffNs(cc.dcqcn_cnp_interval_ns, d.cnp_backoff,
+                                                16 * cc.dcqcn_cnp_interval_ns);
   if (d.last_cnp_ns >= 0 && deliver_ns - d.last_cnp_ns < interval) return;
   d.last_cnp_ns = deliver_ns;
   if (d.initialized && d.current_rate <= cc.dcqcn_min_rate_bytes_per_sec * 1.001) {
@@ -463,7 +463,7 @@ void QueuePair::CompleteWire(const Status& status) {
   // CNP, so retransmissions into a hot queue arrive paced instead of
   // re-synchronized.
   if (retry_attempts_ < nic_->cost().rdma_transport_retry_count) {
-    const int64_t backoff = TransportBackoffNs(nic_->cost(), retry_attempts_);
+    const int64_t backoff = net::TransportBackoffNs(nic_->cost(), retry_attempts_);
     ++retry_attempts_;
     ++nic_->stats_.retransmissions;
     if (nic_->fabric()->congestion().dcqcn) DcqcnDecrease();

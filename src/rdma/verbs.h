@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -32,27 +31,6 @@
 
 namespace rdmadl {
 namespace rdma {
-
-// Capped exponential backoff: min(base << attempt, cap), safe for any attempt
-// (the naive `base << attempt` overflows int64 past attempt ~40 and goes
-// negative, which would schedule events in the past). Shared by the RC
-// transport-retry schedule and the DCQCN CNP moderation timer.
-inline int64_t CappedBackoffNs(int64_t base_ns, int attempt, int64_t cap_ns) {
-  if (base_ns <= 0) return 0;
-  if (cap_ns <= 0) cap_ns = std::numeric_limits<int64_t>::max();
-  if (base_ns >= cap_ns) return cap_ns;
-  // base << attempt overflows (or exceeds the cap) exactly when
-  // base > cap >> attempt; attempt >= 63 always saturates.
-  if (attempt < 0) attempt = 0;
-  if (attempt >= 63 || base_ns > (cap_ns >> attempt)) return cap_ns;
-  return base_ns << attempt;
-}
-
-// The transport retransmission delay before attempt |attempt| (0-based).
-inline int64_t TransportBackoffNs(const net::CostModel& cost, int attempt) {
-  return CappedBackoffNs(cost.rdma_transport_retry_base_ns, attempt,
-                         cost.rdma_transport_retry_max_ns);
-}
 
 // A registered, RDMA-accessible memory region.
 struct MemoryRegion {

@@ -1,6 +1,5 @@
 #include "src/runtime/executor.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/sim/trace.h"
@@ -24,18 +23,16 @@ constexpr int64_t kOpDispatchNs = 1'500;
 Executor::Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
                    const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key,
                    ExecutorOptions options)
-    : host_(host),
-      graph_(graph),
-      mechanism_(mechanism),
-      edges_by_key_(edges_by_key),
-      options_(options) {
+    : host_(host), graph_(graph), mechanism_(mechanism), options_(options) {
   kernels_.resize(graph->num_nodes());
   total_deps_.resize(graph->num_nodes(), 0);
+  kind_.resize(graph->num_nodes(), NodeKind::kCompute);
   edge_of_node_.resize(graph->num_nodes(), nullptr);
   for (const auto& node : graph->nodes()) {
     total_deps_[node->id()] =
         static_cast<int>(node->inputs().size() + node->control_inputs().size());
     if (node->op() == "_Send" || node->op() == "_Recv") {
+      kind_[node->id()] = node->op() == "_Send" ? NodeKind::kSend : NodeKind::kRecv;
       // Resolve the rendezvous key once; polling hits this on every attempt.
       const std::string key = node->GetAttr<std::string>("tensor_name");
       auto it = edges_by_key->find(key);
@@ -101,7 +98,7 @@ void Executor::RunStepAsync(const std::unordered_map<std::string, Tensor>* feeds
   failed_ = false;
   failed_polls_in_row_ = 0;
   delayed_kick_scheduled_ = false;  // A kick from an aborted step is stale.
-  poll_interval_ns_ = host_->cost().idle_poll_interval_ns;
+  idle_kicks_ = 0;
   for (const auto& node : graph_->nodes()) {
     if (pending_[node->id()] == 0) ready_.push_back(node.get());
   }
@@ -140,21 +137,20 @@ const Tensor* Executor::OutputOf(const std::string& node_name) const {
 void Executor::MaybeDispatch() {
   while (!failed_ && !ready_.empty()) {
     // Polling-async fairness/livelock guard (§4): when every queued node is a
-    // poll that already failed this pass, yield and retry after the (backed-
-    // off) poll interval instead of spinning at the current instant.
+    // poll that already failed this pass, yield for the idle backoff
+    // (net::IdlePollBackoffNs) instead of spinning at the current instant.
     if (failed_polls_in_row_ >= static_cast<int>(ready_.size())) {
       if (!delayed_kick_scheduled_) {
         delayed_kick_scheduled_ = true;
         const uint64_t epoch = epoch_;
-        host_->simulator()->ScheduleAfter(poll_interval_ns_, [this, epoch]() {
-          if (epoch != epoch_) return;
-          delayed_kick_scheduled_ = false;
-          failed_polls_in_row_ = 0;
-          // Exponential backoff while nothing arrives (see CostModel).
-          poll_interval_ns_ =
-              std::min(poll_interval_ns_ * 2, host_->cost().idle_poll_max_interval_ns);
-          MaybeDispatch();
-        });
+        host_->simulator()->ScheduleAfter(
+            net::IdlePollBackoffNs(host_->cost(), idle_kicks_), [this, epoch]() {
+              if (epoch != epoch_) return;
+              delayed_kick_scheduled_ = false;
+              failed_polls_in_row_ = 0;
+              ++idle_kicks_;
+              MaybeDispatch();
+            });
       }
       return;
     }
@@ -162,7 +158,7 @@ void Executor::MaybeDispatch() {
     // Polling receives are handled inline by the scheduler's polling pass and
     // do not consume an executor worker: a poll attempt is ~100 ns, and a
     // failed one re-enqueues the node at the tail of the ready queue.
-    if (node->op() == "_Recv" &&
+    if (kind_[node->id()] == NodeKind::kRecv &&
         mechanism_->recv_mode() == TransferMechanism::RecvMode::kPolling) {
       ready_.pop_front();
       PollRecv(node);
@@ -176,12 +172,12 @@ void Executor::MaybeDispatch() {
 }
 
 void Executor::StartNode(Node* node) {
-  if (node->op() == "_Send") {
+  failed_polls_in_row_ = 0;
+  if (kind_[node->id()] == NodeKind::kSend) {
     StartSend(node);
-  } else if (node->op() == "_Recv") {
+  } else if (kind_[node->id()] == NodeKind::kRecv) {
     StartRecv(node);
   } else {
-    failed_polls_in_row_ = 0;
     StartCompute(node);
   }
 }
@@ -239,7 +235,6 @@ void Executor::StartCompute(Node* node) {
 }
 
 void Executor::StartSend(Node* node) {
-  failed_polls_in_row_ = 0;
   ++stats_.nodes_executed;
   const graph::TransferEdge& edge = EdgeOf(*node);
   Tensor tensor = outputs_[node->inputs()[0].node->id()];
@@ -264,7 +259,6 @@ void Executor::StartSend(Node* node) {
 
 void Executor::StartRecv(Node* node) {
   ++stats_.nodes_executed;
-  failed_polls_in_row_ = 0;
   const graph::TransferEdge& edge = EdgeOf(*node);
   const uint64_t epoch = epoch_;
   mechanism_->RecvAsync(edge, [this, node, epoch](const Status& status, Tensor tensor) {
@@ -290,7 +284,7 @@ void Executor::PollRecv(Node* node) {
   if (ready) {
     ++stats_.nodes_executed;
     failed_polls_in_row_ = 0;
-    poll_interval_ns_ = host_->cost().idle_poll_interval_ns;
+    idle_kicks_ = 0;
     // Clear-flag + dependent activation cost, then complete.
     const uint64_t epoch = epoch_;
     host_->simulator()->ScheduleAfter(poll_cost, [this, node, received, epoch]() {

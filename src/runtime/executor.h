@@ -9,14 +9,15 @@
 //   * _Send is asynchronous: the worker is held only for the mechanism's
 //     synchronous CPU portion; the node completes when the transfer does;
 //   * _Recv under a polling mechanism uses the paper's *polling-async* mode:
-//     a poll attempt is cheap; on failure the node is re-enqueued at the TAIL
-//     of the ready queue so polling never starves ready work. If only failed
-//     polls remain, the next attempt is delayed by idle_poll_interval (this
-//     both models a polling thread yielding and keeps the discrete-event
-//     simulation live).
+//     a poll attempt (TryRecv, one check::PollFlag) is cheap; on failure the
+//     node is re-enqueued at the TAIL of the ready queue so polling never
+//     starves ready work. If only failed polls remain, the next pass waits
+//     net::IdlePollBackoffNs (this both models a polling thread yielding and
+//     keeps the discrete-event simulation live).
 #ifndef RDMADL_SRC_RUNTIME_EXECUTOR_H_
 #define RDMADL_SRC_RUNTIME_EXECUTOR_H_
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -50,6 +51,7 @@ class Executor {
   Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
            const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key,
            ExecutorOptions options);
+  ~Executor();
 
   // Runs the partition once. |feeds| must outlive the step. |on_done| fires
   // in virtual time when every node has completed (or on first error).
@@ -64,8 +66,6 @@ class Executor {
 
   bool step_in_flight() const { return in_flight_; }
   const ExecutorStats& stats() const { return stats_; }
-  HostRuntime* host() const { return host_; }
-  const graph::Graph* graph() const { return graph_; }
 
   // Tensor produced by |node| during the current/most recent step. |node|
   // must belong to this executor's partition graph.
@@ -94,13 +94,14 @@ class Executor {
   HostRuntime* host_;
   const graph::Graph* graph_;
   TransferMechanism* mechanism_;
-  const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key_;
   ExecutorOptions options_;
   ExecutorStats stats_;
 
   // Immutable after construction.
+  enum class NodeKind : uint8_t { kCompute, kSend, kRecv };
   std::vector<std::unique_ptr<ops::OpKernel>> kernels_;  // By node id (null for _Send/_Recv).
   std::vector<int> total_deps_;                          // Inputs + control inputs per node.
+  std::vector<NodeKind> kind_;                           // By node id.
   std::vector<const graph::TransferEdge*> edge_of_node_;  // By node id (transfer ops only).
 
   // Per-step state.
@@ -120,16 +121,13 @@ class Executor {
   bool failed_ = false;
   int failed_polls_in_row_ = 0;
   bool delayed_kick_scheduled_ = false;
-  int64_t poll_interval_ns_ = 1'000;  // Adaptive; see CostModel.
+  int idle_kicks_ = 0;  // Idle kicks since the last successful poll.
 
   // Allocation tracing plumbing. Wrappers are owned by the HostRuntime (they
   // must outlive tensors); this executor only installs hooks and clears them
   // on destruction.
   const graph::Node* current_node_ = nullptr;
   std::vector<tensor::TracingAllocator*> hooked_wrappers_;
-
- public:
-  ~Executor();
 };
 
 }  // namespace runtime

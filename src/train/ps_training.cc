@@ -283,14 +283,6 @@ Status BuildAllReduceGraph(const ModelSpec& model,
   return OkStatus();
 }
 
-Status BuildAllReduceGraph(const ModelSpec& model, int num_workers, int batch_size,
-                           Graph* graph) {
-  if (num_workers < 1) return InvalidArgument("workers must be positive");
-  std::vector<int> worker_machines(num_workers);
-  for (int w = 0; w < num_workers; ++w) worker_machines[w] = w;
-  return BuildAllReduceGraph(model, worker_machines, batch_size, graph);
-}
-
 TrainingDriver::TrainingDriver(TrainingConfig config) : config_(std::move(config)) {}
 TrainingDriver::~TrainingDriver() = default;
 
@@ -363,6 +355,8 @@ Status TrainingDriver::Initialize(int warmup_steps) {
     return InvalidArgument(StrCat("topology oversubscription must be positive, got ",
                                   config_.topology.oversubscription));
   }
+  std::string poll_error = net::IdlePollScheduleError(config_.cost);
+  if (!poll_error.empty()) return InvalidArgument(std::move(poll_error));
   const bool all_reduce = config_.mode == TrainingMode::kAllReduce && !config_.local_only;
   const bool dedicated_ps =
       !all_reduce && !config_.local_only && config_.num_ps > 0;

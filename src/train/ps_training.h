@@ -124,14 +124,10 @@ Status BuildDataParallelGraph(const models::ModelSpec& model,
                               const std::vector<std::string>& ps_devices, int batch_size,
                               graph::Graph* graph);
 
-// All-reduce variant: every worker holds its own replica of all variables and
-// applies SGD locally (at GPU rates); there are no parameter servers and no
-// cross-device edges. Gradient aggregation is the TrainingDriver's collective
-// all-reduce, not part of the graph.
-Status BuildAllReduceGraph(const models::ModelSpec& model, int num_workers, int batch_size,
-                           graph::Graph* graph);
-
-// Elastic overload over an explicit worker machine list.
+// All-reduce variant over the listed worker machines: every worker holds its
+// own replica of all variables and applies SGD locally (at GPU rates); there
+// are no parameter servers and no cross-device edges. Gradient aggregation is
+// the TrainingDriver's collective all-reduce, not part of the graph.
 Status BuildAllReduceGraph(const models::ModelSpec& model,
                            const std::vector<int>& worker_machines, int batch_size,
                            graph::Graph* graph);

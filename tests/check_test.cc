@@ -11,6 +11,7 @@
 #include <numeric>
 #include <vector>
 
+#include "src/check/mutation.h"
 #include "src/check/rdma_check.h"
 #include "src/comm/zerocopy_mechanism.h"
 #include "src/ops/kernel.h"
@@ -575,6 +576,26 @@ TEST_F(RdmaCheckSessionTest, VirtualMemorySessionAndTeardownAreDiagnosticFree) {
   // Virtual-memory mode registers raw (never-dereferenced) address ranges
   // with the NIC; those registrations must still be undone at teardown.
   RunCleanSession(ops::ComputeMode::kSimulated, comm::ZeroCopyOptions{});
+}
+
+TEST_F(RdmaCheckSessionTest, PrematureFlagTrustOnZeroCopyReceiveIsDetected) {
+  // The seeded bug at the zero-copy receive's poll (check::PollFlag): the
+  // receiver acts on the tensor after a poll miss, before the sender's write
+  // covering the flag byte has landed.
+  RdmaCheck checker;
+  Graph graph;
+  std::unique_ptr<Cluster> cluster;
+  BuildWorld(&graph, &cluster, ops::ComputeMode::kReal);
+  auto mechanism =
+      std::make_unique<comm::ZeroCopyRdmaMechanism>(cluster.get(), comm::ZeroCopyOptions{});
+  {
+    DistributedSession session(cluster.get(), mechanism.get(), &graph, SessionOptions{});
+    ASSERT_TRUE(session.Setup().ok());
+    ASSERT_EQ(checker.count(DiagKind::kPrematureFlagRead), 0) << checker.Report();
+    check::ScopedMutation mutation(check::kPrematureFlagTrust);
+    (void)session.RunStep();  // The step itself may or may not notice.
+  }
+  EXPECT_GE(checker.count(DiagKind::kPrematureFlagRead), 1) << checker.Report();
 }
 
 TEST_F(RdmaCheckSessionTest, MechanismTeardownReturnsFlagSourceCarveOuts) {

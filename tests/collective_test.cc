@@ -15,8 +15,8 @@ namespace {
 
 // A self-contained simulated cluster sized for one test.
 struct World {
-  explicit World(int num_hosts)
-      : fabric(&simulator, cost, num_hosts), rdma(&fabric), directory(&rdma) {}
+  explicit World(int num_hosts, const net::CostModel& cost_model = {})
+      : cost(cost_model), fabric(&simulator, cost, num_hosts), rdma(&fabric), directory(&rdma) {}
 
   std::unique_ptr<CollectiveGroup> MakeGroup(int n, uint64_t max_elements,
                                              CollectiveOptions options = {}) {
@@ -257,6 +257,21 @@ TEST(CollectiveTest, CreateValidatesArguments) {
   EXPECT_FALSE(CollectiveGroup::Create(&world.directory, {0, 1}, 0).ok());
   EXPECT_FALSE(CollectiveGroup::Create(&world.directory, {0, 9}, 16).ok());
   EXPECT_FALSE(CollectiveGroup::Create(&world.directory, {0, 1, 1}, 16).ok());
+}
+
+// The flag pollers' idle backoff needs 0 < interval <= max: a zero interval
+// never advances virtual time, and a max below the base is not a backoff.
+TEST(CollectiveTest, CreateRejectsUnrunnableIdlePollSchedule) {
+  net::CostModel cost;
+  cost.idle_poll_interval_ns = 3'000;
+  cost.idle_poll_max_interval_ns = 1'000;
+  World capped_below_base(2, cost);
+  EXPECT_EQ(CollectiveGroup::Create(&capped_below_base.directory, {0, 1}, 16).status().code(),
+            StatusCode::kInvalidArgument);
+  cost.idle_poll_interval_ns = 0;
+  World zero_interval(2, cost);
+  EXPECT_EQ(CollectiveGroup::Create(&zero_interval.directory, {0, 1}, 16).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CollectiveTest, BackToBackCollectivesReuseTheGroup) {

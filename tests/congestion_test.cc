@@ -8,7 +8,8 @@
 //     reference while ECN pause windows interleave with fault-injected down
 //     windows under one seed;
 //   * CappedBackoffNs regression: exponential backoff saturates at the cap
-//     instead of overflowing at deep retry counts;
+//     instead of overflowing at deep retry counts, and the idle poll
+//     schedule (IdlePollBackoffNs) equals the doubling it replaced;
 //   * the deterministic latency histogram's bucket layout and percentiles;
 //   * DCQCN end to end on a mini incast: CNPs flow, rates decrease, pacing
 //     spreads the storm, and the QPs still deliver every byte;
@@ -56,9 +57,9 @@ using sim::LatencyHistogram;
 
 TEST(BackoffTest, MatchesNaiveShiftInSafeRange) {
   for (int attempt = 0; attempt < 8; ++attempt) {
-    EXPECT_EQ(rdma::CappedBackoffNs(20'000, attempt, 2'560'000), 20'000ll << attempt);
+    EXPECT_EQ(net::CappedBackoffNs(20'000, attempt, 2'560'000), 20'000ll << attempt);
   }
-  EXPECT_EQ(rdma::CappedBackoffNs(20'000, 7, 2'560'000), 2'560'000);  // Exactly at cap.
+  EXPECT_EQ(net::CappedBackoffNs(20'000, 7, 2'560'000), 2'560'000);  // Exactly at cap.
 }
 
 TEST(BackoffTest, SaturatesAtCapInsteadOfOverflowing) {
@@ -66,25 +67,49 @@ TEST(BackoffTest, SaturatesAtCapInsteadOfOverflowing) {
   // The naive `base << attempt` goes negative past attempt ~40; every deep
   // attempt must clamp to the cap and never schedule an event in the past.
   for (int attempt : {8, 20, 40, 62, 63, 64, 100, 1'000'000}) {
-    EXPECT_EQ(rdma::CappedBackoffNs(20'000, attempt, cap), cap) << attempt;
+    EXPECT_EQ(net::CappedBackoffNs(20'000, attempt, cap), cap) << attempt;
   }
   // No cap: saturates at int64 max rather than wrapping.
   for (int attempt : {62, 63, 127}) {
-    const int64_t v = rdma::CappedBackoffNs(3, attempt, 0);
+    const int64_t v = net::CappedBackoffNs(3, attempt, 0);
     EXPECT_GT(v, 0) << attempt;
   }
-  EXPECT_EQ(rdma::CappedBackoffNs(0, 5, 100), 0);    // Disabled base.
-  EXPECT_EQ(rdma::CappedBackoffNs(200, -3, 100), 100);  // Base above cap.
+  EXPECT_EQ(net::CappedBackoffNs(0, 5, 100), 0);    // Disabled base.
+  EXPECT_EQ(net::CappedBackoffNs(200, -3, 100), 100);  // Base above cap.
 }
 
 TEST(BackoffTest, TransportScheduleReadsCostModel) {
   net::CostModel cost;
-  EXPECT_EQ(rdma::TransportBackoffNs(cost, 0), cost.rdma_transport_retry_base_ns);
+  EXPECT_EQ(net::TransportBackoffNs(cost, 0), cost.rdma_transport_retry_base_ns);
   // The stock schedule's deepest legal attempt lands exactly on the cap...
-  EXPECT_EQ(rdma::TransportBackoffNs(cost, cost.rdma_transport_retry_count),
+  EXPECT_EQ(net::TransportBackoffNs(cost, cost.rdma_transport_retry_count),
             cost.rdma_transport_retry_max_ns);
   // ...and a hypothetical deeper retry budget saturates there too.
-  EXPECT_EQ(rdma::TransportBackoffNs(cost, 500), cost.rdma_transport_retry_max_ns);
+  EXPECT_EQ(net::TransportBackoffNs(cost, 500), cost.rdma_transport_retry_max_ns);
+}
+
+// Every virtual number of the executor and the collective pollers was
+// calibrated on the recurrence "start at the base, take min(2x, max) per
+// miss". Pin the shared schedule to it on the default CostModel and on
+// bench_ablation_design's poll interval sweep (max = max(interval, 16 us)).
+TEST(BackoffTest, IdlePollScheduleMatchesRepeatedDoubling) {
+  std::vector<net::CostModel> configs(1);  // The default.
+  for (int64_t interval : {250, 1'000, 8'000, 64'000, 512'000}) {
+    net::CostModel cost;
+    cost.idle_poll_interval_ns = interval;
+    cost.idle_poll_max_interval_ns = std::max<int64_t>(interval, 16'000);
+    configs.push_back(cost);
+  }
+  for (const net::CostModel& cost : configs) {
+    ASSERT_EQ(net::IdlePollScheduleError(cost), "");
+    int64_t doubled = cost.idle_poll_interval_ns;
+    for (int misses = 0; misses <= 8; ++misses) {
+      EXPECT_EQ(net::IdlePollBackoffNs(cost, misses), doubled)
+          << cost.idle_poll_interval_ns << "/" << cost.idle_poll_max_interval_ns << " @ "
+          << misses;
+      doubled = std::min(doubled * 2, cost.idle_poll_max_interval_ns);
+    }
+  }
 }
 
 // ---- Latency histogram ----------------------------------------------------

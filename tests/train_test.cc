@@ -176,7 +176,7 @@ TEST(TrainingDriverTest, GpuDirectReducesStepTime) {
 TEST(BuildGraphTest, AllReduceGraphHasPerWorkerReplicasAndNoPs) {
   ModelSpec model = models::Fcn5();
   graph::Graph graph;
-  ASSERT_TRUE(BuildAllReduceGraph(model, 2, 8, &graph).ok());
+  ASSERT_TRUE(BuildAllReduceGraph(model, {0, 1}, 8, &graph).ok());
   int variables = 0, applies = 0;
   for (const auto& node : graph.nodes()) {
     // Everything lives on a worker — no PS devices, no cross-device edges.
@@ -235,6 +235,24 @@ TEST(TrainingDriverTest, NonPositiveOversubscriptionIsInvalidArgument) {
   config.num_machines = 4;
   config.topology.hosts_per_rack = 2;
   config.topology.oversubscription = 0.0;
+  TrainingDriver driver(config);
+  EXPECT_EQ(driver.Initialize().code(), StatusCode::kInvalidArgument);
+}
+
+// A zero idle poll interval never advances virtual time (the pollers would
+// spin until the step deadline), and a max below the base is not a backoff.
+TEST(TrainingDriverTest, UnrunnableIdlePollScheduleIsInvalidArgument) {
+  TrainingConfig config;
+  config.model = models::Fcn5();
+  config.num_machines = 2;
+  config.batch_size = 8;
+  config.cost.idle_poll_interval_ns = 3'000;
+  config.cost.idle_poll_max_interval_ns = 1'000;
+  {
+    TrainingDriver driver(config);
+    ASSERT_EQ(driver.Initialize().code(), StatusCode::kInvalidArgument);
+  }
+  config.cost.idle_poll_interval_ns = 0;
   TrainingDriver driver(config);
   EXPECT_EQ(driver.Initialize().code(), StatusCode::kInvalidArgument);
 }
