@@ -18,19 +18,23 @@ RpcMechanism::RpcMechanism(runtime::Cluster* cluster, net::Plane plane)
 void RpcMechanism::Setup(const std::vector<graph::TransferEdge>& edges,
                          std::function<void(Status)> done) {
   for (const graph::TransferEdge& edge : edges) {
-    mailboxes_[edge.key];  // Create empty mailbox.
+    CHECK_EQ(edge.id, static_cast<int>(mailboxes_.size())) << "edges must be in id order";
+    Mailbox& box = mailboxes_.emplace_back();
+    box.src = cluster_->host(edge.src_device);
+    box.dst = cluster_->host(edge.dst_device);
+    box.key = edge.key;
   }
   // RPC needs no address distribution; connections are implicit.
   cluster_->simulator()->ScheduleAfter(0, [done = std::move(done)]() { done(OkStatus()); });
 }
 
 void RpcMechanism::BeginStep(int64_t step) {
-  for (auto& [key, box] : mailboxes_) {
+  for (Mailbox& box : mailboxes_) {
     if (box.has_tensor || box.waiter || !box.error.ok()) {
       // A failed/aborted step can strand a delivery, a waiter (whose step
       // epoch has since advanced, making it a no-op), or a parked error.
       // Clear them so the retried step starts from a clean rendezvous.
-      LOG(WARNING) << "mailbox " << key << " carried state across a step boundary; clearing";
+      LOG(WARNING) << "mailbox " << box.key << " carried state across a step boundary; clearing";
       box.has_tensor = false;
       box.tensor = tensor::Tensor();
       box.error = OkStatus();
@@ -41,8 +45,8 @@ void RpcMechanism::BeginStep(int64_t step) {
 
 int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor,
                            std::function<void(Status)> on_sent) {
-  HostRuntime* src = cluster_->host(edge.src_device);
-  HostRuntime* dst = cluster_->host(edge.dst_device);
+  HostRuntime* src = mailboxes_.at(edge.id).src;
+  HostRuntime* dst = mailboxes_.at(edge.id).dst;
   const net::CostModel& cost = src->cost();
   sim::Simulator* simulator = src->simulator();
   const uint64_t bytes = tensor.TotalBytes();
@@ -70,7 +74,7 @@ int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor
   struct Flight {
     uint64_t fragments_remaining;
     uint64_t total_bytes;
-    graph::TransferEdge edge;
+    int edge_id = 0;
     Tensor tensor;  // Keeps the source buffer alive for the snapshot copy.
     std::function<void(Status)> on_sent;
     net::Link* src_cpu = nullptr;
@@ -79,7 +83,7 @@ int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor
   auto flight = std::make_shared<Flight>();
   flight->fragments_remaining = num_fragments;
   flight->total_bytes = bytes;
-  flight->edge = edge;
+  flight->edge_id = edge.id;
   flight->tensor = tensor;
   flight->on_sent = std::move(on_sent);
   flight->src_cpu = src->comm_cpu();
@@ -116,9 +120,9 @@ int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor
             if (!status.ok()) {
               // Lost fragment: gRPC surfaces a failed call; the whole message
               // is dead (no transparent fragment retry in this baseline).
-              FailDeliver(flight->edge,
-                          Status(status.code(),
-                                 StrCat("RPC transfer failed: ", status.message())));
+              Deliver(flight->edge_id,
+                      Status(status.code(), StrCat("RPC transfer failed: ", status.message())),
+                      Tensor());
               return;
             }
             const net::CostModel& cost = src->cost();
@@ -146,7 +150,7 @@ int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor
                     std::memcpy(out.raw_data(), flight->tensor.raw_data(),
                                 flight->tensor.TotalBytes());
                   }
-                  Deliver(flight->edge, std::move(out));
+                  Deliver(flight->edge_id, OkStatus(), std::move(out));
                 });
           });
     });
@@ -165,32 +169,23 @@ int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor
   return src->cost().rpc_dispatch_overhead_ns;
 }
 
-void RpcMechanism::Deliver(const graph::TransferEdge& edge, Tensor tensor) {
-  Mailbox& box = mailboxes_[edge.key];
+void RpcMechanism::Deliver(int edge_id, const Status& status, Tensor tensor) {
+  Mailbox& box = mailboxes_.at(edge_id);
   if (box.waiter) {
     auto waiter = std::move(box.waiter);
     box.waiter = nullptr;
-    waiter(OkStatus(), std::move(tensor));
-    return;
+    waiter(status, std::move(tensor));
+  } else if (!status.ok()) {
+    box.error = status;
+  } else {
+    box.tensor = std::move(tensor);
+    box.has_tensor = true;
   }
-  box.tensor = std::move(tensor);
-  box.has_tensor = true;
-}
-
-void RpcMechanism::FailDeliver(const graph::TransferEdge& edge, const Status& status) {
-  Mailbox& box = mailboxes_[edge.key];
-  if (box.waiter) {
-    auto waiter = std::move(box.waiter);
-    box.waiter = nullptr;
-    waiter(status, Tensor());
-    return;
-  }
-  box.error = status;
 }
 
 void RpcMechanism::RecvAsync(const graph::TransferEdge& edge,
                              std::function<void(const Status&, Tensor)> done) {
-  Mailbox& box = mailboxes_[edge.key];
+  Mailbox& box = mailboxes_.at(edge.id);
   CHECK(!box.waiter) << "duplicate RecvAsync for edge " << edge.key;
   if (!box.error.ok()) {
     Status err = box.error;

@@ -16,9 +16,8 @@
 #define RDMADL_SRC_COMM_RPC_MECHANISM_H_
 
 #include <cstring>
-#include <map>
-#include <unordered_map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/runtime/session.h"
@@ -57,6 +56,10 @@ class RpcMechanism : public runtime::TransferMechanism {
 
  private:
   struct Mailbox {
+    // The edge's endpoints, resolved once at Setup, and its key for logs.
+    runtime::HostRuntime* src = nullptr;
+    runtime::HostRuntime* dst = nullptr;
+    std::string key;
     bool has_tensor = false;
     tensor::Tensor tensor;
     // Transport failure parked here until the receiver asks (fault injection:
@@ -65,13 +68,14 @@ class RpcMechanism : public runtime::TransferMechanism {
     std::function<void(const Status&, tensor::Tensor)> waiter;
   };
 
-  void Deliver(const graph::TransferEdge& edge, tensor::Tensor tensor);
-  void FailDeliver(const graph::TransferEdge& edge, const Status& status);
+  // Hands an arrival (or, with a non-OK |status|, a transport failure) to
+  // the edge's waiter, or parks it in the mailbox until RecvAsync.
+  void Deliver(int edge_id, const Status& status, tensor::Tensor tensor);
 
   runtime::Cluster* cluster_;
   net::Plane plane_;
   RpcStats stats_;
-  std::unordered_map<std::string, Mailbox> mailboxes_;  // By edge key.
+  std::vector<Mailbox> mailboxes_;  // By TransferEdge::id.
 };
 
 }  // namespace comm

@@ -98,7 +98,7 @@ ZeroCopyRdmaMechanism::~ZeroCopyRdmaMechanism() {
   // surviving hosts) can re-carve receive buffers from the same registered
   // arenas. Stale "zc_addr" handlers are overwritten by the next Setup on
   // every host that still receives.
-  for (auto& [key, s] : edges_) {
+  for (auto& s : edges_) {
     if (s->flag_ptr != nullptr) {
       check::OnFlagForgotten(s->dst->endpoint().host_id, s->flag_ptr);
     }
@@ -126,14 +126,7 @@ ZeroCopyRdmaMechanism::~ZeroCopyRdmaMechanism() {
         if (meta.ok()) (*meta)->allocator->Deallocate(s->src_meta_staging);
       }
     }
-    if (!s->staging_to_free_at_step.empty()) {
-      StatusOr<RdmaArena*> arena = s->src->rdma_arena();
-      if (arena.ok()) {
-        for (void* ptr : s->staging_to_free_at_step) {
-          (*arena)->allocator->Deallocate(ptr);
-        }
-      }
-    }
+    FreeStepStaging(s.get());
   }
   // The per-host "flag = 1" source bytes are carved from the meta arenas too;
   // a rebuilt mechanism re-carves its own, so return them as well (leaving
@@ -168,39 +161,35 @@ void ZeroCopyRdmaMechanism::Setup(const std::vector<graph::TransferEdge>& edges,
   }
 
   // Pass 2: receiver-side preallocation and RPC handler registration.
-  Status setup_status = OkStatus();
   for (const graph::TransferEdge& edge : edges) {
+    CHECK_EQ(edge.id, static_cast<int>(edges_.size())) << "edges must be in id order";
     auto state = std::make_unique<EdgeState>();
     state->edge = edge;
     state->src = cluster_->host(edge.src_device);
     state->dst = cluster_->host(edge.dst_device);
     Status s = SetupEdge(state.get());
     if (!s.ok()) {
-      setup_status = s;
-      break;
+      cluster_->simulator()->ScheduleAfter(0, [done = std::move(done), s]() { done(s); });
+      return;
     }
     if (options_.graph_analysis) {
       analysis(state->src).static_producers.insert(edge.producer);
     }
-    edges_[edge.key] = std::move(state);
-  }
-  if (!setup_status.ok()) {
-    cluster_->simulator()->ScheduleAfter(
-        0, [done = std::move(done), setup_status]() { done(setup_status); });
-    return;
+    edges_.push_back(std::move(state));
   }
 
   // Every receiving device answers address queries for its edges.
   std::set<HostRuntime*> receivers;
-  for (auto& [key, state] : edges_) receivers.insert(state->dst);
+  for (auto& state : edges_) receivers.insert(state->dst);
   for (HostRuntime* dst : receivers) {
     dst->rdma_device()->RegisterRpcHandler(
         "zc_addr", [this](const std::vector<uint8_t>& request) {
-          const std::string key(request.begin(), request.end());
+          // Request: the edge id as a u32. Empty response => error at caller.
           std::vector<uint8_t> response;
-          auto it = edges_.find(key);
-          if (it == edges_.end()) return response;  // Empty => error at caller.
-          EdgeState* s = it->second.get();
+          if (request.size() < 4) return response;
+          const uint32_t id = GetU32(request.data());
+          if (id >= edges_.size()) return response;
+          EdgeState* s = edges_[id].get();
           response.push_back(s->protocol == Protocol::kStatic ? 0 : 1);
           s->remote_data.EncodeTo(&response);
           s->remote_flag.EncodeTo(&response);
@@ -219,9 +208,10 @@ void ZeroCopyRdmaMechanism::Setup(const std::vector<graph::TransferEdge>& edges,
     cluster_->simulator()->ScheduleAfter(0, [done_shared]() { (*done_shared)(OkStatus()); });
     return;
   }
-  for (auto& [key, state] : edges_) {
+  for (auto& state : edges_) {
     EdgeState* s = state.get();
-    std::vector<uint8_t> payload(key.begin(), key.end());
+    std::vector<uint8_t> payload(4);
+    PutU32(payload.data(), static_cast<uint32_t>(s->edge.id));
     s->src->rdma_device()->Call(
         s->dst->endpoint(), "zc_addr", std::move(payload),
         [s, pending, first_error, done_shared](const Status& status,
@@ -355,7 +345,7 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
 
   // Channels: spread edges across the configured QPs (§3.1 / Figure 4).
   const int qp_count = s->src->options().num_qps_per_peer;
-  const int qp_idx = static_cast<int>(edges_.size()) % qp_count;
+  const int qp_idx = edge.id % qp_count;
   s->qp_index = qp_idx;
   RDMADL_ASSIGN_OR_RETURN(s->channel,
                           s->src->rdma_device()->GetChannel(s->dst->endpoint(), qp_idx));
@@ -391,17 +381,9 @@ void ZeroCopyRdmaMechanism::BeginStep(int64_t step) {
   } else {
     tracing_step_ = false;
   }
-  for (auto& [key, state] : edges_) {
+  for (auto& state : edges_) {
     state->hold = Tensor();
-    if (!state->staging_to_free_at_step.empty()) {
-      StatusOr<RdmaArena*> arena = state->src->rdma_arena();
-      if (arena.ok()) {
-        for (void* ptr : state->staging_to_free_at_step) {
-          (*arena)->allocator->Deallocate(ptr);
-        }
-      }
-      state->staging_to_free_at_step.clear();
-    }
+    FreeStepStaging(state.get());
   }
 }
 
@@ -411,7 +393,7 @@ void ZeroCopyRdmaMechanism::ResetTransientState() {
   for (auto& [host, engine] : engines_) {
     engine->ResetTransientState();
   }
-  for (auto& [key, state] : edges_) {
+  for (auto& state : edges_) {
     EdgeState* s = state.get();
     s->phase = RecvPhase::kWaiting;
     if (s->flag_ptr != nullptr) {
@@ -457,9 +439,7 @@ void ZeroCopyRdmaMechanism::OnAllocation(HostRuntime* host, const graph::Node& n
 
 int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor,
                                     std::function<void(Status)> on_sent) {
-  auto it = edges_.find(edge.key);
-  CHECK(it != edges_.end()) << "unknown edge " << edge.key;
-  EdgeState* s = it->second.get();
+  EdgeState* s = StateOf(edge.id);
   HostRuntime* src = s->src;
   sim::Simulator* simulator = src->simulator();
   const uint64_t bytes = tensor.TotalBytes();
@@ -701,9 +681,7 @@ void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr
 }
 
 bool ZeroCopyRdmaMechanism::TryRecv(const graph::TransferEdge& edge, Tensor* out) {
-  auto it = edges_.find(edge.key);
-  CHECK(it != edges_.end()) << "unknown edge " << edge.key;
-  EdgeState* s = it->second.get();
+  EdgeState* s = StateOf(edge.id);
   switch (s->phase) {
     case RecvPhase::kWaiting: {
       if (!check::PollFlag(s->dst->endpoint().host_id, s->flag_ptr,
@@ -897,10 +875,23 @@ std::function<void(Status)> ZeroCopyRdmaMechanism::WrapLadder(
   };
 }
 
-EdgePath ZeroCopyRdmaMechanism::edge_path(const std::string& edge_key) const {
-  auto it = edges_.find(edge_key);
-  CHECK(it != edges_.end()) << "unknown edge " << edge_key;
-  return it->second->path;
+EdgePath ZeroCopyRdmaMechanism::edge_path(int edge_id) const {
+  return StateOf(edge_id)->path;
+}
+
+void ZeroCopyRdmaMechanism::FreeStepStaging(EdgeState* s) {
+  if (s->staging_to_free_at_step.empty()) return;  // rdma_arena() would create one.
+  StatusOr<RdmaArena*> arena = s->src->rdma_arena();
+  if (arena.ok()) {
+    for (void* ptr : s->staging_to_free_at_step) (*arena)->allocator->Deallocate(ptr);
+  }
+  s->staging_to_free_at_step.clear();
+}
+
+ZeroCopyRdmaMechanism::EdgeState* ZeroCopyRdmaMechanism::StateOf(int edge_id) const {
+  CHECK(edge_id >= 0 && edge_id < static_cast<int>(edges_.size()))
+      << "unknown edge id " << edge_id;
+  return edges_[edge_id].get();
 }
 
 uint8_t* ZeroCopyRdmaMechanism::FlagSource(HostRuntime* host) {

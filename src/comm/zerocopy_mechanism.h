@@ -4,10 +4,11 @@
 //
 //   Static placement (§3.2) — when the analyzer proved the tensor shape
 //   static: the receiver preallocates the tensor in its RDMA arena once and
-//   distributes its address over the device library's vanilla RPC. Every
-//   step, the sender one-sided-writes the payload and then a one-byte
-//   completion flag on the same QP (FIFO ordering + the NIC's ascending-
-//   address delivery guarantee make the flag the last byte to land). The
+//   distributes its address over the device library's vanilla RPC (the
+//   sender asks with the edge's 4-byte TransferEdge::id). Every step, the
+//   sender one-sided-writes the payload and then a one-byte completion flag
+//   on the same QP (FIFO ordering + the NIC's ascending-address delivery
+//   guarantee make the flag the last byte to land). The
 //   receiver's RdmaRecv op polls the flag under the executor's polling-async
 //   scheduling, clears it, and reactivates the dependents. In real-memory
 //   mode the flag lives at the tail of the receive buffer exactly as in the
@@ -41,7 +42,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -150,8 +150,8 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
 
   const ZeroCopyStats& stats() const { return stats_; }
 
-  // Current ladder position of |edge_key| (tests and diagnostics).
-  EdgePath edge_path(const std::string& edge_key) const;
+  // Current ladder position of edge |edge_id| (tests and diagnostics).
+  EdgePath edge_path(int edge_id) const;
 
   // Fault recovery: discards every edge's in-flight receive state (completion
   // flags, dynamic metadata blocks, partially received tensors, sender
@@ -167,6 +167,9 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   struct EdgeState;
 
   Status SetupEdge(EdgeState* state);
+  EdgeState* StateOf(int edge_id) const;  // Bounds-CHECKed.
+  // Frees the dynamic-protocol staging copies held until the step boundary.
+  void FreeStepStaging(EdgeState* state);
   // Posts |tensor|'s payload from |src_ptr| (covered by |lkey|) |delay_ns|
   // from now: PostWrites on a static edge, PostMetadataWrite (with
   // |data_rkey|) on a dynamic one. A non-null |staging| is the arena copy
@@ -220,7 +223,8 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   runtime::Cluster* cluster_;
   ZeroCopyOptions options_;
   ZeroCopyStats stats_;
-  std::unordered_map<std::string, std::unique_ptr<EdgeState>> edges_;
+  // By TransferEdge::id. unique_ptr: scheduled closures hold EdgeState*.
+  std::vector<std::unique_ptr<EdgeState>> edges_;
   std::map<runtime::HostRuntime*, DeviceAnalysis> analysis_;
   std::map<runtime::HostRuntime*, uint8_t*> flag_sources_;
   std::vector<std::pair<runtime::HostRuntime*, std::unique_ptr<TransferEngine>>> engines_;

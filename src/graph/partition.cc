@@ -73,8 +73,6 @@ StatusOr<PartitionResult> PartitionGraph(const Graph& graph) {
         inputs.push_back(NodeInput{cached->second, 0});
         continue;
       }
-      const std::string key =
-          StrCat(producer->device(), "->", node->device(), ":", producer->name());
 
       Graph* src_part = get_partition(producer->device());
       RDMADL_ASSIGN_OR_RETURN(
@@ -84,8 +82,8 @@ StatusOr<PartitionResult> PartitionGraph(const Graph& graph) {
       send->set_device(producer->device());
       send->set_output_dtype(producer->output_dtype());
       send->set_output_shape(producer->output_shape());
-      send->SetAttr("tensor_name", key);
-      send->SetAttr("recv_device", node->device());
+      const int64_t id = static_cast<int64_t>(result.transfers.size());
+      send->SetAttr("transfer_id", id);
 
       RDMADL_ASSIGN_OR_RETURN(
           Node * recv, part->AddNode(StrCat("_recv_", producer->name(), "_at_",
@@ -94,11 +92,11 @@ StatusOr<PartitionResult> PartitionGraph(const Graph& graph) {
       recv->set_device(node->device());
       recv->set_output_dtype(producer->output_dtype());
       recv->set_output_shape(producer->output_shape());
-      recv->SetAttr("tensor_name", key);
-      recv->SetAttr("send_device", producer->device());
+      recv->SetAttr("transfer_id", id);
 
       TransferEdge edge;
-      edge.key = key;
+      edge.id = static_cast<int>(id);
+      edge.key = StrCat(producer->device(), "->", node->device(), ":", producer->name());
       edge.src_device = producer->device();
       edge.dst_device = node->device();
       edge.send_node = send->name();

@@ -2,7 +2,10 @@
 // subgraph per device and inserts paired _Send/_Recv nodes on every edge that
 // crosses devices — exactly how TensorFlow materializes cross-server data
 // flow. The returned TransferEdge records are what the RDMA-aware analyzer
-// consumes to plan buffer preallocation and address distribution.
+// consumes to plan buffer preallocation and address distribution. Each edge
+// is identified by its index in PartitionResult::transfers, which its
+// _Send/_Recv pair carries as the "transfer_id" attribute; the session, the
+// executor and the transfer mechanisms index their per-edge state by it.
 #ifndef RDMADL_SRC_GRAPH_PARTITION_H_
 #define RDMADL_SRC_GRAPH_PARTITION_H_
 
@@ -23,7 +26,8 @@ struct GraphPartition {
 
 // One cross-device tensor edge, after partitioning.
 struct TransferEdge {
-  std::string key;          // Rendezvous key, unique per (producer, dst device).
+  int id = 0;               // Index in PartitionResult::transfers.
+  std::string key;          // "<src>-><dst>:<producer>"; a label for traces and logs.
   std::string src_device;
   std::string dst_device;
   std::string send_node;    // _Send node name in the source partition.

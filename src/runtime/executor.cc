@@ -21,25 +21,24 @@ constexpr int64_t kOpDispatchNs = 1'500;
 }  // namespace
 
 Executor::Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
-                   const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key,
-                   ExecutorOptions options)
+                   const std::vector<graph::TransferEdge>& edges, ExecutorOptions options)
     : host_(host), graph_(graph), mechanism_(mechanism), options_(options) {
+  compute_track_ = host->device_name() + " compute";
+  send_track_ = host->device_name() + " send";
   kernels_.resize(graph->num_nodes());
   total_deps_.resize(graph->num_nodes(), 0);
   kind_.resize(graph->num_nodes(), NodeKind::kCompute);
   edge_of_node_.resize(graph->num_nodes(), nullptr);
+  cost_ns_.resize(graph->num_nodes(), 0.0);
   for (const auto& node : graph->nodes()) {
     total_deps_[node->id()] =
         static_cast<int>(node->inputs().size() + node->control_inputs().size());
     if (node->op() == "_Send" || node->op() == "_Recv") {
       kind_[node->id()] = node->op() == "_Send" ? NodeKind::kSend : NodeKind::kRecv;
-      // Resolve the rendezvous key once; polling hits this on every attempt.
-      const std::string key = node->GetAttr<std::string>("tensor_name");
-      auto it = edges_by_key->find(key);
-      CHECK(it != edges_by_key->end()) << "unknown transfer edge " << key;
-      edge_of_node_[node->id()] = &it->second;
+      edge_of_node_[node->id()] = &edges.at(node->GetAttr<int64_t>("transfer_id"));
       continue;
     }
+    cost_ns_[node->id()] = node->GetAttrOr<double>("cost_ns", 0.0);
     auto kernel = ops::KernelRegistry::Global()->Create(*node);
     CHECK(kernel.ok()) << kernel.status();
     kernels_[node->id()] = std::move(kernel).value();
@@ -64,7 +63,7 @@ tensor::Allocator* Executor::Wrap(tensor::Allocator* base) {
 }
 
 int64_t Executor::CostOf(const Node& node) const {
-  const double per_sample_ns = node.GetAttrOr<double>("cost_ns", 0.0);
+  const double per_sample_ns = cost_ns_[node.id()];
   double multiplier = options_.batch_multiplier;
   // Straggler knob: a chaos-configured host runs its compute slower by the
   // fault injector's per-host dilation factor (1.0 everywhere when the knob
@@ -212,7 +211,7 @@ void Executor::StartCompute(Node* node) {
     // compute exactly as in TensorFlow.
     const int64_t done_at = host_->compute_unit()->Reserve(
         host_->simulator()->Now() + kOpDispatchNs, cost - kOpDispatchNs);
-    sim::TraceSpan(host_->device_name() + " compute", node->name(),
+    sim::TraceSpan(compute_track_, node->name(),
                    done_at - (cost - kOpDispatchNs), done_at);
     const uint64_t epoch = epoch_;
     host_->simulator()->ScheduleAfter(kOpDispatchNs, [this, epoch]() {
@@ -247,8 +246,7 @@ void Executor::StartSend(Node* node) {
           FailStep(status);
           return;
         }
-        sim::TraceSpan(host_->device_name() + " send", edge.key, send_start,
-                       host_->simulator()->Now());
+        sim::TraceSpan(send_track_, edge.key, send_start, host_->simulator()->Now());
         FinishNode(node, tensor);
       });
   host_->simulator()->ScheduleAfter(kOpDispatchNs + sync_cost, [this, epoch]() {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -48,9 +49,9 @@ struct ExecutorStats {
 
 class Executor {
  public:
+  // |edges| is indexed by TransferEdge::id and must outlive the executor.
   Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
-           const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key,
-           ExecutorOptions options);
+           const std::vector<graph::TransferEdge>& edges, ExecutorOptions options);
   ~Executor();
 
   // Runs the partition once. |feeds| must outlive the step. |on_done| fires
@@ -103,6 +104,11 @@ class Executor {
   std::vector<int> total_deps_;                          // Inputs + control inputs per node.
   std::vector<NodeKind> kind_;                           // By node id.
   std::vector<const graph::TransferEdge*> edge_of_node_;  // By node id (transfer ops only).
+  std::vector<double> cost_ns_;                          // "cost_ns" attr by node id.
+  // Trace track names, built once: TraceSpan's arguments are evaluated even
+  // when no tracer is installed.
+  std::string compute_track_;
+  std::string send_track_;
 
   // Per-step state.
   // Step epoch: advanced by RunStepAsync and Abort. Scheduled closures and

@@ -63,20 +63,16 @@ Status DistributedSession::Setup() {
   // nodes inherit (possibly static) producer shapes.
   RDMADL_RETURN_IF_ERROR(analyzer::RunShapeInference(graph_));
   RDMADL_ASSIGN_OR_RETURN(partition_, graph::PartitionGraph(*graph_));
-  edges_ = partition_.transfers;
-  for (const graph::TransferEdge& edge : edges_) {
-    edges_by_key_[edge.key] = edge;
-  }
   for (graph::GraphPartition& part : partition_.partitions) {
     executors_[part.device] = std::make_unique<Executor>(
-        cluster_->host(part.device), part.graph.get(), mechanism_, &edges_by_key_,
+        cluster_->host(part.device), part.graph.get(), mechanism_, partition_.transfers,
         options_.executor);
   }
 
   // Mechanism setup: receive-buffer preallocation + address distribution.
   bool done = false;
   Status setup_status;
-  mechanism_->Setup(edges_, [&](Status s) {
+  mechanism_->Setup(partition_.transfers, [&](Status s) {
     setup_status = std::move(s);
     done = true;
   });

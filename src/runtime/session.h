@@ -100,7 +100,7 @@ class DistributedSession {
   int64_t last_step_duration_ns() const { return last_step_duration_ns_; }
   int64_t steps_run() const { return steps_run_; }
 
-  const std::vector<graph::TransferEdge>& transfer_edges() const { return edges_; }
+  const std::vector<graph::TransferEdge>& transfer_edges() const { return partition_.transfers; }
   Executor* executor_for(const std::string& device) const;
   Cluster* cluster() const { return cluster_; }
 
@@ -112,8 +112,6 @@ class DistributedSession {
 
   bool setup_done_ = false;
   graph::PartitionResult partition_;
-  std::vector<graph::TransferEdge> edges_;
-  std::unordered_map<std::string, graph::TransferEdge> edges_by_key_;
   std::map<std::string, std::unique_ptr<Executor>> executors_;
   int64_t last_step_duration_ns_ = 0;
   int64_t steps_run_ = 0;

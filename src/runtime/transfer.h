@@ -2,7 +2,9 @@
 //
 // One mechanism instance coordinates *both ends* of every cross-device edge
 // of a distributed graph (it holds per-edge state such as preallocated
-// receive buffers and distributed remote addresses). Implementations:
+// receive buffers and distributed remote addresses, indexed by
+// TransferEdge::id so no step-time call looks an edge up by key).
+// Implementations:
 //
 //   comm::RpcTcpMechanism        — gRPC-over-TCP baseline (serialize + ring
 //                                  buffer copies over the TCP plane).
@@ -44,7 +46,7 @@ class TransferMechanism {
   // One-time setup after partitioning and shape inference: preallocates
   // receive-side buffers and distributes their addresses (§3.2/§3.3 setup
   // phase, which runs over the device library's vanilla RPC and is off the
-  // critical path). |done| fires in virtual time.
+  // critical path). edges[i].id == i. |done| fires in virtual time.
   virtual void Setup(const std::vector<graph::TransferEdge>& edges,
                      std::function<void(Status)> done) = 0;
 

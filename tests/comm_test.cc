@@ -209,6 +209,35 @@ TEST(ZeroCopyProtocolTest, SetupRegistersFewMemoryRegions) {
   EXPECT_LE(cluster->host("worker:0")->rdma_device()->nic()->num_registered_regions(), 8);
 }
 
+TEST(ZeroCopyProtocolTest, AddressQueryRejectsMalformedEdgeIds) {
+  // The zc_addr request is the edge id as a u32. A short request or an id
+  // past the last edge gets an empty response (the caller's error), not an
+  // abort, and the edge keeps working.
+  auto cluster = MakeCluster(2, ops::ComputeMode::kReal);
+  auto graph = WeightConsumerGraph(1024);
+  ZeroCopyRdmaMechanism mech(cluster.get(), ZeroCopyOptions{});
+  DistributedSession session(cluster.get(), &mech, graph.get(), SessionOptions{});
+  ASSERT_TRUE(session.Setup().ok());
+  ASSERT_EQ(session.transfer_edges().size(), 1u);
+  const runtime::HostRuntime* receiver = cluster->host("worker:0");
+  const std::vector<std::vector<uint8_t>> requests = {{1, 0, 0}, {7, 0, 0, 0}};
+  int answered = 0;
+  for (const std::vector<uint8_t>& request : requests) {
+    cluster->host("ps:0")->rdma_device()->Call(
+        receiver->endpoint(), "zc_addr", request,
+        [&answered](const Status& status, const std::vector<uint8_t>& response) {
+          EXPECT_TRUE(status.ok()) << status;
+          EXPECT_TRUE(response.empty());
+          ++answered;
+        });
+  }
+  ASSERT_TRUE(cluster->simulator()
+                  ->RunUntilPredicate([&] { return answered == 2; }, 1'000'000)
+                  .ok());
+  ASSERT_TRUE(session.RunStep().ok());
+  EXPECT_EQ(mech.stats().static_transfers, 1);
+}
+
 TEST(RpcMechanismDetailTest, LargeMessagesFragmentOnRingBuffer) {
   ClusterOptions options;
   options.num_machines = 2;

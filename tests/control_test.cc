@@ -407,8 +407,8 @@ TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
   ASSERT_TRUE(session.RunStep().ok());  // Tracing step.
   ASSERT_TRUE(session.RunStep().ok());  // First zero-copy transfer.
   ASSERT_EQ(session.transfer_edges().size(), 1u);
-  const std::string edge_key = session.transfer_edges()[0].key;
-  EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kZeroCopy);
+  const int edge_id = session.transfer_edges()[0].id;
+  EXPECT_EQ(mechanism->edge_path(edge_id), comm::EdgePath::kZeroCopy);
 
   // Burn the transport retry budget twice: enough forced drops that two
   // consecutive steps exhaust their 7-retry budget and fail the send.
@@ -419,7 +419,7 @@ TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
   world.cluster->fabric()->SetFaultInjector(&injector);
 
   int failed_steps = 0;
-  for (int i = 0; i < 8 && mechanism->edge_path(edge_key) != comm::EdgePath::kDegraded;
+  for (int i = 0; i < 8 && mechanism->edge_path(edge_id) != comm::EdgePath::kDegraded;
        ++i) {
     Status s = session.RunStep();
     if (!s.ok()) {
@@ -427,7 +427,7 @@ TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
       ASSERT_TRUE(world.QuiesceAndRecover(mechanism.get()).ok());
     }
   }
-  ASSERT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded)
+  ASSERT_EQ(mechanism->edge_path(edge_id), comm::EdgePath::kDegraded)
       << "edge never demoted after " << failed_steps << " failed steps";
   EXPECT_GE(mechanism->stats().ladder_demotions, 1);
 
@@ -448,7 +448,7 @@ TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
     double expected = 0;
     for (int64_t j = 0; j < source.num_elements(); ++j) expected += source.at<float>(j);
     EXPECT_NEAR(out->at<float>(0), expected, std::abs(expected) * 1e-5 + 1e-3);
-    if (mechanism->edge_path(edge_key) == comm::EdgePath::kZeroCopy) {
+    if (mechanism->edge_path(edge_id) == comm::EdgePath::kZeroCopy) {
       promoted_at = i;
       break;
     }
@@ -460,7 +460,7 @@ TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
 
   // And the promoted edge keeps working zero-copy.
   ASSERT_TRUE(session.RunStep().ok());
-  EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kZeroCopy);
+  EXPECT_EQ(mechanism->edge_path(edge_id), comm::EdgePath::kZeroCopy);
 }
 
 // A probe that fails while the link is still dropping sends the edge back to
@@ -475,7 +475,7 @@ TEST(LadderTest, FailedProbationProbeRedemotesAndRestartsProbation) {
   ASSERT_TRUE(session.Setup().ok());
   ASSERT_TRUE(session.RunStep().ok());  // Tracing step.
   ASSERT_EQ(session.transfer_edges().size(), 1u);
-  const std::string edge_key = session.transfer_edges()[0].key;
+  const int edge_id = session.transfer_edges()[0].id;
   const comm::ZeroCopyStats& stats = mechanism->stats();
 
   FaultInjector injector(FaultSeedFromEnv(24));
@@ -499,7 +499,7 @@ TEST(LadderTest, FailedProbationProbeRedemotesAndRestartsProbation) {
   // Demote: kLadderDemoteAfter zero-copy sends fail in a row.
   injector.SetLinkFault(0, 1, drop_all);
   for (int i = 0; i < comm::kLadderDemoteAfter; ++i) run_failing_step();
-  ASSERT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded);
+  ASSERT_EQ(mechanism->edge_path(edge_id), comm::EdgePath::kDegraded);
   ASSERT_EQ(stats.ladder_demotions, 1);
 
   // A clean degraded span opens probation, but the drops are back when the
@@ -510,7 +510,7 @@ TEST(LadderTest, FailedProbationProbeRedemotesAndRestartsProbation) {
   injector.SetLinkFault(0, 1, drop_all);
   run_failing_step();
   EXPECT_EQ(stats.probation_probes, 1);
-  EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded);
+  EXPECT_EQ(mechanism->edge_path(edge_id), comm::EdgePath::kDegraded);
   EXPECT_EQ(stats.ladder_promotions, 0);
 
   // Probation restarted from zero: the next kLadderProbationAfter clean
@@ -519,7 +519,7 @@ TEST(LadderTest, FailedProbationProbeRedemotesAndRestartsProbation) {
   const int64_t degraded_before = stats.degraded_sends;
   for (int i = 0; i < comm::kLadderProbationAfter; ++i) {
     run_clean_step();
-    EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded);
+    EXPECT_EQ(mechanism->edge_path(edge_id), comm::EdgePath::kDegraded);
   }
   EXPECT_EQ(stats.degraded_sends, degraded_before + comm::kLadderProbationAfter);
   EXPECT_EQ(stats.probation_probes, 1);
@@ -528,7 +528,7 @@ TEST(LadderTest, FailedProbationProbeRedemotesAndRestartsProbation) {
   run_clean_step();
   EXPECT_EQ(stats.probation_probes, 2);
   EXPECT_EQ(stats.ladder_promotions, 1);
-  EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kZeroCopy);
+  EXPECT_EQ(mechanism->edge_path(edge_id), comm::EdgePath::kZeroCopy);
   EXPECT_EQ(stats.degraded_sends, degraded_before + comm::kLadderProbationAfter);
 }
 
@@ -551,7 +551,7 @@ TEST_P(LadderProtocolTest, ArenaExhaustionDemotesImmediatelyAndServesDegraded) {
                              SessionOptions{});
   ASSERT_TRUE(session.Setup().ok());
   ASSERT_EQ(session.transfer_edges().size(), 1u);
-  const std::string edge_key = session.transfer_edges()[0].key;
+  const int edge_id = session.transfer_edges()[0].id;
 
   // Exhaust the ps:0 RDMA staging arena (64 KB chunks leave no hole big
   // enough for the 800 KB payload) so the staging copy cannot be placed.
@@ -567,7 +567,7 @@ TEST_P(LadderProtocolTest, ArenaExhaustionDemotesImmediatelyAndServesDegraded) {
   const auto before = mechanism->stats().ladder_demotions;
   ASSERT_TRUE(session.RunStep().ok())
       << "send should be served degraded, not failed";
-  EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded);
+  EXPECT_EQ(mechanism->edge_path(edge_id), comm::EdgePath::kDegraded);
   EXPECT_EQ(mechanism->stats().ladder_demotions, before + 1);
   EXPECT_GE(mechanism->stats().degraded_sends, 1);
 

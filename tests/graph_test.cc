@@ -12,6 +12,26 @@ namespace {
 using tensor::DType;
 using tensor::TensorShape;
 
+// Edge ids are 0..n-1 in transfers order, and each edge's _Send/_Recv pair
+// carries its id.
+void ExpectDenseEdgeIds(const PartitionResult& result) {
+  for (size_t i = 0; i < result.transfers.size(); ++i) {
+    const TransferEdge& edge = result.transfers[i];
+    EXPECT_EQ(edge.id, static_cast<int>(i));
+    int found = 0;
+    for (const GraphPartition& part : result.partitions) {
+      for (const std::string& name : {edge.send_node, edge.recv_node}) {
+        const Node* node = part.graph->FindNode(name);
+        if (node == nullptr) continue;
+        ++found;
+        EXPECT_EQ(part.device, name == edge.send_node ? edge.src_device : edge.dst_device);
+        EXPECT_EQ(node->GetAttr<int64_t>("transfer_id"), edge.id) << name;
+      }
+    }
+    EXPECT_EQ(found, 2) << edge.key;
+  }
+}
+
 class GraphTest : public ::testing::Test {
  protected:
   void SetUp() override { ops::RegisterStandardOps(); }
@@ -193,6 +213,7 @@ TEST_F(GraphTest, PartitionInsertsSendRecvOnCrossDeviceEdge) {
   Node* use_copy = worker->FindNode("use");
   ASSERT_NE(use_copy, nullptr);
   EXPECT_EQ(use_copy->inputs()[0].node, recv);
+  ExpectDenseEdgeIds(*result);
 }
 
 TEST_F(GraphTest, PartitionSharesRecvAcrossConsumersOnSameDevice) {
@@ -205,6 +226,7 @@ TEST_F(GraphTest, PartitionSharesRecvAcrossConsumersOnSameDevice) {
   auto result = PartitionGraph(g_);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->transfers.size(), 1u);  // One transfer feeds both consumers.
+  ExpectDenseEdgeIds(*result);
 }
 
 TEST_F(GraphTest, PartitionSeparateTransfersPerDestinationDevice) {
@@ -217,6 +239,7 @@ TEST_F(GraphTest, PartitionSeparateTransfersPerDestinationDevice) {
   auto result = PartitionGraph(g_);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->transfers.size(), 2u);
+  ExpectDenseEdgeIds(*result);
 }
 
 TEST_F(GraphTest, PartitionRequiresPlacement) {
