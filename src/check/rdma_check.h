@@ -413,15 +413,18 @@ inline void OnFlagForgotten(int dst_host, const void* flag_addr) {
 inline void OnFlagPolled(int dst_host, const void* flag_addr, int64_t now_ns) {
   if (RdmaCheck* c = RdmaCheck::Current()) c->FlagPolled(dst_host, flag_addr, now_ns);
 }
+// Whether a poll of |flag| lets the caller act on the payload it guards: the
+// flag is set, or the seeded kPrematureFlagTrust bug trusts it anyway. Pure;
+// a poller that predicts a miss with it reports the poll with OnFlagPolled.
+inline bool FlagReady(const uint8_t* flag) {
+  return *flag != 0 || MutationEnabled(kPrematureFlagTrust);
+}
 // The one poll step (§4 polling-async) of the zero-copy receive and the
-// collective flag pollers: whether the caller may act on the payload |flag|
-// guards. A miss is reported, and trusted only under the seeded
-// kPrematureFlagTrust bug; a trusted flag is reported. Callers clear flags.
+// collective flag pollers: FlagReady plus its checker hooks. An unset flag's
+// poll is reported; a trusted flag is reported. Callers clear flags.
 inline bool PollFlag(int host, const uint8_t* flag, int64_t now_ns) {
-  if (*flag == 0) {
-    OnFlagPolled(host, flag, now_ns);
-    if (!MutationEnabled(kPrematureFlagTrust)) return false;
-  }
+  if (*flag == 0) OnFlagPolled(host, flag, now_ns);
+  if (!FlagReady(flag)) return false;
   OnFlagTrusted(host, flag, now_ns);
   return true;
 }

@@ -215,15 +215,14 @@ class CollectiveGroup {
 
   // Sequential flag poller: watches flag bytes [flag_base, flag_base +
   // num_flags) at |rank| in order, invoking |on_arrival|(i, resume) for each;
-  // the handler calls resume() when the poller may advance. ArmWaiter
-  // schedules each poll (§4 polling-async): flag_poll_cost_ns, plus
-  // net::IdlePollBackoffNs(k - 1) after k misses in a row; PollWaiter reads
-  // the flag with check::PollFlag.
+  // the handler calls resume() when the poller may advance. ArmWaiter arms
+  // the waiter's first poll tick of a flag (§4 polling-async), and
+  // Waiter::Tick reads the flag with check::PollFlag; a miss re-keys the
+  // tick without an event (internal.h).
   void StartWaiter(const std::shared_ptr<Op>& op, int rank, int flag_base,
                    int num_flags,
                    std::function<void(int, std::function<void()>)> on_arrival);
-  void ArmWaiter(const std::shared_ptr<Op>& op, const std::shared_ptr<Waiter>& waiter);
-  void PollWaiter(std::shared_ptr<Op> op, std::shared_ptr<Waiter> waiter);
+  void ArmWaiter(const std::shared_ptr<Waiter>& waiter);
 
   // Virtual reduce cost of folding |bytes| into an accumulator.
   int64_t ReduceNs(uint64_t bytes) const;

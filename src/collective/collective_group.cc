@@ -778,40 +778,44 @@ void CollectiveGroup::StartWaiter(const std::shared_ptr<Op>& op, int rank, int f
     return;
   }
   auto waiter = std::make_shared<Waiter>();
+  waiter->group = this;
+  waiter->op = op;
   waiter->rank = rank;
   waiter->flag_base = flag_base;
   waiter->num_flags = num_flags;
   waiter->on_arrival = std::move(on_arrival);
-  ArmWaiter(op, waiter);
+  ArmWaiter(waiter);
 }
 
-void CollectiveGroup::ArmWaiter(const std::shared_ptr<Op>& op,
-                                const std::shared_ptr<Waiter>& waiter) {
-  int64_t delay = cost().flag_poll_cost_ns;
-  if (waiter->misses > 0) delay += net::IdlePollBackoffNs(cost(), waiter->misses - 1);
+void CollectiveGroup::ArmWaiter(const std::shared_ptr<Waiter>& waiter) {
   // Jittered: poll cadence is scheduling noise, fair game for the explorer.
-  simulator()->ScheduleAfterJittered(delay, [this, op, waiter] { PollWaiter(op, waiter); });
+  simulator()->ArmPoll(waiter->PollDelay(), waiter.get(), /*tag=*/0, /*jittered=*/true, waiter);
 }
 
-void CollectiveGroup::PollWaiter(std::shared_ptr<Op> op, std::shared_ptr<Waiter> waiter) {
-  if (op->finished) return;
-  Rank* rank = ranks_[waiter->rank].get();
-  if (!check::PollFlag(rank->endpoint.host_id, rank->flags() + waiter->flag_base + waiter->next,
-                       simulator()->Now())) {
-    ++waiter->misses;
-    ArmWaiter(op, waiter);
-    return;
+int64_t CollectiveGroup::Waiter::PollDelay() const {
+  int64_t delay = group->cost().flag_poll_cost_ns;
+  if (misses > 0) delay += net::IdlePollBackoffNs(group->cost(), misses - 1);
+  return delay;
+}
+
+int64_t CollectiveGroup::Waiter::Tick(uint64_t /*tag*/) {
+  if (op->finished) return kFired;
+  Rank* r = group->ranks_[rank].get();
+  if (!check::PollFlag(r->endpoint.host_id, r->flags() + flag_base + next,
+                       group->simulator()->Now())) {
+    ++misses;
+    return PollDelay();
   }
-  waiter->misses = 0;
-  auto resume = [this, op, waiter] {
-    if (op->finished) return;
-    if (++waiter->next == waiter->num_flags) {
-      FinishUnit(op);
+  misses = 0;
+  on_arrival(next, [self = shared_from_this()] {
+    if (self->op->finished) return;
+    if (++self->next == self->num_flags) {
+      self->group->FinishUnit(self->op);
       return;
     }
-    ArmWaiter(op, waiter);
-  };
-  waiter->on_arrival(waiter->next, std::move(resume));
+    self->group->ArmWaiter(self);
+  });
+  return kFired;
 }
 
 }  // namespace collective

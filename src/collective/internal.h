@@ -14,6 +14,7 @@
 #include "src/collective/collective.h"
 #include "src/comm/transfer_engine.h"
 #include "src/device/rdma_device.h"
+#include "src/sim/simulator.h"
 
 namespace rdmadl {
 namespace collective {
@@ -177,8 +178,11 @@ struct CollectiveGroup::RingLane {
 
 // A sequential flag poller: one per (rank, lane) for the ring, one per
 // expected arrival group otherwise. Reads its flag bytes in index order with
-// check::PollFlag, backing off on net::IdlePollBackoffNs between misses.
-struct CollectiveGroup::Waiter {
+// check::PollFlag at its sim::Poller ticks; a miss re-keys the tick after
+// PollDelay() and costs no event. An armed tick keeps its waiter alive.
+struct CollectiveGroup::Waiter final : sim::Poller, std::enable_shared_from_this<Waiter> {
+  CollectiveGroup* group = nullptr;
+  std::shared_ptr<Op> op;
   int rank = 0;
   int flag_base = 0;
   int num_flags = 0;
@@ -188,6 +192,11 @@ struct CollectiveGroup::Waiter {
 
   int next = 0;    // Next expected flag, relative to |flag_base|.
   int misses = 0;  // Polls of |next| that found it unset, in a row.
+
+  // Delay to the next poll (§4 polling-async): flag_poll_cost_ns, plus
+  // net::IdlePollBackoffNs(k - 1) after k misses in a row.
+  int64_t PollDelay() const;
+  int64_t Tick(uint64_t tag) override;
 };
 
 }  // namespace collective

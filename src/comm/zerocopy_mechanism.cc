@@ -680,21 +680,42 @@ void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr
   if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
 }
 
-bool ZeroCopyRdmaMechanism::TryRecv(const graph::TransferEdge& edge, Tensor* out) {
-  EdgeState* s = StateOf(edge.id);
+bool ZeroCopyRdmaMechanism::RecvWouldMiss(const graph::TransferEdge& edge) const {
+  const EdgeState* s = StateOf(edge.id);
   switch (s->phase) {
-    case RecvPhase::kWaiting: {
-      if (!check::PollFlag(s->dst->endpoint().host_id, s->flag_ptr,
-                           s->dst->simulator()->Now())) {
-        return false;
-      }
-      *s->flag_ptr = 0;  // Clear for future use (§3.2).
-      check::OnFlagCleared(s->dst->endpoint().host_id, s->flag_ptr);
-      if (s->protocol == Protocol::kDynamic) {
-        StartDynamicRead(s);
-        return false;
-      }
-      if (!s->dst_gpu_staging) break;  // The static tensor is already in place.
+    case RecvPhase::kWaiting:
+      return !check::FlagReady(s->flag_ptr);
+    case RecvPhase::kTransferring:
+    case RecvPhase::kStaging:
+      return true;
+    case RecvPhase::kReady:
+      return false;
+  }
+  return false;
+}
+
+void ZeroCopyRdmaMechanism::MissedRecv(const graph::TransferEdge& edge) {
+  const EdgeState* s = StateOf(edge.id);
+  if (s->phase != RecvPhase::kWaiting) return;
+  check::OnFlagPolled(s->dst->endpoint().host_id, s->flag_ptr, s->dst->simulator()->Now());
+}
+
+bool ZeroCopyRdmaMechanism::TryRecv(const graph::TransferEdge& edge, Tensor* out) {
+  if (RecvWouldMiss(edge)) {
+    MissedRecv(edge);
+    return false;
+  }
+  EdgeState* s = StateOf(edge.id);
+  if (s->phase == RecvPhase::kWaiting) {
+    // Not a miss, so the poll trusts the flag and reports it.
+    check::PollFlag(s->dst->endpoint().host_id, s->flag_ptr, s->dst->simulator()->Now());
+    *s->flag_ptr = 0;  // Clear for future use (§3.2).
+    check::OnFlagCleared(s->dst->endpoint().host_id, s->flag_ptr);
+    if (s->protocol == Protocol::kDynamic) {
+      StartDynamicRead(s);
+      return false;
+    }
+    if (s->dst_gpu_staging) {
       // Stage the received tensor into GPU memory over PCIe.
       s->phase = RecvPhase::kStaging;
       ++stats_.pcie_copies;
@@ -709,11 +730,7 @@ bool ZeroCopyRdmaMechanism::TryRecv(const graph::TransferEdge& edge, Tensor* out
       s->dst->simulator()->ScheduleAt(end, [s]() { s->phase = RecvPhase::kReady; });
       return false;
     }
-    case RecvPhase::kTransferring:
-    case RecvPhase::kStaging:
-      return false;
-    case RecvPhase::kReady:
-      break;
+    // The static tensor is already in place.
   }
   s->phase = RecvPhase::kWaiting;
   if (s->protocol == Protocol::kStatic) {

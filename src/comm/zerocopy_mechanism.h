@@ -141,6 +141,9 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   int64_t Send(const graph::TransferEdge& edge, const tensor::Tensor& tensor,
                std::function<void(Status)> on_sent) override;
   bool TryRecv(const graph::TransferEdge& edge, tensor::Tensor* out) override;
+  // TryRecv's miss path, shared with the executor's idle-pass probe.
+  bool RecvWouldMiss(const graph::TransferEdge& edge) const override;
+  void MissedRecv(const graph::TransferEdge& edge) override;
 
   tensor::Allocator* AllocatorForNode(runtime::HostRuntime* host, const graph::Node& node,
                                       tensor::Allocator* default_allocator) override;

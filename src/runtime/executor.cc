@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/check/rdma_check.h"
 #include "src/sim/trace.h"
 #include "src/util/strings.h"
 
@@ -138,18 +139,12 @@ void Executor::MaybeDispatch() {
     // Polling-async fairness/livelock guard (§4): when every queued node is a
     // poll that already failed this pass, yield for the idle backoff
     // (net::IdlePollBackoffNs) instead of spinning at the current instant.
+    // The kick is a poll tick (Tick below).
     if (failed_polls_in_row_ >= static_cast<int>(ready_.size())) {
       if (!delayed_kick_scheduled_) {
         delayed_kick_scheduled_ = true;
-        const uint64_t epoch = epoch_;
-        host_->simulator()->ScheduleAfter(
-            net::IdlePollBackoffNs(host_->cost(), idle_kicks_), [this, epoch]() {
-              if (epoch != epoch_) return;
-              delayed_kick_scheduled_ = false;
-              failed_polls_in_row_ = 0;
-              ++idle_kicks_;
-              MaybeDispatch();
-            });
+        host_->simulator()->ArmPoll(net::IdlePollBackoffNs(host_->cost(), idle_kicks_), this,
+                                    epoch_, /*jittered=*/false);
       }
       return;
     }
@@ -168,6 +163,40 @@ void Executor::MaybeDispatch() {
     --free_workers_;
     StartNode(node);
   }
+}
+
+int64_t Executor::Tick(uint64_t epoch) {
+  if (epoch != epoch_) return kFired;
+  ++idle_kicks_;
+  if (IdlePassMisses()) {
+    // The pass would poll every queued receive once, in queue order, and
+    // re-arm this kick: charge it without running it.
+    const int polls = static_cast<int>(ready_.size());
+    stats_.poll_attempts += polls;
+    stats_.failed_polls += polls;
+    if (check::RdmaCheck::Current() != nullptr) {
+      for (const Node* node : ready_) mechanism_->MissedRecv(EdgeOf(*node));
+    }
+    failed_polls_in_row_ = polls;
+    return net::IdlePollBackoffNs(host_->cost(), idle_kicks_);
+  }
+  delayed_kick_scheduled_ = false;
+  failed_polls_in_row_ = 0;
+  MaybeDispatch();
+  return kFired;
+}
+
+bool Executor::IdlePassMisses() const {
+  if (failed_ || ready_.empty() ||
+      mechanism_->recv_mode() != TransferMechanism::RecvMode::kPolling) {
+    return false;
+  }
+  for (const Node* node : ready_) {
+    if (kind_[node->id()] != NodeKind::kRecv || !mechanism_->RecvWouldMiss(EdgeOf(*node))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void Executor::StartNode(Node* node) {

@@ -13,7 +13,9 @@
 //     node is re-enqueued at the TAIL of the ready queue so polling never
 //     starves ready work. If only failed polls remain, the next pass waits
 //     net::IdlePollBackoffNs (this both models a polling thread yielding and
-//     keeps the discrete-event simulation live).
+//     keeps the discrete-event simulation live). That idle kick is a
+//     sim::Poller tick: a pass that would only fail every poll again is
+//     charged to the stats without running, and costs no event.
 #ifndef RDMADL_SRC_RUNTIME_EXECUTOR_H_
 #define RDMADL_SRC_RUNTIME_EXECUTOR_H_
 
@@ -28,6 +30,7 @@
 #include "src/ops/kernel.h"
 #include "src/runtime/host_runtime.h"
 #include "src/runtime/transfer.h"
+#include "src/sim/simulator.h"
 #include "src/util/status.h"
 
 namespace rdmadl {
@@ -47,7 +50,7 @@ struct ExecutorStats {
   int64_t failed_polls = 0;
 };
 
-class Executor {
+class Executor : private sim::Poller {
  public:
   // |edges| is indexed by TransferEdge::id and must outlive the executor.
   Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
@@ -83,6 +86,11 @@ class Executor {
   const graph::TransferEdge& EdgeOf(const graph::Node& node) const;
 
   void MaybeDispatch();
+  // The idle kick, tagged with its step epoch.
+  int64_t Tick(uint64_t epoch) override;
+  // Whether the pass an idle kick starts would fail every poll and re-arm
+  // the kick: every queued node is a polling receive that would miss.
+  bool IdlePassMisses() const;
   void StartNode(graph::Node* node);
   void StartCompute(graph::Node* node);
   void StartSend(graph::Node* node);

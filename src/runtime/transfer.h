@@ -66,6 +66,14 @@ class TransferMechanism {
   virtual bool TryRecv(const graph::TransferEdge& edge, tensor::Tensor* out) {
     return false;
   }
+  // kPolling only: whether TryRecv(edge) would fail now having done nothing
+  // but MissedRecv(edge). Pure, so a poller can predict a pass of misses and
+  // charge it without polling.
+  virtual bool RecvWouldMiss(const graph::TransferEdge& edge) const { return true; }
+  // kPolling only: the observations a missed TryRecv(edge) makes: the
+  // protocol checker's poll record, so callers may skip it when no
+  // check::RdmaCheck is installed.
+  virtual void MissedRecv(const graph::TransferEdge& edge) {}
 
   // kAsync only: registers the one-shot arrival callback for this step.
   virtual void RecvAsync(const graph::TransferEdge& edge,

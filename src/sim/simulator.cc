@@ -9,8 +9,74 @@ SchedulePolicy::~SchedulePolicy() = default;
 void SchedulePolicy::BeginEvent(int64_t /*time*/, uint64_t /*seq*/) {}
 void SchedulePolicy::EndEvent(int64_t /*time*/, uint64_t /*seq*/) {}
 
+void Simulator::ArmPoll(int64_t delay, Poller* poller, uint64_t tag, bool jittered,
+                        std::shared_ptr<void> keep_alive) {
+  if (policy_ != nullptr) {
+    Callback cb = TickEvent(poller, tag, jittered, std::move(keep_alive));
+    if (jittered) {
+      ScheduleAfterJittered(delay, std::move(cb));
+    } else {
+      ScheduleAfter(delay, std::move(cb));
+    }
+    return;
+  }
+  CHECK_GE(delay, 0);
+  ticks_.push_back(
+      PollTick{now_ + delay, next_seq_++, poller, tag, jittered, std::move(keep_alive)});
+  std::push_heap(ticks_.begin(), ticks_.end(), std::greater<PollTick>{});
+}
+
+Simulator::Callback Simulator::TickEvent(Poller* poller, uint64_t tag, bool jittered,
+                                         std::shared_ptr<void> keep_alive) {
+  return [this, poller, tag, jittered, keep_alive = std::move(keep_alive)] {
+    const int64_t next = poller->Tick(tag);
+    if (next != Poller::kFired) ArmPoll(next, poller, tag, jittered, keep_alive);
+  };
+}
+
+void Simulator::set_schedule_policy(SchedulePolicy* policy) {
+  policy_ = policy;
+  if (policy_ == nullptr) return;
+  for (PollTick& t : ticks_) {
+    heap_.push_back(
+        Event{t.time, t.seq, TickEvent(t.poller, t.tag, t.jittered, std::move(t.keep_alive))});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+  }
+  ticks_.clear();
+}
+
+void Simulator::StepTick() {
+  const PollTick& tick = ticks_.front();
+  CHECK_GE(tick.time, now_);
+  now_ = tick.time;
+  const int64_t next = tick.poller->Tick(tick.tag);
+  CHECK(policy_ == nullptr) << "a poll tick may not install a SchedulePolicy";
+  // Ticks armed during Tick() have later keys, so this one is still the root.
+  if (next == Poller::kFired) {
+    ++events_dispatched_;
+    std::pop_heap(ticks_.begin(), ticks_.end(), std::greater<PollTick>{});
+    ticks_.pop_back();
+    return;
+  }
+  // A miss: re-key the tick where the re-armed event would have taken its
+  // seq (no policy is installed, so a jittered delay stays as it is), then
+  // sift the root down; its key only grew.
+  CHECK_GE(next, 0);
+  ticks_.front().time = now_ + next;
+  ticks_.front().seq = next_seq_++;
+  for (size_t i = 0, child; (child = 2 * i + 1) < ticks_.size(); i = child) {
+    if (child + 1 < ticks_.size() && ticks_[child] > ticks_[child + 1]) ++child;
+    if (!(ticks_[i] > ticks_[child])) break;
+    std::swap(ticks_[i], ticks_[child]);
+  }
+}
+
 bool Simulator::Step() {
   if (policy_ != nullptr) return StepWithPolicy();
+  if (!ticks_.empty() && TickIsNext()) {
+    StepTick();
+    return true;
+  }
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
   Event ev = std::move(heap_.back());
@@ -77,18 +143,14 @@ Status Simulator::Run(uint64_t max_events) {
 Status Simulator::RunUntil(int64_t deadline, uint64_t max_events) {
   stop_requested_ = false;
   uint64_t fired = 0;
-  while (!stop_requested_ && !heap_.empty() && NextEvent().time <= deadline) {
+  while (!stop_requested_ && !empty() && NextTime() <= deadline) {
     if (fired++ >= max_events) {
       return Status(StatusCode::kDeadlineExceeded,
                     "simulator event cap hit; likely a polling livelock");
     }
     Step();
   }
-  if (now_ < deadline && heap_.empty()) {
-    now_ = deadline;  // Idle time passes even with nothing scheduled.
-  } else if (now_ < deadline) {
-    now_ = deadline;
-  }
+  if (now_ < deadline) now_ = deadline;  // Idle time passes even with nothing scheduled.
   return OkStatus();
 }
 
@@ -117,11 +179,11 @@ Status Simulator::RunUntilPredicateOrDeadline(const std::function<bool()>& done,
       return Status(StatusCode::kDeadlineExceeded,
                     "simulator event cap hit; likely a polling livelock");
     }
-    if (heap_.empty()) {
+    if (empty()) {
       return Status(StatusCode::kFailedPrecondition,
                     "event queue drained before predicate became true");
     }
-    if (NextEvent().time > deadline) {
+    if (NextTime() > deadline) {
       if (now_ < deadline) now_ = deadline;
       return Status(StatusCode::kDeadlineExceeded,
                     "virtual-time deadline reached before predicate became true");

@@ -4,6 +4,9 @@
 // worker contexts) are driven by one Simulator instance: they schedule
 // callbacks at virtual times and the kernel dispatches them in (time, seq)
 // order, so a run is fully deterministic and independent of wall-clock speed.
+// Flag pollers arm ticks instead (ArmPoll): a tick holds the same (time, seq)
+// key an event would, but a missed poll re-keys it in place rather than
+// costing an event.
 //
 // Virtual time is int64 nanoseconds.
 #ifndef RDMADL_SRC_SIM_SIMULATOR_H_
@@ -12,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/util/logging.h"
@@ -55,6 +59,21 @@ class SchedulePolicy {
   virtual void EndEvent(int64_t time, uint64_t seq);
 };
 
+// A flag poller (§4 polling-async) driven by ArmPoll ticks. Tick() runs at
+// each armed tick and either reports a miss — nothing changed but the
+// poller's own miss accounting — by returning the delay (>= 0) to its next
+// tick, or returns kFired after doing work (re-arming itself if it wants to
+// keep polling). A poller must outlive every tick it has armed; ArmPoll's
+// |keep_alive| can guarantee that.
+class Poller {
+ public:
+  static constexpr int64_t kFired = -1;
+  virtual int64_t Tick(uint64_t tag) = 0;
+
+ protected:
+  ~Poller() = default;
+};
+
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -91,14 +110,27 @@ class Simulator {
     ScheduleAfter(delay, std::move(cb));
   }
 
+  // Arms one tick of |poller|, tagged |tag|, |delay| ns from now, under the
+  // (time, seq) key ScheduleAfter (or, if |jittered|,
+  // ScheduleAfterJittered) would give an event here. A tick that misses is
+  // re-keyed under the next seq at the point where a re-armed event would
+  // have taken it, so the dispatch order is that of a poll-event chain. The
+  // tick holds |keep_alive| (if set) until it fires or the simulator dies.
+  void ArmPoll(int64_t delay, Poller* poller, uint64_t tag, bool jittered,
+               std::shared_ptr<void> keep_alive = nullptr);
+
   // Installs (or clears, with nullptr) the dispatch policy. The policy must
-  // outlive every Run/Step call made while it is installed.
-  void set_schedule_policy(SchedulePolicy* policy) { policy_ = policy; }
+  // outlive every Run/Step call made while it is installed. Under a policy,
+  // ticks are ordinary events with the same keys (armed ones move into the
+  // event queue here), so the policy sees every poll.
+  void set_schedule_policy(SchedulePolicy* policy);
   SchedulePolicy* schedule_policy() const { return policy_; }
 
   // Runs events until the queue drains, |max_events| fire, or Stop() is
   // called. Returns kDeadlineExceeded if the event cap was hit (usually a
-  // livelock, e.g. two pollers rescheduling each other forever).
+  // livelock, e.g. two pollers rescheduling each other forever). Every
+  // limit below counts missed poll ticks as events, and the queue is not
+  // drained while a tick is armed.
   Status Run(uint64_t max_events = kDefaultMaxEvents);
 
   // Runs until virtual time reaches |deadline| (events at t > deadline stay
@@ -119,11 +151,14 @@ class Simulator {
   // Makes the current Run() call return after the in-flight event completes.
   void Stop() { stop_requested_ = true; }
 
-  // Number of events dispatched since construction.
+  // Number of events dispatched since construction: scheduled callbacks and
+  // poll ticks that fired. A missed poll tick is not an event.
   uint64_t events_dispatched() const { return events_dispatched_; }
 
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return heap_.empty() && ticks_.empty(); }
 
+  // Cap on events per Run* call, missed poll ticks included: a poller that
+  // never fires still ends in kDeadlineExceeded.
   static constexpr uint64_t kDefaultMaxEvents = 500'000'000;
 
   // Backing storage reserved up front: a steady-state training step keeps
@@ -143,15 +178,52 @@ class Simulator {
     }
   };
 
-  // Pops and dispatches one event. Returns false when the queue is empty.
+  // An armed poll tick: the (time, seq) key of the event it stands for.
+  struct PollTick {
+    int64_t time;
+    uint64_t seq;
+    Poller* poller;
+    uint64_t tag;
+    bool jittered;
+    std::shared_ptr<void> keep_alive;
+
+    bool operator>(const PollTick& other) const {
+      if (time != other.time) return time > other.time;
+      return seq > other.seq;
+    }
+  };
+
+  // The event that runs |poller|'s tick under a policy.
+  Callback TickEvent(Poller* poller, uint64_t tag, bool jittered,
+                     std::shared_ptr<void> keep_alive);
+
+  // Pops and dispatches one event or poll tick, whichever has the smaller
+  // key. Returns false when both queues are empty.
   bool Step();
+
+  // Runs the earliest armed tick (callers must check ticks_ is non-empty).
+  void StepTick();
 
   // Step() with a SchedulePolicy installed: gathers the group of events tied
   // at the earliest time and lets the policy pick which one runs.
   bool StepWithPolicy();
 
-  // Earliest queued event (callers must check empty() first).
-  const Event& NextEvent() const { return heap_.front(); }
+  // Whether the earliest armed tick precedes the earliest event (callers
+  // must check ticks_ is non-empty).
+  bool TickIsNext() const {
+    if (heap_.empty()) return true;
+    const PollTick& t = ticks_.front();
+    const Event& e = heap_.front();
+    return t.time != e.time ? t.time < e.time : t.seq < e.seq;
+  }
+
+  // Time of the earliest queued event or tick (callers must check empty()
+  // first).
+  int64_t NextTime() const {
+    if (ticks_.empty()) return heap_.front().time;
+    if (heap_.empty()) return ticks_.front().time;
+    return std::min(ticks_.front().time, heap_.front().time);
+  }
 
   int64_t now_ = 0;
   uint64_t next_seq_ = 0;
@@ -163,6 +235,8 @@ class Simulator {
   // const_cast a priority_queue's const top() forces, and the vector's
   // capacity survives drain/refill cycles.
   std::vector<Event> heap_;
+  // Min-heap on (time, seq) of the armed poll ticks; empty under a policy.
+  std::vector<PollTick> ticks_;
   SchedulePolicy* policy_ = nullptr;
   // Scratch for StepWithPolicy, kept as members so their capacity survives
   // across steps (the policy path re-heapifies the unchosen tie members).

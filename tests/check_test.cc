@@ -598,6 +598,35 @@ TEST_F(RdmaCheckSessionTest, PrematureFlagTrustOnZeroCopyReceiveIsDetected) {
   EXPECT_GE(checker.count(DiagKind::kPrematureFlagRead), 1) << checker.Report();
 }
 
+TEST_F(RdmaCheckSessionTest, ExecutorPollsOfAFlagThatNeverLandsReachTheChecker) {
+  // The seeded bug drops the sender's flag write, so the worker's receive
+  // misses every poll until the step deadline. Each idle pass of the
+  // executor polls it, and every poll must reach the checker: the stall
+  // report names the receive flag with its poll count.
+  RdmaCheck checker;
+  Graph graph;
+  std::unique_ptr<Cluster> cluster;
+  BuildWorld(&graph, &cluster, ops::ComputeMode::kReal);
+  auto mechanism =
+      std::make_unique<comm::ZeroCopyRdmaMechanism>(cluster.get(), comm::ZeroCopyOptions{});
+  SessionOptions options;
+  options.step_timeout_ns = sim::Milliseconds(5);
+  DistributedSession session(cluster.get(), mechanism.get(), &graph, options);
+  ASSERT_TRUE(session.Setup().ok());
+  check::ScopedMutation mutation(check::kSkipFlagWrite);
+  const Status status = session.RunStep();
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
+  ASSERT_EQ(session.transfer_edges().size(), 1u);
+  const std::string& edge_key = session.transfer_edges()[0].key;
+  bool named = false;
+  for (const RdmaCheck::PendingFlag& flag : checker.PendingFlags()) {
+    if (flag.edge_key != edge_key) continue;
+    named = true;
+    EXPECT_GE(flag.polls, 2u);
+  }
+  EXPECT_TRUE(named) << "no pending flag for edge " << edge_key << "\n" << checker.Report();
+}
+
 TEST_F(RdmaCheckSessionTest, MechanismTeardownReturnsFlagSourceCarveOuts) {
   // Targeted regression for the flag-source leak: after the mechanism dies,
   // the sender's meta arena must be completely empty again.

@@ -9,6 +9,38 @@ namespace rdmadl {
 namespace sim {
 namespace {
 
+// Misses |misses| ticks |interval| ns apart, then fires once, logging |id|.
+class TestPoller : public Poller {
+ public:
+  TestPoller(int id, int misses, int64_t interval, std::vector<int>* log)
+      : id_(id), misses_(misses), interval_(interval), log_(log) {}
+
+  int64_t Tick(uint64_t /*tag*/) override {
+    ++ticks_;
+    if (misses_ < 0 || misses_-- > 0) return interval_;  // misses < 0: forever.
+    log_->push_back(id_);
+    return kFired;
+  }
+  int ticks() const { return ticks_; }
+
+ private:
+  int id_;
+  int misses_;
+  int64_t interval_;
+  std::vector<int>* log_;
+  int ticks_ = 0;
+};
+
+// Records every tie set it is shown and always picks the canonical order.
+class RecordingPolicy : public SchedulePolicy {
+ public:
+  uint32_t PickTied(const std::vector<uint64_t>& seqs) override {
+    tie_sets.push_back(seqs);
+    return 0;
+  }
+  std::vector<std::vector<uint64_t>> tie_sets;
+};
+
 TEST(SimulatorTest, StartsAtTimeZero) {
   Simulator s;
   EXPECT_EQ(s.Now(), 0);
@@ -34,6 +66,34 @@ TEST(SimulatorTest, EqualTimeEventsRunInScheduleOrder) {
   }
   ASSERT_TRUE(s.Run().ok());
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(SimulatorTest, EqualTimePollTicksAndEventsRunInArmOrder) {
+  Simulator s;
+  std::vector<int> order;
+  TestPoller first(0, 0, 0, &order);
+  TestPoller third(2, 0, 0, &order);
+  s.ArmPoll(50, &first, 0, /*jittered=*/false);
+  s.ScheduleAt(50, [&] { order.push_back(1); });
+  s.ArmPoll(50, &third, 0, /*jittered=*/true);
+  s.ScheduleAt(50, [&] { order.push_back(3); });
+  ASSERT_TRUE(s.Run().ok());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimulatorTest, MissedTickTakesItsSeqWhereARearmedEventWould) {
+  // A poller missing at t=10 re-keys its tick to t=20 under the seq an event
+  // re-armed at that instant would take: after the event scheduled (at
+  // t=0) for t=20, and before the one scheduled after the miss.
+  Simulator s;
+  std::vector<int> order;
+  TestPoller poller(1, 1, 10, &order);
+  s.ArmPoll(10, &poller, 0, /*jittered=*/false);
+  s.ScheduleAt(20, [&] { order.push_back(0); });
+  s.ScheduleAt(15, [&] { s.ScheduleAt(20, [&] { order.push_back(2); }); });
+  ASSERT_TRUE(s.Run().ok());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(s.Now(), 20);
 }
 
 TEST(SimulatorTest, ScheduleAfterIsRelative) {
@@ -89,6 +149,32 @@ TEST(SimulatorTest, RunUntilPredicate) {
   EXPECT_EQ(count, 5);
 }
 
+TEST(SimulatorTest, ArmedTickKeepsTheQueueUndrained) {
+  Simulator s;
+  std::vector<int> fired;
+  TestPoller poller(7, 5, 10, &fired);
+  s.ArmPoll(10, &poller, 0, /*jittered=*/false);
+  EXPECT_FALSE(s.empty());
+  ASSERT_TRUE(s.RunUntilPredicate([&] { return !fired.empty(); }).ok());
+  EXPECT_EQ(fired, (std::vector<int>{7}));
+  EXPECT_EQ(s.Now(), 60);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(SimulatorTest, RunUntilLeavesLaterTicksArmed) {
+  Simulator s;
+  std::vector<int> fired;
+  TestPoller poller(1, 3, 100, &fired);
+  s.ArmPoll(100, &poller, 0, /*jittered=*/false);
+  ASSERT_TRUE(s.RunUntil(250).ok());
+  EXPECT_EQ(poller.ticks(), 2);  // Misses at t=100 and t=200.
+  EXPECT_EQ(s.Now(), 250);
+  EXPECT_FALSE(s.empty());
+  ASSERT_TRUE(s.Run().ok());
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(s.Now(), 400);
+}
+
 TEST(SimulatorTest, RunUntilPredicateFailsOnDrain) {
   Simulator s;
   s.ScheduleAfter(10, [] {});
@@ -101,6 +187,19 @@ TEST(SimulatorTest, EventCapDetectsLivelock) {
   std::function<void()> spin = [&]() { s.ScheduleAfter(1, spin); };
   s.ScheduleAfter(0, spin);
   Status st = s.Run(/*max_events=*/1000);
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+
+  // A poller that never fires is a livelock too: its misses count against
+  // the cap, though not as dispatched events.
+  Simulator p;
+  std::vector<int> fired;
+  TestPoller forever(0, /*misses=*/-1, 1, &fired);
+  p.ArmPoll(0, &forever, 0, /*jittered=*/false);
+  st = p.Run(/*max_events=*/1000);
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(forever.ticks(), 1000);
+  EXPECT_EQ(p.events_dispatched(), 0u);
+  st = p.RunUntilPredicate([] { return false; }, /*max_events=*/10);
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -121,6 +220,37 @@ TEST(SimulatorTest, CountsDispatchedEvents) {
   for (int i = 0; i < 7; ++i) s.ScheduleAfter(i, [] {});
   ASSERT_TRUE(s.Run().ok());
   EXPECT_EQ(s.events_dispatched(), 7u);
+
+  // Three missed ticks are not events; the tick that fires is one.
+  std::vector<int> fired;
+  TestPoller poller(0, 3, 5, &fired);
+  s.ArmPoll(5, &poller, 0, /*jittered=*/false);
+  ASSERT_TRUE(s.Run().ok());
+  EXPECT_EQ(poller.ticks(), 4);
+  EXPECT_EQ(s.events_dispatched(), 8u);
+}
+
+TEST(SimulatorTest, PolicySeesArmedTicksAsEvents) {
+  // Ticks armed before a policy is installed join the event queue under
+  // their own seqs, so the policy's tie sets are those of a poll-event chain.
+  Simulator s;
+  std::vector<int> order;
+  TestPoller a(0, 1, 10, &order);
+  TestPoller b(1, 0, 0, &order);
+  s.ArmPoll(10, &a, 0, /*jittered=*/true);     // seq 0
+  s.ScheduleAt(10, [&] { order.push_back(2); });  // seq 1
+  s.ArmPoll(10, &b, 0, /*jittered=*/false);    // seq 2
+  s.ScheduleAt(20, [&] { order.push_back(3); });  // seq 3
+  RecordingPolicy policy;
+  s.set_schedule_policy(&policy);
+  ASSERT_TRUE(s.Run().ok());
+  s.set_schedule_policy(nullptr);
+  // t=10: {0, 1, 2}; a misses and re-arms for t=20 under seq 4.
+  // t=10: {1, 2}; t=20: {3, 4}.
+  EXPECT_EQ(policy.tie_sets, (std::vector<std::vector<uint64_t>>{{0, 1, 2}, {1, 2}, {3, 4}}));
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3, 0}));
+  // Under a policy every tick is an event, misses included.
+  EXPECT_EQ(s.events_dispatched(), 5u);
 }
 
 TEST(DurationHelpersTest, Conversions) {
