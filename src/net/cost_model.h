@@ -114,12 +114,12 @@ struct CostModel {
   // Polling-async scheduling (§4): cost of one flag check, and the idle retry
   // interval when a poller has nothing else to run. On real hardware a
   // poller simply spins on an idle core; in the discrete-event simulation
-  // each retry is a poll tick (sim::Simulator::ArmPoll: a miss costs a heap
-  // re-key, not an event), and the interval backs off exponentially up to
-  // the max while nothing arrives (resetting on any progress):
-  // IdlePollBackoffNs below, validated by IdlePollScheduleError. The max
-  // bounds the added latency at a value negligible against multi-ms tensor
-  // transfers.
+  // each retry is a poll tick (sim::Simulator::ArmPoll: a miss moves the
+  // tick to the back of a FIFO, not an event), and the interval backs off
+  // exponentially up to the max while nothing arrives (resetting on any
+  // progress): IdlePollBackoffNs below, validated by IdlePollScheduleError.
+  // The max bounds the added latency at a value negligible against multi-ms
+  // tensor transfers.
   int64_t flag_poll_cost_ns = 80;
   int64_t idle_poll_interval_ns = 1'000;
   int64_t idle_poll_max_interval_ns = 16'000;

@@ -14,11 +14,12 @@ namespace net {
 
 namespace internal {
 
-// Shared state for one bulk transfer's per-segment delivery events. Plain
-// pointer, not a shared_ptr: each event closure captures only
-// {TransferProgress*, segment index} — 16 trivially-copyable bytes, which
-// fits std::function's inline buffer — so scheduling a segment allocates
-// nothing. Blocks are owned and recycled by the Fabric (its progress
+// Shared state for one bulk transfer's delivery events. Plain pointer, not
+// a shared_ptr: each event closure captures only {TransferProgress*, first
+// segment, last segment} — 16 trivially-copyable bytes, which fits
+// std::function's inline buffer — so scheduling an event allocates nothing.
+// An event delivers the segments folded into it (see Fabric::Transfer) and
+// then its own. Blocks are owned and recycled by the Fabric (its progress
 // freelist); the last event to fire hands the block back.
 struct TransferProgress {
   struct Segment {
@@ -34,6 +35,7 @@ struct TransferProgress {
   uint64_t check_id = 0;
   int src = 0;
   int dst = 0;
+  uint32_t events = 0;  // Delivery events scheduled.
   uint32_t fired = 0;
   std::vector<Segment> segments;
   std::function<void(uint64_t, uint64_t)> on_chunk;
@@ -47,6 +49,7 @@ struct TransferProgress {
     check_id = 0;
     src = 0;
     dst = 0;
+    events = 0;
     fired = 0;
     segments.clear();
     on_chunk = nullptr;
@@ -54,11 +57,17 @@ struct TransferProgress {
     on_ecn = nullptr;
   }
 
-  void Deliver(uint32_t index);
+  // The event of segment |last|: delivers segments [first, last] in order.
+  void Deliver(uint32_t first, uint32_t last);
+  void DeliverSegment(const Segment& seg);
 };
 
-void TransferProgress::Deliver(uint32_t index) {
-  const Segment& seg = segments[index];
+void TransferProgress::Deliver(uint32_t first, uint32_t last) {
+  for (uint32_t i = first; i <= last; ++i) DeliverSegment(segments[i]);
+  if (++fired == events) fabric->RecycleProgress(this);
+}
+
+void TransferProgress::DeliverSegment(const Segment& seg) {
   if (seg.dropped) {
     // A lost segment truncates the transfer: the in-order transport delivers
     // nothing past the gap, so earlier segments land normally and the
@@ -91,7 +100,6 @@ void TransferProgress::Deliver(uint32_t index) {
       }
     }
   }
-  if (++fired == segments.size()) fabric->RecycleProgress(this);
 }
 
 }  // namespace internal
@@ -211,7 +219,8 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
                       int64_t initiation_delay_ns,
                       std::function<void(uint64_t, uint64_t)> on_chunk,
                       std::function<void(Status)> on_complete,
-                      std::function<void(int64_t)> on_ecn) {
+                      std::function<void(int64_t)> on_ecn,
+                      std::span<const StreamRange> observed) {
   Host* src_host = host(src);
   Host* dst_host = host(dst);
 
@@ -282,10 +291,11 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
     latency += fault_->DrawJitterNs(src, dst);
   }
 
-  // Delivery granularity: MTU-sized for small transfers (fine-grained partial
+  // Segment size: MTU-sized for small transfers (fine-grained partial
   // visibility for the flag-byte protocol), scaled up for very large ones so
-  // one transfer costs a bounded number of simulation events. Ascending-order
-  // delivery semantics are identical either way.
+  // one transfer is about 64 segments of link arithmetic. Ascending-order
+  // delivery semantics are identical either way; how many of the segments
+  // cost a delivery event is decided after the loop below.
   constexpr uint64_t kMaxChunksPerTransfer = 64;
   const uint64_t chunk_size =
       std::max<uint64_t>(cost_.rdma_mtu_bytes, bytes / kMaxChunksPerTransfer);
@@ -433,9 +443,36 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
     offset += len;
   }
 
-  for (uint32_t i = 0; i < progress->segments.size(); ++i) {
-    simulator_->ScheduleAt(progress->segments[i].deliver_at,
-                           [progress, i]() { progress->Deliver(i); });
+  // One delivery event per segment someone can observe at its own time; the
+  // rest fold into the next event, which delivers them first. A segment
+  // keeps its event when it is the last (completion or failure), carries an
+  // ECN mark (the CNP keeps its time), overlaps an |observed| range, or
+  // would land after the next segment (folding it would deliver it early;
+  // only the segment before a drop can). The events still come from this
+  // one loop in ascending seq, so dropping some keeps the relative order of
+  // the rest against every other event. Under an RdmaCheck or a
+  // SchedulePolicy each segment is an event the checker or explorer sees.
+  const bool fold = check_id == 0 && simulator_->schedule_policy() == nullptr;
+  const std::vector<internal::TransferProgress::Segment>& segments = progress->segments;
+  const uint32_t n = static_cast<uint32_t>(segments.size());
+  size_t range = 0;  // |observed| ascends like the segments do.
+  uint32_t first = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const internal::TransferProgress::Segment& seg = segments[i];
+    if (fold && i + 1 < n && !seg.dropped && !seg.ecn &&
+        seg.deliver_at <= segments[i + 1].deliver_at) {
+      while (range < observed.size() &&
+             observed[range].offset + observed[range].length <= seg.offset) {
+        ++range;
+      }
+      const bool seen =
+          range < observed.size() && observed[range].offset < seg.offset + seg.length;
+      if (!seen) continue;
+    }
+    ++progress->events;
+    simulator_->ScheduleAt(seg.deliver_at,
+                           [progress, first, i]() { progress->Deliver(first, i); });
+    first = i + 1;
   }
 }
 

@@ -1,11 +1,12 @@
 // Simulated cluster fabric: hosts connected by a full-bisection network.
 //
 // Each host has one egress and one ingress link; a transfer occupies the
-// source egress and destination ingress for bytes/bandwidth seconds (chunked
-// at a configurable granularity so concurrent transfers share bandwidth
-// fairly), then lands after the plane's one-way latency. Both the RDMA plane
-// and the TCP plane run over the same physical links but with different
-// effective bandwidths and latencies from the CostModel.
+// source egress and destination ingress for bytes/bandwidth seconds (split
+// into segments of one MTU, or of bytes/64 above 64 MTUs, so concurrent
+// transfers share bandwidth fairly), then lands after the plane's one-way
+// latency. Both the RDMA plane and the TCP plane run over the same physical
+// links but with different effective bandwidths and latencies from the
+// CostModel.
 #ifndef RDMADL_SRC_NET_FABRIC_H_
 #define RDMADL_SRC_NET_FABRIC_H_
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -189,6 +191,12 @@ class Host {
 // Which plane a transfer runs on; selects bandwidth/latency constants.
 enum class Plane { kRdma, kTcp };
 
+// A byte range [offset, offset + length) of one transfer's stream.
+struct StreamRange {
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+
 struct TransferStats {
   uint64_t transfers = 0;
   uint64_t bytes = 0;
@@ -220,6 +228,17 @@ class Fabric {
   // starts after |initiation_delay_ns| of sender-side processing (e.g. NIC
   // WQE fetch) from the current virtual time.
   //
+  // |observed| names the stream ranges someone can see land (bytes copied
+  // into memory, flag bytes), in ascending offset order; it is read only
+  // during the call. A segment
+  // overlapping one of them gets |on_chunk| at its own delivery time. Any
+  // other segment may be delivered together with the transfer's next
+  // delivery event, in order and never before its own time — so an
+  // |on_chunk| that only advances unobserved bookkeeping sees the same
+  // sequence of calls, just not at distinct instants. Completion, failure
+  // and ECN feedback always keep their own times, and with an RdmaCheck or
+  // a SchedulePolicy installed every segment is its own event.
+  //
   // |on_ecn| (optional) fires once per delivered segment that was ECN-marked
   // by a congested queue on its path, at the segment's delivery time — the
   // hook the RDMA layer uses to generate CNPs back to the sending QP. Never
@@ -228,7 +247,8 @@ class Fabric {
   void Transfer(int src, int dst, uint64_t bytes, Plane plane, int64_t initiation_delay_ns,
                 std::function<void(uint64_t offset, uint64_t length)> on_chunk,
                 std::function<void(Status)> on_complete,
-                std::function<void(int64_t deliver_ns)> on_ecn = nullptr);
+                std::function<void(int64_t deliver_ns)> on_ecn = nullptr,
+                std::span<const StreamRange> observed = {});
 
   // Attaches a fault injector (nullptr to detach). Down windows configured on
   // the injector are installed onto the hosts' egress/ingress links at attach

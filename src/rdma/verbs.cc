@@ -353,6 +353,19 @@ void QueuePair::ExecuteWrite() {
     cursor_base_ = 0;
   }
   delivered_ = resume_at;
+  // The stream ranges that land in memory: a virtual payload (copy_bytes
+  // unset) only advances the scatter cursor, so the fabric may fold its
+  // segments into the next delivery event.
+  observed_.clear();
+  uint64_t base = 0;
+  for (const SendWorkRequest& wr : current_) {
+    const uint64_t end = base + wr.TotalBytes();
+    if (wr.copy_bytes && end > resume_at && end > base) {
+      const uint64_t from = std::max(base, resume_at) - resume_at;
+      observed_.push_back(net::StreamRange{from, end - resume_at - from});
+    }
+    base = end;
+  }
   // One wire stream carries every extent in list order. Fabric delivery is
   // ascending in stream offset, so each extent receives its bytes in
   // ascending address order: the §3.2 guarantee, per WR and per extent. The
@@ -395,7 +408,7 @@ void QueuePair::ExecuteWrite() {
         }
       },
       [this](Status status) { CompleteWire(status); },
-      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
+      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); }, observed_);
 }
 
 void QueuePair::ExecuteRead() {
@@ -418,6 +431,7 @@ void QueuePair::ExecuteRead() {
       nic_->cost().rdma_nic_processing_ns + nic_->cost().rdma_one_way_latency_ns +
       nic_->cost().rdma_nic_processing_ns + EngineDelayNs(wr.length) +
       DcqcnDelayNs(wr.length);
+  const net::StreamRange whole{0, wr.length};
   nic_->fabric()->Transfer(
       target_nic->host_id(), nic_->host_id(), wr.length, net::Plane::kRdma, request_trip,
       [this](uint64_t offset, uint64_t length) {
@@ -428,7 +442,9 @@ void QueuePair::ExecuteRead() {
         }
       },
       [this](Status status) { CompleteWire(status); },
-      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
+      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); },
+      wr.copy_bytes ? std::span<const net::StreamRange>(&whole, 1)
+                    : std::span<const net::StreamRange>());
 }
 
 void QueuePair::ExecuteSend() {

@@ -309,6 +309,10 @@ class QueuePair {
   // Stream bytes delivered by the in-flight write, kept only to feed the
   // check::kRetryKeepsCursor mutation (resume-from-cursor-on-retry bug).
   uint64_t delivered_ = 0;
+  // The in-flight write's stream ranges that land in memory (its WRs with
+  // copy_bytes set), rebuilt on every execute; a member so the write path
+  // allocates nothing once it has grown.
+  std::vector<net::StreamRange> observed_;
   Status pending_status_;     // List-wide completion status (cq_poll delay).
   std::deque<Batch> send_queue_;
   std::deque<RecvWorkRequest> recv_queue_;

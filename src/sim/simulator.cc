@@ -21,9 +21,31 @@ void Simulator::ArmPoll(int64_t delay, Poller* poller, uint64_t tag, bool jitter
     return;
   }
   CHECK_GE(delay, 0);
-  ticks_.push_back(
+  LaneFor(delay).ticks.push_back(
       PollTick{now_ + delay, next_seq_++, poller, tag, jittered, std::move(keep_alive)});
-  std::push_heap(ticks_.begin(), ticks_.end(), std::greater<PollTick>{});
+  ++num_ticks_;
+}
+
+Simulator::TickLane& Simulator::LaneFor(int64_t delay) {
+  TickLane* empty = nullptr;
+  for (TickLane& lane : lanes_) {
+    if (lane.delay == delay) return lane;
+    if (empty == nullptr && lane.ticks.empty()) empty = &lane;
+  }
+  if (empty == nullptr) empty = &lanes_.emplace_back();
+  empty->delay = delay;
+  return *empty;
+}
+
+size_t Simulator::EarliestLane() const {
+  size_t best = lanes_.size();
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].ticks.empty()) continue;
+    if (best == lanes_.size() || Before(lanes_[i].ticks.front(), lanes_[best].ticks.front())) {
+      best = i;
+    }
+  }
+  return best;
 }
 
 Simulator::Callback Simulator::TickEvent(Poller* poller, uint64_t tag, bool jittered,
@@ -37,45 +59,51 @@ Simulator::Callback Simulator::TickEvent(Poller* poller, uint64_t tag, bool jitt
 void Simulator::set_schedule_policy(SchedulePolicy* policy) {
   policy_ = policy;
   if (policy_ == nullptr) return;
-  for (PollTick& t : ticks_) {
-    heap_.push_back(
-        Event{t.time, t.seq, TickEvent(t.poller, t.tag, t.jittered, std::move(t.keep_alive))});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+  for (TickLane& lane : lanes_) {
+    for (PollTick& t : lane.ticks) {
+      heap_.push_back(Event{t.time, t.seq,
+                            TickEvent(t.poller, t.tag, t.jittered, std::move(t.keep_alive))});
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
+    }
+    lane.ticks.clear();
   }
-  ticks_.clear();
+  num_ticks_ = 0;
 }
 
-void Simulator::StepTick() {
-  const PollTick& tick = ticks_.front();
+void Simulator::StepTick(size_t lane) {
+  const PollTick& tick = lanes_[lane].ticks.front();
   CHECK_GE(tick.time, now_);
   now_ = tick.time;
   const int64_t next = tick.poller->Tick(tick.tag);
   CHECK(policy_ == nullptr) << "a poll tick may not install a SchedulePolicy";
-  // Ticks armed during Tick() have later keys, so this one is still the root.
+  // Ticks armed during Tick() joined the backs of their lanes (lanes_ may
+  // have grown), so this one is still the front of lanes_[lane].
+  std::deque<PollTick>& ticks = lanes_[lane].ticks;
   if (next == Poller::kFired) {
     ++events_dispatched_;
-    std::pop_heap(ticks_.begin(), ticks_.end(), std::greater<PollTick>{});
-    ticks_.pop_back();
+    ticks.pop_front();
+    --num_ticks_;
     return;
   }
   // A miss: re-key the tick where the re-armed event would have taken its
-  // seq (no policy is installed, so a jittered delay stays as it is), then
-  // sift the root down; its key only grew.
+  // seq (no policy is installed, so a jittered delay stays as it is), at the
+  // back of its new delay's lane.
   CHECK_GE(next, 0);
-  ticks_.front().time = now_ + next;
-  ticks_.front().seq = next_seq_++;
-  for (size_t i = 0, child; (child = 2 * i + 1) < ticks_.size(); i = child) {
-    if (child + 1 < ticks_.size() && ticks_[child] > ticks_[child + 1]) ++child;
-    if (!(ticks_[i] > ticks_[child])) break;
-    std::swap(ticks_[i], ticks_[child]);
-  }
+  PollTick rearmed = std::move(ticks.front());
+  ticks.pop_front();
+  rearmed.time = now_ + next;
+  rearmed.seq = next_seq_++;
+  LaneFor(next).ticks.push_back(std::move(rearmed));
 }
 
 bool Simulator::Step() {
   if (policy_ != nullptr) return StepWithPolicy();
-  if (!ticks_.empty() && TickIsNext()) {
-    StepTick();
-    return true;
+  if (num_ticks_ > 0) {
+    const size_t lane = EarliestLane();
+    if (TickIsNext(lane)) {
+      StepTick(lane);
+      return true;
+    }
   }
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<Event>{});

@@ -5,8 +5,10 @@
 // callbacks at virtual times and the kernel dispatches them in (time, seq)
 // order, so a run is fully deterministic and independent of wall-clock speed.
 // Flag pollers arm ticks instead (ArmPoll): a tick holds the same (time, seq)
-// key an event would, but a missed poll re-keys it in place rather than
-// costing an event.
+// key an event would, but a missed poll re-keys it rather than costing an
+// event. Armed ticks wait in one FIFO per re-arm delay, not in a heap: a
+// delay-d FIFO only ever receives keys (now + d, next seq), so it stays
+// sorted, and the next tick is the smallest FIFO head.
 //
 // Virtual time is int64 nanoseconds.
 #ifndef RDMADL_SRC_SIM_SIMULATOR_H_
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -115,7 +118,9 @@ class Simulator {
   // ScheduleAfterJittered) would give an event here. A tick that misses is
   // re-keyed under the next seq at the point where a re-armed event would
   // have taken it, so the dispatch order is that of a poll-event chain. The
-  // tick holds |keep_alive| (if set) until it fires or the simulator dies.
+  // tick queues at the back of |delay|'s FIFO (a miss moves it to the back
+  // of its next delay's FIFO) and holds |keep_alive| (if set) until it fires
+  // or the simulator dies.
   void ArmPoll(int64_t delay, Poller* poller, uint64_t tag, bool jittered,
                std::shared_ptr<void> keep_alive = nullptr);
 
@@ -155,7 +160,7 @@ class Simulator {
   // poll ticks that fired. A missed poll tick is not an event.
   uint64_t events_dispatched() const { return events_dispatched_; }
 
-  bool empty() const { return heap_.empty() && ticks_.empty(); }
+  bool empty() const { return heap_.empty() && num_ticks_ == 0; }
 
   // Cap on events per Run* call, missed poll ticks included: a poller that
   // never fires still ends in kDeadlineExceeded.
@@ -186,11 +191,15 @@ class Simulator {
     uint64_t tag;
     bool jittered;
     std::shared_ptr<void> keep_alive;
+  };
 
-    bool operator>(const PollTick& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
+  // The armed ticks of one re-arm delay, in ascending (time, seq) order:
+  // every tick enters at the back under (now + delay, next seq), and
+  // neither term ever decreases. An empty lane is reused for the next new
+  // delay, so there are never more lanes than distinct delays armed at once.
+  struct TickLane {
+    int64_t delay = 0;
+    std::deque<PollTick> ticks;
   };
 
   // The event that runs |poller|'s tick under a policy.
@@ -201,28 +210,37 @@ class Simulator {
   // key. Returns false when both queues are empty.
   bool Step();
 
-  // Runs the earliest armed tick (callers must check ticks_ is non-empty).
-  void StepTick();
+  // The lane whose head is the earliest armed tick (callers must check
+  // num_ticks_ is non-zero).
+  size_t EarliestLane() const;
+
+  // The lane ticks re-armed with |delay| queue on.
+  TickLane& LaneFor(int64_t delay);
+
+  // Runs the head of |lane|, the earliest armed tick.
+  void StepTick(size_t lane);
 
   // Step() with a SchedulePolicy installed: gathers the group of events tied
   // at the earliest time and lets the policy pick which one runs.
   bool StepWithPolicy();
 
-  // Whether the earliest armed tick precedes the earliest event (callers
-  // must check ticks_ is non-empty).
-  bool TickIsNext() const {
-    if (heap_.empty()) return true;
-    const PollTick& t = ticks_.front();
-    const Event& e = heap_.front();
-    return t.time != e.time ? t.time < e.time : t.seq < e.seq;
+  // Whether |a|'s (time, seq) key precedes |b|'s (events and ticks).
+  template <typename A, typename B>
+  static bool Before(const A& a, const B& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
+
+  // Whether the head of |lane| precedes the earliest event.
+  bool TickIsNext(size_t lane) const {
+    return heap_.empty() || Before(lanes_[lane].ticks.front(), heap_.front());
   }
 
   // Time of the earliest queued event or tick (callers must check empty()
   // first).
   int64_t NextTime() const {
-    if (ticks_.empty()) return heap_.front().time;
-    if (heap_.empty()) return ticks_.front().time;
-    return std::min(ticks_.front().time, heap_.front().time);
+    if (num_ticks_ == 0) return heap_.front().time;
+    const int64_t tick = lanes_[EarliestLane()].ticks.front().time;
+    return heap_.empty() ? tick : std::min(tick, heap_.front().time);
   }
 
   int64_t now_ = 0;
@@ -235,8 +253,10 @@ class Simulator {
   // const_cast a priority_queue's const top() forces, and the vector's
   // capacity survives drain/refill cycles.
   std::vector<Event> heap_;
-  // Min-heap on (time, seq) of the armed poll ticks; empty under a policy.
-  std::vector<PollTick> ticks_;
+  // The armed poll ticks, one FIFO per re-arm delay; all empty under a
+  // policy. |num_ticks_| counts them across lanes.
+  std::vector<TickLane> lanes_;
+  size_t num_ticks_ = 0;
   SchedulePolicy* policy_ = nullptr;
   // Scratch for StepWithPolicy, kept as members so their capacity survives
   // across steps (the policy path re-heapifies the unchosen tie members).

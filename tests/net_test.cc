@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/net/fabric.h"
@@ -138,6 +140,54 @@ TEST_F(FabricTest, InitiationDelayShiftsCompletion) {
     ASSERT_TRUE(s2.Run().ok());
   }
   EXPECT_EQ(t_delay - t_no_delay, 50'000);
+}
+
+// Observed ranges choose which segments cost a delivery event, never what
+// is delivered: a transfer observed end to end and the same transfer
+// observed nowhere see one ordered chunk sequence and one completion, also
+// when a segment is lost mid-transfer.
+TEST_F(FabricTest, FoldedDeliveryMatchesPerSegmentDelivery) {
+  struct Run {
+    std::vector<std::pair<uint64_t, uint64_t>> chunks;
+    int64_t done_at = -1;
+    StatusCode code = StatusCode::kOk;
+    uint64_t events = 0;
+  };
+  const uint64_t bytes = 32 * cost_.rdma_mtu_bytes;
+  auto run = [&](uint64_t seed, bool observed) {
+    sim::Simulator sim;
+    Fabric fabric(&sim, cost_, 2);
+    sim::FaultInjector injector(seed);
+    sim::LinkFaultSpec spec;
+    spec.drop_probability = 0.05;
+    injector.SetLinkFault(0, 1, spec);
+    fabric.SetFaultInjector(&injector);
+    const StreamRange whole{0, bytes};
+    Run r;
+    fabric.Transfer(
+        0, 1, bytes, Plane::kRdma, 0,
+        [&](uint64_t offset, uint64_t length) { r.chunks.emplace_back(offset, length); },
+        [&](Status s) {
+          r.done_at = sim.Now();
+          r.code = s.code();
+        },
+        nullptr, observed ? std::span<const StreamRange>(&whole, 1) : std::span<const StreamRange>());
+    EXPECT_TRUE(sim.Run().ok());
+    r.events = sim.events_dispatched();
+    return r;
+  };
+  bool saw_mid_drop = false;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const Run each = run(seed, true);
+    const Run folded = run(seed, false);
+    EXPECT_EQ(folded.chunks, each.chunks) << "seed " << seed;
+    EXPECT_EQ(folded.done_at, each.done_at) << "seed " << seed;
+    EXPECT_EQ(folded.code, each.code) << "seed " << seed;
+    EXPECT_EQ(each.events, each.chunks.size() + (each.code == StatusCode::kOk ? 0 : 1));
+    EXPECT_EQ(folded.events, 1u) << "seed " << seed;
+    if (each.code != StatusCode::kOk && each.chunks.size() > 1) saw_mid_drop = true;
+  }
+  EXPECT_TRUE(saw_mid_drop) << "no seed lost a segment mid-transfer";
 }
 
 TEST_F(FabricTest, StatsAccumulatePerPlane) {

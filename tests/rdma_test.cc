@@ -4,6 +4,7 @@
 #include <numeric>
 #include <vector>
 
+#include "src/check/rdma_check.h"
 #include "src/rdma/qp_pool.h"
 #include "src/rdma/verbs.h"
 #include "src/sim/fault.h"
@@ -145,6 +146,125 @@ TEST_F(VerbsTest, WriteSegmentsLandInAscendingAddressOrder) {
   }
   EXPECT_TRUE(saw_partial) << "expected to observe a partially delivered tensor";
   EXPECT_EQ(dst, src);
+}
+
+// ---------------------------------------------------------------------------
+// Delivery folding: a segment nobody can observe (a virtual payload, with
+// copy_bytes unset) is delivered with the transfer's next delivery event
+// instead of costing its own.
+// ---------------------------------------------------------------------------
+
+struct WriteRun {
+  uint64_t events = 0;  // Dispatched from the post to the drained queue.
+  int64_t cqe_at = -1;
+  WorkCompletion wc;
+};
+
+// Posts one 16-MTU write from host 0 to host 1 in a fresh world and runs it.
+WriteRun RunSixteenMtuWrite(bool copy_bytes) {
+  sim::Simulator simulator;
+  net::CostModel cost;
+  net::Fabric fabric(&simulator, cost, 2);
+  RdmaFabric rdma(&fabric);
+  CompletionQueue* cqa = rdma.nic(0)->CreateCompletionQueue();
+  CompletionQueue* cqb = rdma.nic(1)->CreateCompletionQueue();
+  QueuePair* qa = rdma.nic(0)->CreateQueuePair(cqa, cqa);
+  QueuePair* qb = rdma.nic(1)->CreateQueuePair(cqb, cqb);
+  CHECK_OK(qa->Connect(qb));
+  const size_t size = 16 * cost.rdma_mtu_bytes;
+  std::vector<uint8_t> src(size, 0xAB), dst(size, 0);
+  auto src_mr = rdma.nic(0)->RegisterMemory(src.data(), src.size());
+  auto dst_mr = rdma.nic(1)->RegisterMemory(dst.data(), dst.size());
+  CHECK(src_mr.ok() && dst_mr.ok());
+
+  WriteRun run;
+  cqa->SetCompletionHandler([&] {
+    run.cqe_at = simulator.Now();
+    CHECK(cqa->Poll(&run.wc));
+  });
+  SendWorkRequest wr;
+  wr.wr_id = 5;
+  wr.opcode = Opcode::kWrite;
+  wr.local_addr = reinterpret_cast<uint64_t>(src.data());
+  wr.lkey = src_mr->lkey;
+  wr.length = size;
+  wr.remote_addr = reinterpret_cast<uint64_t>(dst.data());
+  wr.rkey = dst_mr->rkey;
+  wr.copy_bytes = copy_bytes;
+  const uint64_t before = simulator.events_dispatched();
+  CHECK_OK(qa->PostSend(wr));
+  CHECK_OK(simulator.Run());
+  run.events = simulator.events_dispatched() - before;
+  CHECK_EQ(dst == src, copy_bytes);
+  return run;
+}
+
+TEST(DeliveryFoldTest, VirtualWriteTakesOneDeliveryEvent) {
+  const WriteRun real = RunSixteenMtuWrite(true);
+  const WriteRun virt = RunSixteenMtuWrite(false);
+  // A checker installed around the test (RDMADL_CHECK) sees every segment.
+  const uint64_t folded = check::RdmaCheck::Current() == nullptr ? 15 : 0;
+  EXPECT_EQ(real.events - virt.events, folded) << "16 delivery events fold into 1";
+  EXPECT_EQ(virt.cqe_at, real.cqe_at);
+  EXPECT_EQ(virt.wc.wr_id, real.wc.wr_id);
+  EXPECT_EQ(virt.wc.opcode, real.wc.opcode);
+  EXPECT_TRUE(virt.wc.status.ok());
+  EXPECT_EQ(virt.wc.byte_len, real.wc.byte_len);
+  EXPECT_EQ(virt.wc.qp_num, real.wc.qp_num);
+}
+
+TEST(DeliveryFoldTest, CheckerSeesEverySegmentOfAVirtualWrite) {
+  const WriteRun before = RunSixteenMtuWrite(false);
+  check::RdmaCheck checker;
+  const WriteRun real = RunSixteenMtuWrite(true);
+  const WriteRun virt = RunSixteenMtuWrite(false);
+  EXPECT_EQ(virt.events, real.events) << "one delivery event per segment";
+  EXPECT_EQ(virt.cqe_at, before.cqe_at);
+}
+
+TEST_F(VerbsTest, FlagsInAVirtualChainLandAtTheirOwnSegmentTimes) {
+  // [virtual payload, flag, virtual payload, flag] in one doorbell chain:
+  // the payload segments fold, but each flag byte is observed memory and
+  // lands at its own segment's time, so flag 1 is visible while flag 2 is
+  // still on the wire.
+  auto [qa, qb] = ConnectedPair(0, 1);
+  const uint64_t payload = 8 * cost_.rdma_mtu_bytes;
+  std::vector<uint8_t> src(payload, 1);
+  std::vector<uint8_t> dst(2 * payload + 2, 0);
+  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
+  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
+  auto write = [&](uint64_t wr_id, uint64_t dst_offset, uint64_t length, bool copy) {
+    SendWorkRequest wr;
+    wr.wr_id = wr_id;
+    wr.opcode = Opcode::kWrite;
+    wr.local_addr = reinterpret_cast<uint64_t>(src.data());
+    wr.lkey = src_mr->lkey;
+    wr.length = length;
+    wr.remote_addr = reinterpret_cast<uint64_t>(dst.data()) + dst_offset;
+    wr.rkey = dst_mr->rkey;
+    wr.copy_bytes = copy;
+    return wr;
+  };
+  ASSERT_TRUE(qa->PostSendBatch({write(1, 0, payload, false), write(2, payload, 1, true),
+                                 write(3, payload + 1, payload, false),
+                                 write(4, 2 * payload + 1, 1, true)})
+                  .ok());
+  const uint8_t& flag1 = dst[payload];
+  const uint8_t& flag2 = dst[2 * payload + 1];
+  bool saw_first_alone = false;
+  for (int step = 0; step < 1000 && flag2 == 0; ++step) {
+    ASSERT_TRUE(simulator_.RunUntil(simulator_.Now() + 500).ok());
+    ASSERT_FALSE(flag2 == 1 && flag1 == 0) << "flag 2 landed before flag 1";
+    if (flag1 == 1 && flag2 == 0) saw_first_alone = true;
+  }
+  EXPECT_TRUE(saw_first_alone) << "flag 1 must land before the chain's last segment";
+  EXPECT_EQ(flag2, 1);
+  ASSERT_TRUE(simulator_.Run().ok());
+  for (uint64_t i = 0; i < payload; ++i) {
+    ASSERT_EQ(dst[i], 0);
+    ASSERT_EQ(dst[payload + 1 + i], 0);
+  }
 }
 
 TEST_F(VerbsTest, OneSidedReadCopiesBytes) {
@@ -649,7 +769,17 @@ TEST_F(VerbsTest, SgPostValidationRejectsBadLists) {
 // semantics, and recovery.
 // ---------------------------------------------------------------------------
 
-TEST_F(VerbsTest, TransportRetryRecoversFromDroppedSegments) {
+// The retry contract on both delivery paths: per-segment events for real
+// bytes, folded delivery for a virtual payload.
+class VerbsRetryTest : public VerbsTest, public ::testing::WithParamInterface<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(CopyBytes, VerbsRetryTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Real" : "Virtual";
+                         });
+
+TEST_P(VerbsRetryTest, TransportRetryRecoversFromDroppedSegments) {
+  const bool copy_bytes = GetParam();
   sim::FaultInjector injector(1);
   sim::LinkFaultSpec spec;
   spec.drop_first_n = 2;  // First two wire attempts lose a segment.
@@ -670,11 +800,13 @@ TEST_F(VerbsTest, TransportRetryRecoversFromDroppedSegments) {
   wr.length = src.size();
   wr.remote_addr = reinterpret_cast<uint64_t>(dst.data());
   wr.rkey = dst_mr->rkey;
+  wr.copy_bytes = copy_bytes;
   ASSERT_TRUE(qa->PostSend(wr).ok());
   ASSERT_TRUE(simulator_.Run().ok());
 
-  // The retransmissions were transparent: one OK completion, correct bytes.
-  EXPECT_EQ(src, dst);
+  // The retransmissions were transparent: one OK completion, correct bytes
+  // (a virtual payload moves none).
+  EXPECT_EQ(src == dst, copy_bytes);
   WorkCompletion wc;
   ASSERT_TRUE(qa->send_cq()->Poll(&wc));
   EXPECT_EQ(wc.wr_id, 11u);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -241,16 +244,116 @@ TEST(SimulatorTest, PolicySeesArmedTicksAsEvents) {
   s.ScheduleAt(10, [&] { order.push_back(2); });  // seq 1
   s.ArmPoll(10, &b, 0, /*jittered=*/false);    // seq 2
   s.ScheduleAt(20, [&] { order.push_back(3); });  // seq 3
+  TestPoller c(4, 0, 0, &order);
+  s.ArmPoll(20, &c, 0, /*jittered=*/false);    // seq 4, another delay's lane
   RecordingPolicy policy;
   s.set_schedule_policy(&policy);
   ASSERT_TRUE(s.Run().ok());
   s.set_schedule_policy(nullptr);
-  // t=10: {0, 1, 2}; a misses and re-arms for t=20 under seq 4.
-  // t=10: {1, 2}; t=20: {3, 4}.
-  EXPECT_EQ(policy.tie_sets, (std::vector<std::vector<uint64_t>>{{0, 1, 2}, {1, 2}, {3, 4}}));
-  EXPECT_EQ(order, (std::vector<int>{2, 1, 3, 0}));
+  // t=10: {0, 1, 2}; a misses and re-arms for t=20 under seq 5.
+  // t=10: {1, 2}; t=20: {3, 4, 5}, then {4, 5}.
+  EXPECT_EQ(policy.tie_sets,
+            (std::vector<std::vector<uint64_t>>{{0, 1, 2}, {1, 2}, {3, 4, 5}, {4, 5}}));
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3, 4, 0}));
   // Under a policy every tick is an event, misses included.
-  EXPECT_EQ(s.events_dispatched(), 5u);
+  EXPECT_EQ(s.events_dispatched(), 6u);
+}
+
+// The poll-tick property scenario: pollers whose miss delays come from a
+// small set (so ticks share lanes and tie with events), some re-arming after
+// they fire, interleaved with event chains on the same delays, driven in
+// random RunUntil slices. Each entry of the log is (poller or chain id, time).
+class PollScenario {
+ public:
+  static constexpr int64_t kDelays[] = {0, 10, 10, 30, 80};
+
+  PollScenario(uint64_t seed, bool ticks) : ticks_(ticks), rng_(seed) {}
+
+  std::vector<std::pair<int, int64_t>> Run() {
+    for (int i = 0; i < 8; ++i) {
+      pollers_.push_back(std::make_unique<RandomPoller>(this, i, rng_.Next()));
+    }
+    for (int i = 0; i < 3; ++i) {
+      chains_.push_back(std::make_unique<EventChain>(this, -1 - i, rng_.Next()));
+    }
+    for (auto& c : chains_) c->Schedule();
+    for (auto& p : pollers_) p->Arm(p->Delay());
+    while (!s_.empty()) {
+      EXPECT_TRUE(s_.RunUntil(s_.Now() + 1 + static_cast<int64_t>(rng_.Uniform(200))).ok());
+    }
+    return log_;
+  }
+
+ private:
+  // Misses with a drawn delay, or fires (and re-arms with a drawn delay
+  // half the time), until its tick budget runs out. Without ticks each arm
+  // is a ScheduleAfter event that re-arms on a miss.
+  class RandomPoller : public Poller {
+   public:
+    RandomPoller(PollScenario* sc, int id, uint64_t seed) : sc_(sc), id_(id), rng_(seed) {}
+
+    int64_t Delay() { return kDelays[rng_.Uniform(std::size(kDelays))]; }
+
+    void Arm(int64_t delay) {
+      if (sc_->ticks_) {
+        sc_->s_.ArmPoll(delay, this, 0, /*jittered=*/false);
+        return;
+      }
+      sc_->s_.ScheduleAfter(delay, [this] {
+        const int64_t next = Tick(0);
+        if (next != kFired) Arm(next);
+      });
+    }
+
+    int64_t Tick(uint64_t /*tag*/) override {
+      sc_->log_.emplace_back(id_, sc_->s_.Now());
+      if (--budget_ <= 0) return kFired;
+      if (rng_.Uniform(16) != 0) return Delay();
+      if (rng_.Uniform(2) == 0) Arm(Delay());
+      return kFired;
+    }
+
+   private:
+    PollScenario* sc_;
+    int id_;
+    Rng rng_;
+    int budget_ = 60;
+  };
+
+  // An event chain: logs, then schedules its next link a drawn delay later.
+  class EventChain {
+   public:
+    EventChain(PollScenario* sc, int id, uint64_t seed) : sc_(sc), id_(id), rng_(seed) {}
+
+    void Schedule() {
+      sc_->s_.ScheduleAfter(kDelays[rng_.Uniform(std::size(kDelays))], [this] {
+        sc_->log_.emplace_back(id_, sc_->s_.Now());
+        if (--left_ > 0) Schedule();
+      });
+    }
+
+   private:
+    PollScenario* sc_;
+    int id_;
+    Rng rng_;
+    int left_ = 40;
+  };
+
+  bool ticks_;
+  Rng rng_;
+  Simulator s_;
+  std::vector<std::unique_ptr<RandomPoller>> pollers_;
+  std::vector<std::unique_ptr<EventChain>> chains_;
+  std::vector<std::pair<int, int64_t>> log_;
+};
+
+TEST(SimulatorTest, PollTicksDispatchLikeRearmedEventChains) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::vector<std::pair<int, int64_t>> ticks = PollScenario(seed, true).Run();
+    const std::vector<std::pair<int, int64_t>> events = PollScenario(seed, false).Run();
+    EXPECT_GT(ticks.size(), 200u) << "seed " << seed;
+    EXPECT_EQ(ticks, events) << "seed " << seed;
+  }
 }
 
 TEST(DurationHelpersTest, Conversions) {
