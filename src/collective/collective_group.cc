@@ -798,13 +798,18 @@ int64_t CollectiveGroup::Waiter::PollDelay() const {
   return delay;
 }
 
-int64_t CollectiveGroup::Waiter::Tick(uint64_t /*tag*/) {
+sim::Poller::Result CollectiveGroup::Waiter::Tick(uint64_t /*tag*/) {
   if (op->finished) return kFired;
   Rank* r = group->ranks_[rank].get();
   if (!check::PollFlag(r->endpoint.host_id, r->flags() + flag_base + next,
                        group->simulator()->Now())) {
     ++misses;
-    return PollDelay();
+    // At the backoff cap, with no checker to tell each poll to, the next
+    // poll misses the same way until something else runs.
+    const net::CostModel& cost = group->cost();
+    return {PollDelay(), check::RdmaCheck::Current() == nullptr &&
+                             net::IdlePollBackoffNs(cost, misses) ==
+                                 net::IdlePollBackoffNs(cost, misses - 1)};
   }
   misses = 0;
   on_arrival(next, [self = shared_from_this()] {
@@ -816,6 +821,10 @@ int64_t CollectiveGroup::Waiter::Tick(uint64_t /*tag*/) {
     self->group->ArmWaiter(self);
   });
   return kFired;
+}
+
+void CollectiveGroup::Waiter::Skipped(uint64_t /*tag*/, uint64_t n) {
+  misses += static_cast<int>(n);
 }
 
 }  // namespace collective

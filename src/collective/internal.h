@@ -179,7 +179,9 @@ struct CollectiveGroup::RingLane {
 // A sequential flag poller: one per (rank, lane) for the ring, one per
 // expected arrival group otherwise. Reads its flag bytes in index order with
 // check::PollFlag at its sim::Poller ticks; a miss re-keys the tick after
-// PollDelay() and costs no event. An armed tick keeps its waiter alive.
+// PollDelay() and costs no event, and a miss at the backoff cap repeats
+// (the simulator replays it and calls Skipped). An armed tick keeps its
+// waiter alive.
 struct CollectiveGroup::Waiter final : sim::Poller, std::enable_shared_from_this<Waiter> {
   CollectiveGroup* group = nullptr;
   std::shared_ptr<Op> op;
@@ -196,7 +198,8 @@ struct CollectiveGroup::Waiter final : sim::Poller, std::enable_shared_from_this
   // Delay to the next poll (§4 polling-async): flag_poll_cost_ns, plus
   // net::IdlePollBackoffNs(k - 1) after k misses in a row.
   int64_t PollDelay() const;
-  int64_t Tick(uint64_t tag) override;
+  Result Tick(uint64_t tag) override;
+  void Skipped(uint64_t tag, uint64_t n) override;
 };
 
 }  // namespace collective

@@ -254,7 +254,10 @@ StatusOr<MemRegion> RdmaDevice::AllocateMemRegion(uint64_t size) {
     return InvalidArgument("AllocateMemRegion: size must be > 0");
   }
   auto impl = std::make_shared<MemRegion::Impl>();
-  impl->storage = std::make_unique<uint8_t[]>(size);
+  impl->storage = AllocateZeroed(size);
+  if (impl->storage == nullptr) {
+    return ResourceExhausted(StrCat("AllocateMemRegion: cannot allocate ", size, " bytes"));
+  }
   impl->data = impl->storage.get();
   impl->size = size;
   RDMADL_ASSIGN_OR_RETURN(impl->mr, nic_->RegisterMemory(impl->data, size));
@@ -432,7 +435,8 @@ int RdmaDevice::rpc_recvs_posted(const Endpoint& remote) const {
 
 RdmaDevice::RpcSlot RdmaDevice::AcquireRpcSlot() {
   if (rpc_free_slots_.empty()) {
-    auto slab = std::make_unique<uint8_t[]>(kRpcSlotBytes * kRpcSlotsPerSlab);
+    ZeroedBytes slab = AllocateZeroed(kRpcSlotBytes * kRpcSlotsPerSlab);
+    CHECK(slab != nullptr) << "cannot allocate an RPC slab";
     StatusOr<rdma::MemoryRegion> mr =
         nic_->RegisterMemory(slab.get(), kRpcSlotBytes * kRpcSlotsPerSlab);
     CHECK(mr.ok()) << mr.status();

@@ -18,6 +18,7 @@
 #define RDMADL_SRC_DEVICE_RDMA_DEVICE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,6 +33,17 @@
 
 namespace rdmadl {
 namespace device {
+
+// Zeroed byte storage from std::calloc. Fresh pages come zeroed from the OS,
+// so calloc does not touch them, and the pages of a region the simulation
+// never writes (a virtual payload's bytes) are never faulted in.
+struct CallocFree {
+  void operator()(uint8_t* p) const { std::free(p); }
+};
+using ZeroedBytes = std::unique_ptr<uint8_t, CallocFree>;
+inline ZeroedBytes AllocateZeroed(uint64_t size) {
+  return ZeroedBytes(static_cast<uint8_t*>(std::calloc(size, 1)));
+}
 
 class RdmaDevice;
 
@@ -74,7 +86,7 @@ class MemRegion {
     uint64_t size = 0;
     rdma::MemoryRegion mr;
     RdmaDevice* device = nullptr;
-    std::unique_ptr<uint8_t[]> storage;
+    ZeroedBytes storage;
   };
   explicit MemRegion(std::shared_ptr<Impl> impl) : impl_(std::move(impl)) {}
   std::shared_ptr<Impl> impl_;
@@ -305,7 +317,7 @@ class RdmaDevice {
   // recvs await the inbound message).
   std::unordered_map<uint64_t, RpcSlot> rpc_send_slots_;
   std::unordered_map<uint64_t, RpcSlot> rpc_recv_slots_;
-  std::vector<std::unique_ptr<uint8_t[]>> rpc_slabs_;
+  std::vector<ZeroedBytes> rpc_slabs_;
   // One MR per slab, deregistered at device teardown (leaving them would
   // leave rkeys naming freed slab memory — found by RdmaCheck).
   std::vector<rdma::MemoryRegion> rpc_slab_mrs_;

@@ -314,7 +314,8 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
       start = std::max(src_host->egress().AvailableAt(start),
                        dst_host->ingress().AvailableAt(start));
     }
-    const bool dropped = fault_ != nullptr && fault_->ShouldDropSegment(src, dst);
+    // A loopback copy never touches a wire, so it loses nothing.
+    const bool dropped = !loopback && fault_ != nullptr && fault_->ShouldDropSegment(src, dst);
     const int64_t deliver_at = start + wire_ns + latency;
     if (dropped) {
       sim::TraceInstant("fault", StrCat("drop host", src, "->host", dst, " offset=0"),
@@ -429,7 +430,7 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
       }
     }
 
-    if (!seg.dropped && fault_ != nullptr && fault_->ShouldDropSegment(src, dst)) {
+    if (!seg.dropped && !loopback && fault_ != nullptr && fault_->ShouldDropSegment(src, dst)) {
       seg.dropped = true;
       sim::TraceInstant("fault",
                         StrCat("drop host", src, "->host", dst, " offset=", seg.offset),

@@ -1,5 +1,6 @@
 #include "src/runtime/executor.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/check/rdma_check.h"
@@ -59,7 +60,11 @@ tensor::Allocator* Executor::Wrap(tensor::Allocator* base) {
       mechanism_->OnAllocation(host_, *current_node_, ptr, bytes);
     }
   });
-  hooked_wrappers_.push_back(wrapper);
+  // Every compute node wraps its allocator, so keep each wrapper once.
+  if (std::find(hooked_wrappers_.begin(), hooked_wrappers_.end(), wrapper) ==
+      hooked_wrappers_.end()) {
+    hooked_wrappers_.push_back(wrapper);
+  }
   return wrapper;
 }
 
@@ -165,7 +170,7 @@ void Executor::MaybeDispatch() {
   }
 }
 
-int64_t Executor::Tick(uint64_t epoch) {
+sim::Poller::Result Executor::Tick(uint64_t epoch) {
   if (epoch != epoch_) return kFired;
   ++idle_kicks_;
   if (IdlePassMisses()) {
@@ -174,16 +179,28 @@ int64_t Executor::Tick(uint64_t epoch) {
     const int polls = static_cast<int>(ready_.size());
     stats_.poll_attempts += polls;
     stats_.failed_polls += polls;
-    if (check::RdmaCheck::Current() != nullptr) {
+    const bool checked = check::RdmaCheck::Current() != nullptr;
+    if (checked) {
       for (const Node* node : ready_) mechanism_->MissedRecv(EdgeOf(*node));
     }
     failed_polls_in_row_ = polls;
-    return net::IdlePollBackoffNs(host_->cost(), idle_kicks_);
+    // At the backoff cap, with no checker to tell each poll to, the next
+    // pass misses the same way until something else runs.
+    const int64_t delay = net::IdlePollBackoffNs(host_->cost(), idle_kicks_);
+    return {delay, !checked && net::IdlePollBackoffNs(host_->cost(), idle_kicks_ + 1) == delay};
   }
   delayed_kick_scheduled_ = false;
   failed_polls_in_row_ = 0;
   MaybeDispatch();
   return kFired;
+}
+
+void Executor::Skipped(uint64_t epoch, uint64_t n) {
+  CHECK_EQ(epoch, epoch_);
+  idle_kicks_ += static_cast<int>(n);
+  const int64_t polls = static_cast<int64_t>(n) * static_cast<int64_t>(ready_.size());
+  stats_.poll_attempts += polls;
+  stats_.failed_polls += polls;
 }
 
 bool Executor::IdlePassMisses() const {

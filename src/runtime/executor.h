@@ -15,7 +15,10 @@
 //     net::IdlePollBackoffNs (this both models a polling thread yielding and
 //     keeps the discrete-event simulation live). That idle kick is a
 //     sim::Poller tick: a pass that would only fail every poll again is
-//     charged to the stats without running, and costs no event.
+//     charged to the stats without running, and costs no event. At the
+//     backoff cap (and with no RdmaCheck installed) that miss repeats: the
+//     simulator replays the kicks that follow, until something else runs,
+//     without calling Tick, and Skipped charges them.
 #ifndef RDMADL_SRC_RUNTIME_EXECUTOR_H_
 #define RDMADL_SRC_RUNTIME_EXECUTOR_H_
 
@@ -86,8 +89,10 @@ class Executor : private sim::Poller {
   const graph::TransferEdge& EdgeOf(const graph::Node& node) const;
 
   void MaybeDispatch();
-  // The idle kick, tagged with its step epoch.
-  int64_t Tick(uint64_t epoch) override;
+  // The idle kick, tagged with its step epoch. A missed kick at the backoff
+  // cap repeats; Skipped charges |n| repeats as Tick would.
+  Result Tick(uint64_t epoch) override;
+  void Skipped(uint64_t epoch, uint64_t n) override;
   // Whether the pass an idle kick starts would fail every poll and re-arm
   // the kick: every queued node is a polling receive that would miss.
   bool IdlePassMisses() const;

@@ -6,9 +6,20 @@
 // order, so a run is fully deterministic and independent of wall-clock speed.
 // Flag pollers arm ticks instead (ArmPoll): a tick holds the same (time, seq)
 // key an event would, but a missed poll re-keys it rather than costing an
-// event. Armed ticks wait in one FIFO per re-arm delay, not in a heap: a
-// delay-d FIFO only ever receives keys (now + d, next seq), so it stays
-// sorted, and the next tick is the smallest FIFO head.
+// event. Armed ticks wait in one FIFO per re-arm delay (a lane), not in a
+// heap: a delay-d FIFO only ever receives keys (now + d, next seq), so it
+// stays sorted, and the next tick is the smallest FIFO head.
+//
+// The change epoch advances on every dispatched event, every fired tick,
+// every entry to a Run* call (outside code changes state only between calls)
+// and every set_schedule_policy. A miss changes nothing but its poller's own
+// accounting, so a poller whose miss repeats (Poller::Result::repeats) would
+// miss again, identically, at each tick until the epoch moves. The simulator
+// replays such a known miss without calling Tick: it re-keys the tick
+// exactly as the miss would and hands the skipped misses back
+// (Poller::Skipped). When every tick due before the next event or other
+// lane's head is a known miss of one lane, the lane rotates arithmetically,
+// r full turns plus a partial one, in one step.
 //
 // Virtual time is int64 nanoseconds.
 #ifndef RDMADL_SRC_SIM_SIMULATOR_H_
@@ -18,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -68,10 +80,26 @@ class SchedulePolicy {
 // tick, or returns kFired after doing work (re-arming itself if it wants to
 // keep polling). A poller must outlive every tick it has armed; ArmPoll's
 // |keep_alive| can guarantee that.
+//
+// A miss may report that it repeats: while the simulator's change epoch does
+// not move, the next Tick would miss again with the same delay and the same
+// accounting. The simulator then runs the ticks that follow as known misses
+// and calls Skipped(tag, n) for them instead of Tick, before any other code
+// can observe the poller.
 class Poller {
  public:
   static constexpr int64_t kFired = -1;
-  virtual int64_t Tick(uint64_t tag) = 0;
+
+  struct Result {
+    Result(int64_t delay, bool repeats = false) : delay(delay), repeats(repeats) {}
+    int64_t delay;  // kFired, or the delay to the next tick after a miss.
+    bool repeats;   // A miss that repeats until the change epoch moves.
+  };
+
+  virtual Result Tick(uint64_t tag) = 0;
+  // Accounts |n| repeats of the last miss of the tick tagged |tag|, as |n|
+  // Tick calls would have; it may not touch the simulator.
+  virtual void Skipped(uint64_t tag, uint64_t n) = 0;
 
  protected:
   ~Poller() = default;
@@ -117,32 +145,36 @@ class Simulator {
   // (time, seq) key ScheduleAfter (or, if |jittered|,
   // ScheduleAfterJittered) would give an event here. A tick that misses is
   // re-keyed under the next seq at the point where a re-armed event would
-  // have taken it, so the dispatch order is that of a poll-event chain. The
-  // tick queues at the back of |delay|'s FIFO (a miss moves it to the back
-  // of its next delay's FIFO) and holds |keep_alive| (if set) until it fires
-  // or the simulator dies.
+  // have taken it, so the dispatch order is that of a poll-event chain; a
+  // replayed known miss is re-keyed the same way. The tick queues at the
+  // back of |delay|'s lane (a miss moves it to the back of its next delay's
+  // lane) and holds |keep_alive| (if set) until it fires or the simulator
+  // dies.
   void ArmPoll(int64_t delay, Poller* poller, uint64_t tag, bool jittered,
                std::shared_ptr<void> keep_alive = nullptr);
 
   // Installs (or clears, with nullptr) the dispatch policy. The policy must
   // outlive every Run/Step call made while it is installed. Under a policy,
   // ticks are ordinary events with the same keys (armed ones move into the
-  // event queue here), so the policy sees every poll.
+  // event queue here), so the policy sees every poll and no miss is
+  // replayed.
   void set_schedule_policy(SchedulePolicy* policy);
   SchedulePolicy* schedule_policy() const { return policy_; }
 
   // Runs events until the queue drains, |max_events| fire, or Stop() is
   // called. Returns kDeadlineExceeded if the event cap was hit (usually a
   // livelock, e.g. two pollers rescheduling each other forever). Every
-  // limit below counts missed poll ticks as events, and the queue is not
-  // drained while a tick is armed.
+  // limit below counts missed poll ticks as events, replayed ones included,
+  // and the queue is not drained while a tick is armed.
   Status Run(uint64_t max_events = kDefaultMaxEvents);
 
   // Runs until virtual time reaches |deadline| (events at t > deadline stay
   // queued), the queue drains, or the event cap is hit.
   Status RunUntil(int64_t deadline, uint64_t max_events = kDefaultMaxEvents);
 
-  // Runs until |done| returns true (checked after every event).
+  // Runs until |done| returns true (checked after every event). |done| may
+  // not read a poller's miss accounting: a run of replayed misses is one
+  // step here.
   Status RunUntilPredicate(const std::function<bool()>& done,
                            uint64_t max_events = kDefaultMaxEvents);
 
@@ -183,6 +215,14 @@ class Simulator {
     }
   };
 
+  // A (time, seq) key.
+  struct Key {
+    int64_t time;
+    uint64_t seq;
+  };
+
+  static constexpr int64_t kNoLimit = std::numeric_limits<int64_t>::max();
+
   // An armed poll tick: the (time, seq) key of the event it stands for.
   struct PollTick {
     int64_t time;
@@ -190,6 +230,9 @@ class Simulator {
     Poller* poller;
     uint64_t tag;
     bool jittered;
+    // Whether the tick's last miss repeats while the change epoch is |epoch|.
+    bool repeats;
+    uint64_t epoch;
     std::shared_ptr<void> keep_alive;
   };
 
@@ -207,8 +250,23 @@ class Simulator {
                      std::shared_ptr<void> keep_alive);
 
   // Pops and dispatches one event or poll tick, whichever has the smaller
-  // key. Returns false when both queues are empty.
-  bool Step();
+  // key, or replays a run of known misses: at most |budget| ticks, none
+  // later than |limit|. Returns the loop iterations the one-at-a-time
+  // dispatch would have spent, 0 when both queues are empty.
+  uint64_t Step(uint64_t budget, int64_t limit);
+
+  // The start of every Run* call: outside code may have changed state.
+  void Enter() {
+    stop_requested_ = false;
+    ++epoch_;
+  }
+
+  bool KnownMiss(const PollTick& tick) const { return tick.repeats && tick.epoch == epoch_; }
+
+  // Replays the known misses at the head of |lane| (its head is the next
+  // thing due and a known miss) that precede every other queued key, within
+  // |budget| ticks and |limit|. Returns how many ticks it replayed.
+  uint64_t ReplayMisses(size_t lane, uint64_t budget, int64_t limit);
 
   // The lane whose head is the earliest armed tick (callers must check
   // num_ticks_ is non-zero).
@@ -246,6 +304,7 @@ class Simulator {
   int64_t now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_dispatched_ = 0;
+  uint64_t epoch_ = 0;  // The change epoch.
   bool stop_requested_ = false;
   // Min-heap on (time, seq) over an explicitly managed vector: identical
   // dispatch order to the std::priority_queue it replaces, but the capacity

@@ -629,7 +629,7 @@ StatusOr<ElasticReport> TrainingDriver::RunElastic(int steps) {
   if (!config_.elastic || membership_ == nullptr || checkpoint_ == nullptr) {
     return FailedPrecondition("RunElastic requires TrainingConfig::elastic");
   }
-  CHECK_GT(steps, 0);
+  if (steps <= 0) return InvalidArgument(StrCat("steps must be positive, got ", steps));
   ElasticReport report;
   report.requested_steps = steps;
   const int64_t run_start = cluster_->simulator()->Now();

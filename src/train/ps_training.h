@@ -172,7 +172,7 @@ class TrainingDriver {
   // checkpoint, roll the step/sample counters back) and the loop continues on
   // the survivors. Undetected (transient) failures retry the step as RunStep
   // does. Fails if every worker — or, in PS mode, every parameter server —
-  // is lost.
+  // is lost. |steps| <= 0 is InvalidArgument.
   StatusOr<ElasticReport> RunElastic(int steps);
 
   runtime::Cluster* cluster() { return cluster_.get(); }

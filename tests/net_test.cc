@@ -111,6 +111,26 @@ TEST_F(FabricTest, LoopbackDoesNotUseEgress) {
   EXPECT_GT(fabric.host(0)->loopback().busy_ns_total(), 0);
 }
 
+TEST_F(FabricTest, LoopbackLosesNoSegment) {
+  // A colocated copy never touches a wire: every drop the injector would
+  // draw (here, all of them) applies to other paths only.
+  Fabric fabric(&simulator_, cost_, 2);
+  sim::FaultInjector injector(/*seed=*/1);
+  sim::LinkFaultSpec spec;
+  spec.drop_probability = 1.0;
+  injector.SetDefaultLinkFault(spec);
+  fabric.SetFaultInjector(&injector);
+  for (const uint64_t bytes : {uint64_t{64}, 32 * cost_.rdma_mtu_bytes}) {
+    Status loop = Internal("not run"), wire = Internal("not run");
+    fabric.Transfer(0, 0, bytes, Plane::kRdma, 0, nullptr, [&](Status s) { loop = s; });
+    fabric.Transfer(0, 1, bytes, Plane::kRdma, 0, nullptr, [&](Status s) { wire = s; });
+    ASSERT_TRUE(simulator_.Run().ok());
+    EXPECT_TRUE(loop.ok()) << bytes << " B: " << loop;
+    EXPECT_FALSE(wire.ok()) << bytes << " B";
+  }
+  EXPECT_EQ(injector.stats().dropped_segments, 2u);
+}
+
 TEST_F(FabricTest, ZeroByteTransferStillCompletes) {
   Fabric fabric(&simulator_, cost_, 2);
   bool done = false;

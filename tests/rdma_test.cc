@@ -5,14 +5,39 @@
 #include <vector>
 
 #include "src/check/rdma_check.h"
+#include "src/check/testing.h"
 #include "src/rdma/qp_pool.h"
 #include "src/rdma/verbs.h"
 #include "src/sim/fault.h"
 #include "src/util/endpoint.h"
 
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
+
 namespace rdmadl {
 namespace rdma {
 namespace {
+
+// Registers memory regions and deregisters them all when it dies, so a test
+// leaves no region behind for RdmaCheck to report as leaked. Declare it
+// after the fabric whose NICs it registers on.
+class Regions {
+ public:
+  Regions() = default;
+  Regions(const Regions&) = delete;
+  Regions& operator=(const Regions&) = delete;
+  ~Regions() {
+    for (const auto& [nic, mr] : mrs_) CHECK_OK(nic->DeregisterMemory(mr));
+  }
+
+  StatusOr<MemoryRegion> Register(NicDevice* nic, void* addr, uint64_t length) {
+    StatusOr<MemoryRegion> mr = nic->RegisterMemory(addr, length);
+    if (mr.ok()) mrs_.emplace_back(nic, *mr);
+    return mr;
+  }
+
+ private:
+  std::vector<std::pair<NicDevice*, MemoryRegion>> mrs_;
+};
 
 class VerbsTest : public ::testing::Test {
  protected:
@@ -34,12 +59,13 @@ class VerbsTest : public ::testing::Test {
   net::CostModel cost_;
   net::Fabric fabric_;
   RdmaFabric rdma_;
+  Regions regions_;
 };
 
 TEST_F(VerbsTest, RegisterMemoryAssignsDistinctKeys) {
   std::vector<uint8_t> buf(4096);
-  auto mr1 = rdma_.nic(0)->RegisterMemory(buf.data(), buf.size());
-  auto mr2 = rdma_.nic(0)->RegisterMemory(buf.data(), buf.size());
+  auto mr1 = regions_.Register(rdma_.nic(0), buf.data(), buf.size());
+  auto mr2 = regions_.Register(rdma_.nic(0), buf.data(), buf.size());
   ASSERT_TRUE(mr1.ok());
   ASSERT_TRUE(mr2.ok());
   EXPECT_NE(mr1->lkey, mr2->lkey);
@@ -48,9 +74,9 @@ TEST_F(VerbsTest, RegisterMemoryAssignsDistinctKeys) {
 }
 
 TEST_F(VerbsTest, RegisterMemoryRejectsEmpty) {
-  EXPECT_FALSE(rdma_.nic(0)->RegisterMemory(nullptr, 100).ok());
+  EXPECT_FALSE(regions_.Register(rdma_.nic(0), nullptr, 100).ok());
   std::vector<uint8_t> buf(16);
-  EXPECT_FALSE(rdma_.nic(0)->RegisterMemory(buf.data(), 0).ok());
+  EXPECT_FALSE(regions_.Register(rdma_.nic(0), buf.data(), 0).ok());
 }
 
 TEST_F(VerbsTest, MemoryRegionLimitEnforced) {
@@ -58,11 +84,12 @@ TEST_F(VerbsTest, MemoryRegionLimitEnforced) {
   tight.max_memory_regions = 3;
   net::Fabric fabric(&simulator_, tight, 1);
   RdmaFabric rdma(&fabric);
+  Regions regions;
   std::vector<uint8_t> buf(64);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rdma.nic(0)->RegisterMemory(buf.data(), buf.size()).ok());
+    ASSERT_TRUE(regions.Register(rdma.nic(0), buf.data(), buf.size()).ok());
   }
-  auto overflow = rdma.nic(0)->RegisterMemory(buf.data(), buf.size());
+  auto overflow = regions.Register(rdma.nic(0), buf.data(), buf.size());
   EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
 }
 
@@ -89,8 +116,8 @@ TEST_F(VerbsTest, OneSidedWriteCopiesBytes) {
   std::vector<uint8_t> src(64 * 1024);
   std::vector<uint8_t> dst(64 * 1024, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
 
   SendWorkRequest wr;
@@ -119,8 +146,8 @@ TEST_F(VerbsTest, WriteSegmentsLandInAscendingAddressOrder) {
   const size_t size = 16 * cost_.rdma_mtu_bytes;
   std::vector<uint8_t> src(size, 0xAB);
   std::vector<uint8_t> dst(size, 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
 
   SendWorkRequest wr;
   wr.wr_id = 1;
@@ -166,6 +193,7 @@ WriteRun RunSixteenMtuWrite(bool copy_bytes) {
   net::CostModel cost;
   net::Fabric fabric(&simulator, cost, 2);
   RdmaFabric rdma(&fabric);
+  Regions regions;
   CompletionQueue* cqa = rdma.nic(0)->CreateCompletionQueue();
   CompletionQueue* cqb = rdma.nic(1)->CreateCompletionQueue();
   QueuePair* qa = rdma.nic(0)->CreateQueuePair(cqa, cqa);
@@ -173,8 +201,8 @@ WriteRun RunSixteenMtuWrite(bool copy_bytes) {
   CHECK_OK(qa->Connect(qb));
   const size_t size = 16 * cost.rdma_mtu_bytes;
   std::vector<uint8_t> src(size, 0xAB), dst(size, 0);
-  auto src_mr = rdma.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions.Register(rdma.nic(0), src.data(), src.size());
+  auto dst_mr = regions.Register(rdma.nic(1), dst.data(), dst.size());
   CHECK(src_mr.ok() && dst_mr.ok());
 
   WriteRun run;
@@ -231,8 +259,8 @@ TEST_F(VerbsTest, FlagsInAVirtualChainLandAtTheirOwnSegmentTimes) {
   const uint64_t payload = 8 * cost_.rdma_mtu_bytes;
   std::vector<uint8_t> src(payload, 1);
   std::vector<uint8_t> dst(2 * payload + 2, 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
   auto write = [&](uint64_t wr_id, uint64_t dst_offset, uint64_t length, bool copy) {
     SendWorkRequest wr;
@@ -272,8 +300,8 @@ TEST_F(VerbsTest, OneSidedReadCopiesBytes) {
   std::vector<uint8_t> remote(32 * 1024);
   std::vector<uint8_t> local(32 * 1024, 0);
   std::iota(remote.begin(), remote.end(), 1);
-  auto remote_mr = rdma_.nic(1)->RegisterMemory(remote.data(), remote.size());
-  auto local_mr = rdma_.nic(0)->RegisterMemory(local.data(), local.size());
+  auto remote_mr = regions_.Register(rdma_.nic(1), remote.data(), remote.size());
+  auto local_mr = regions_.Register(rdma_.nic(0), local.data(), local.size());
 
   SendWorkRequest wr;
   wr.wr_id = 9;
@@ -296,14 +324,15 @@ TEST_F(VerbsTest, ReadIsSlowerThanWriteBySmallRequestTrip) {
     sim::Simulator s;
     net::Fabric f(&s, cost_, 2);
     RdmaFabric r(&f);
+    Regions regions;
     auto* cqa = r.nic(0)->CreateCompletionQueue();
     auto* cqb = r.nic(1)->CreateCompletionQueue();
     QueuePair* qa = r.nic(0)->CreateQueuePair(cqa, cqa);
     QueuePair* qb = r.nic(1)->CreateQueuePair(cqb, cqb);
     CHECK_OK(qa->Connect(qb));
     std::vector<uint8_t> src(size), dst(size);
-    auto src_mr = r.nic(0)->RegisterMemory(src.data(), size);
-    auto dst_mr = r.nic(1)->RegisterMemory(dst.data(), size);
+    auto src_mr = regions.Register(r.nic(0), src.data(), size);
+    auto dst_mr = regions.Register(r.nic(1), dst.data(), size);
     cqa->SetCompletionHandler([&] { write_done = s.Now(); });
     SendWorkRequest wr{1, Opcode::kWrite, reinterpret_cast<uint64_t>(src.data()), src_mr->lkey,
                        size, reinterpret_cast<uint64_t>(dst.data()), dst_mr->rkey};
@@ -314,14 +343,15 @@ TEST_F(VerbsTest, ReadIsSlowerThanWriteBySmallRequestTrip) {
     sim::Simulator s;
     net::Fabric f(&s, cost_, 2);
     RdmaFabric r(&f);
+    Regions regions;
     auto* cqa = r.nic(0)->CreateCompletionQueue();
     auto* cqb = r.nic(1)->CreateCompletionQueue();
     QueuePair* qa = r.nic(0)->CreateQueuePair(cqa, cqa);
     QueuePair* qb = r.nic(1)->CreateQueuePair(cqb, cqb);
     CHECK_OK(qa->Connect(qb));
     std::vector<uint8_t> local(size), remote(size);
-    auto local_mr = r.nic(0)->RegisterMemory(local.data(), size);
-    auto remote_mr = r.nic(1)->RegisterMemory(remote.data(), size);
+    auto local_mr = regions.Register(r.nic(0), local.data(), size);
+    auto remote_mr = regions.Register(r.nic(1), remote.data(), size);
     cqa->SetCompletionHandler([&] { read_done = s.Now(); });
     SendWorkRequest wr{1, Opcode::kRead, reinterpret_cast<uint64_t>(local.data()),
                        local_mr->lkey, size, reinterpret_cast<uint64_t>(remote.data()),
@@ -337,8 +367,8 @@ TEST_F(VerbsTest, ReadIsSlowerThanWriteBySmallRequestTrip) {
 TEST_F(VerbsTest, WriteWithBadRkeyFailsWithErrorCompletion) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(128), dst(128);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
   SendWorkRequest wr;
   wr.wr_id = 3;
   wr.opcode = Opcode::kWrite;
@@ -356,10 +386,11 @@ TEST_F(VerbsTest, WriteWithBadRkeyFailsWithErrorCompletion) {
 }
 
 TEST_F(VerbsTest, WriteBeyondRegionBoundsFails) {
+  check::RdmaCheck checker;  // Sees the violation in place of any outer checker.
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(256), dst(128);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
   SendWorkRequest wr;
   wr.wr_id = 4;
   wr.opcode = Opcode::kWrite;
@@ -373,6 +404,8 @@ TEST_F(VerbsTest, WriteBeyondRegionBoundsFails) {
   WorkCompletion wc;
   ASSERT_TRUE(qa->send_cq()->Poll(&wc));
   EXPECT_EQ(wc.status.code(), StatusCode::kInvalidArgument);
+  ASSERT_EQ(checker.diagnostics().size(), 1u) << checker.Report();
+  EXPECT_EQ(checker.diagnostics().front().kind, check::DiagKind::kOutOfBounds);
 }
 
 TEST_F(VerbsTest, PostSendOnUnconnectedQpFails) {
@@ -380,7 +413,7 @@ TEST_F(VerbsTest, PostSendOnUnconnectedQpFails) {
   CompletionQueue* cq = nic->CreateCompletionQueue();
   QueuePair* qp = nic->CreateQueuePair(cq, cq);
   std::vector<uint8_t> buf(64);
-  auto mr = nic->RegisterMemory(buf.data(), buf.size());
+  auto mr = regions_.Register(nic, buf.data(), buf.size());
   SendWorkRequest wr;
   wr.opcode = Opcode::kWrite;
   wr.local_addr = reinterpret_cast<uint64_t>(buf.data());
@@ -405,8 +438,8 @@ TEST_F(VerbsTest, SendRecvDeliversMessage) {
   std::vector<uint8_t> msg(1000);
   std::iota(msg.begin(), msg.end(), 3);
   std::vector<uint8_t> recv_buf(4096, 0);
-  auto msg_mr = rdma_.nic(0)->RegisterMemory(msg.data(), msg.size());
-  auto recv_mr = rdma_.nic(1)->RegisterMemory(recv_buf.data(), recv_buf.size());
+  auto msg_mr = regions_.Register(rdma_.nic(0), msg.data(), msg.size());
+  auto recv_mr = regions_.Register(rdma_.nic(1), recv_buf.data(), recv_buf.size());
 
   RecvWorkRequest rwr;
   rwr.wr_id = 100;
@@ -435,8 +468,8 @@ TEST_F(VerbsTest, SendWaitsForPostedRecv) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> msg(100, 0x5A);
   std::vector<uint8_t> recv_buf(4096, 0);
-  auto msg_mr = rdma_.nic(0)->RegisterMemory(msg.data(), msg.size());
-  auto recv_mr = rdma_.nic(1)->RegisterMemory(recv_buf.data(), recv_buf.size());
+  auto msg_mr = regions_.Register(rdma_.nic(0), msg.data(), msg.size());
+  auto recv_mr = regions_.Register(rdma_.nic(1), recv_buf.data(), recv_buf.size());
 
   SendWorkRequest swr;
   swr.wr_id = 1;
@@ -467,8 +500,8 @@ TEST_F(VerbsTest, OversizedSendCompletesWithError) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> msg(4096, 1);
   std::vector<uint8_t> recv_buf(100);
-  auto msg_mr = rdma_.nic(0)->RegisterMemory(msg.data(), msg.size());
-  auto recv_mr = rdma_.nic(1)->RegisterMemory(recv_buf.data(), recv_buf.size());
+  auto msg_mr = regions_.Register(rdma_.nic(0), msg.data(), msg.size());
+  auto recv_mr = regions_.Register(rdma_.nic(1), recv_buf.data(), recv_buf.size());
 
   RecvWorkRequest rwr;
   rwr.wr_id = 5;
@@ -495,8 +528,8 @@ TEST_F(VerbsTest, QpSerializesWorkRequestsInOrder) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(1024, 0x11);
   std::vector<uint8_t> dst(1024, 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
 
   std::vector<uint64_t> completion_order;
   qa->send_cq()->SetCompletionHandler([&] {
@@ -522,8 +555,8 @@ TEST_F(VerbsTest, QpSerializesWorkRequestsInOrder) {
 TEST_F(VerbsTest, NicStatsTrackTraffic) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> a(2048), b(2048);
-  auto a_mr = rdma_.nic(0)->RegisterMemory(a.data(), a.size());
-  auto b_mr = rdma_.nic(1)->RegisterMemory(b.data(), b.size());
+  auto a_mr = regions_.Register(rdma_.nic(0), a.data(), a.size());
+  auto b_mr = regions_.Register(rdma_.nic(1), b.data(), b.size());
   SendWorkRequest wr;
   wr.opcode = Opcode::kWrite;
   wr.local_addr = reinterpret_cast<uint64_t>(a.data());
@@ -594,8 +627,8 @@ TEST_P(VerbsShapeTest, SgWritePostsOneDoorbellAndCompletesOnce) {
   std::vector<uint8_t> src(kExtents * kExtent);
   std::vector<uint8_t> dst(kExtents * kExtent, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
 
   std::vector<SgExtent> extents;
@@ -636,8 +669,8 @@ TEST_F(VerbsTest, SgExtentsDeliverInListOrderWithAscendingPrefixPerExtent) {
   const uint64_t half = 8 * cost_.rdma_mtu_bytes;
   std::vector<uint8_t> src(2 * half, 0xCD);
   std::vector<uint8_t> dst(2 * half, 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
 
   SendWorkRequest wr;
   wr.wr_id = 41;
@@ -683,8 +716,8 @@ TEST_P(VerbsShapeTest, SgWriteRetryRestartsEveryExtent) {
   std::vector<uint8_t> src(3 * kExtent);
   std::vector<uint8_t> dst(3 * kExtent, 0);
   std::iota(src.begin(), src.end(), 5);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
 
   std::vector<SgExtent> extents;
   for (int i = 0; i < 3; ++i) {
@@ -711,11 +744,12 @@ TEST_P(VerbsShapeTest, SgWriteRetryRestartsEveryExtent) {
 TEST_P(VerbsShapeTest, SgWriteValidatesEveryExtentBeforeAnyByteMoves) {
   // The extents share fate like one WQE: a remote violation in the *last*
   // extent fails the whole request before the first extent's bytes land.
+  check::RdmaCheck checker;  // Sees the violation in place of any outer checker.
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(8192), dst(4096, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
 
   const std::vector<SgExtent> extents = {
       SgExtent{reinterpret_cast<uint64_t>(src.data()), reinterpret_cast<uint64_t>(dst.data()),
@@ -735,13 +769,15 @@ TEST_P(VerbsShapeTest, SgWriteValidatesEveryExtentBeforeAnyByteMoves) {
   EXPECT_FALSE(qa->send_cq()->Poll(&wc));
   EXPECT_EQ(rdma_.nic(1)->stats().rkey_violations, 1u);
   for (uint8_t b : dst) ASSERT_EQ(b, 0);  // No partial delivery.
+  ASSERT_EQ(checker.diagnostics().size(), 1u) << checker.Report();
+  EXPECT_EQ(checker.diagnostics().front().kind, check::DiagKind::kOutOfBounds);
 }
 
 TEST_F(VerbsTest, SgPostValidationRejectsBadLists) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(4096), dst(4096);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
 
   SendWorkRequest wr;
   wr.opcode = Opcode::kRead;  // SG is kWrite-only.
@@ -789,8 +825,8 @@ TEST_P(VerbsRetryTest, TransportRetryRecoversFromDroppedSegments) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(64 * 1024), dst(64 * 1024, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
 
   SendWorkRequest wr;
   wr.wr_id = 11;
@@ -826,8 +862,8 @@ TEST_F(VerbsTest, RetryExhaustionErrorsQpAndFlushesQueuedWrsInOrder) {
 
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(4096), dst(4096);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
   for (uint64_t id = 1; id <= 3; ++id) {
     SendWorkRequest wr;
     wr.wr_id = id;
@@ -871,8 +907,8 @@ TEST_F(VerbsTest, PostOnErroredQpCompletesWithFlushStatus) {
 
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(1024), dst(1024);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
   SendWorkRequest wr;
   wr.wr_id = 21;
   wr.opcode = Opcode::kWrite;
@@ -919,8 +955,8 @@ TEST_F(VerbsTest, RecoverReturnsErroredQpToService) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(8192), dst(8192, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = regions_.Register(rdma_.nic(0), src.data(), src.size());
+  auto dst_mr = regions_.Register(rdma_.nic(1), dst.data(), dst.size());
   SendWorkRequest wr;
   wr.wr_id = 31;
   wr.opcode = Opcode::kWrite;
@@ -979,6 +1015,7 @@ class QpPoolTest : public ::testing::Test {
     net::Fabric fabric;
     RdmaFabric rdma;
     QpPool pool;
+    Regions regions;
   };
 
   static net::CostModel Capped(int max_qps) {
@@ -1016,8 +1053,8 @@ TEST_F(QpPoolTest, AcquireCreatesOnceThenHitsFromBothEnds) {
   // A pooled lane carries real traffic.
   std::vector<uint8_t> src(4096), dst(4096, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = s.rdma.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = s.rdma.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = s.regions.Register(s.rdma.nic(0), src.data(), src.size());
+  auto dst_mr = s.regions.Register(s.rdma.nic(1), dst.data(), dst.size());
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
   SendWorkRequest wr;
   wr.wr_id = 1;
@@ -1109,9 +1146,9 @@ TEST_F(QpPoolTest, SameSeedRunsProduceIdenticalTraces) {
     s.Register(c);
     std::vector<uint8_t> src(64 * 1024), dst(64 * 1024, 0);
     std::iota(src.begin(), src.end(), 0);
-    auto src_mr = s.rdma.nic(0)->RegisterMemory(src.data(), src.size());
-    auto dst_b = s.rdma.nic(1)->RegisterMemory(dst.data(), dst.size());
-    auto dst_c = s.rdma.nic(2)->RegisterMemory(dst.data(), dst.size());
+    auto src_mr = s.regions.Register(s.rdma.nic(0), src.data(), src.size());
+    auto dst_b = s.regions.Register(s.rdma.nic(1), dst.data(), dst.size());
+    auto dst_c = s.regions.Register(s.rdma.nic(2), dst.data(), dst.size());
     CHECK(src_mr.ok() && dst_b.ok() && dst_c.ok());
     for (int round = 0; round < 6; ++round) {
       const Endpoint& remote = (round % 2 == 0) ? b : c;

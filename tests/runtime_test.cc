@@ -427,6 +427,69 @@ TEST(ExecutorStatsTest, PollingAsyncRecvPollsMoreThanOnce) {
   EXPECT_GT(stats.failed_polls, 0);
 }
 
+// Picks the canonical order and never perturbs: every poll tick is an event
+// and every idle kick runs its pass, so nothing is replayed.
+class PassThroughPolicy : public sim::SchedulePolicy {
+ public:
+  uint32_t PickTied(const std::vector<uint64_t>& /*seqs*/) override { return 0; }
+};
+
+// A 2-machine zero-copy session with latency spikes and a worker compute
+// long enough for the PS's idle kick to reach its backoff cap, where its
+// misses repeat and the simulator replays them. Replayed or ticked, the run
+// is the same.
+TEST(ExecutorStatsTest, ReplayedIdleKicksMatchTickedOnes) {
+  struct Run {
+    std::vector<int64_t> step_end_ns;
+    std::vector<float> weights;
+    std::vector<int64_t> stats;  // Per executor: steps, nodes, polls, failed polls.
+    bool operator==(const Run&) const = default;
+  };
+  auto run = [](bool policy) {
+    auto cluster = MakeCluster(2);
+    CHECK_OK(cluster->AddProcess("ps:0", 0).status());
+    CHECK_OK(cluster->AddProcess("worker:0", 1).status());
+    sim::FaultInjector injector(/*seed=*/7);
+    sim::LinkFaultSpec spikes;
+    spikes.spike_probability = 0.3;
+    spikes.spike_min_ns = 1'000;
+    spikes.spike_max_ns = 20'000;
+    injector.SetDefaultLinkFault(spikes);
+    cluster->fabric()->SetFaultInjector(&injector);
+    PassThroughPolicy pass_through;
+    if (policy) cluster->simulator()->set_schedule_policy(&pass_through);
+    comm::ZeroCopyRdmaMechanism mech(cluster.get(), comm::ZeroCopyOptions{});
+    PsWorkerGraph g = BuildPsWorkerGraph();
+    g.graph->FindNode("h")->SetAttr("cost_ns", 200'000.0);
+    DistributedSession session(cluster.get(), &mech, g.graph.get(), SessionOptions{});
+    CHECK_OK(session.Setup());
+    std::unordered_map<std::string, Tensor> feeds;
+    feeds["x"] = Ones(TensorShape{4, 4});
+    Run r;
+    for (int i = 0; i < 5; ++i) {
+      CHECK_OK(session.RunStep(feeds));
+      r.step_end_ns.push_back(cluster->simulator()->Now());
+    }
+    const Tensor& w = cluster->host("ps:0")->resources()->GetVariable("w");
+    for (int64_t i = 0; i < w.num_elements(); ++i) r.weights.push_back(w.at<float>(i));
+    for (const char* device : {"ps:0", "worker:0"}) {
+      const ExecutorStats& st = session.executor_for(device)->stats();
+      r.stats.insert(r.stats.end(),
+                     {st.steps, st.nodes_executed, st.poll_attempts, st.failed_polls});
+    }
+    cluster->simulator()->set_schedule_policy(nullptr);
+    return r;
+  };
+  const Run replayed = run(false);
+  const Run ticked = run(true);
+  EXPECT_EQ(replayed.step_end_ns, ticked.step_end_ns);
+  EXPECT_EQ(replayed.weights, ticked.weights);
+  EXPECT_EQ(replayed.stats, ticked.stats);
+  // The PS waited out the worker's compute at the backoff cap, polling once
+  // per kick: many more polls than the 12 kicks a 200 us wait needs below it.
+  EXPECT_GT(replayed.stats[2], 5 * 12);
+}
+
 }  // namespace
 }  // namespace runtime
 }  // namespace rdmadl

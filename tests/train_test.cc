@@ -267,6 +267,18 @@ TEST(TrainingDriverTest, MeasureZeroStepsIsInvalidArgument) {
   EXPECT_EQ(driver.MeasureStepTimeMs(0).status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(TrainingDriverTest, ElasticZeroStepsIsInvalidArgument) {
+  TrainingConfig config;
+  config.model = models::Fcn5();
+  config.num_machines = 2;
+  config.batch_size = 8;
+  config.elastic = true;
+  TrainingDriver driver(config);
+  ASSERT_TRUE(driver.Initialize().ok());
+  EXPECT_EQ(driver.RunElastic(0).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(driver.RunElastic(-1).status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(TrainingDriverTest, RunStepBeforeInitializeIsFailedPrecondition) {
   TrainingConfig config;
   config.model = models::Fcn5();
