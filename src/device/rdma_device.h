@@ -18,7 +18,6 @@
 #define RDMADL_SRC_DEVICE_RDMA_DEVICE_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/device/zeroed_bytes.h"
 #include "src/rdma/qp_pool.h"
 #include "src/rdma/verbs.h"
 #include "src/util/endpoint.h"
@@ -33,17 +33,6 @@
 
 namespace rdmadl {
 namespace device {
-
-// Zeroed byte storage from std::calloc. Fresh pages come zeroed from the OS,
-// so calloc does not touch them, and the pages of a region the simulation
-// never writes (a virtual payload's bytes) are never faulted in.
-struct CallocFree {
-  void operator()(uint8_t* p) const { std::free(p); }
-};
-using ZeroedBytes = std::unique_ptr<uint8_t, CallocFree>;
-inline ZeroedBytes AllocateZeroed(uint64_t size) {
-  return ZeroedBytes(static_cast<uint8_t*>(std::calloc(size, 1)));
-}
 
 class RdmaDevice;
 

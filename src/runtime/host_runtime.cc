@@ -1,7 +1,6 @@
 #include "src/runtime/host_runtime.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "src/util/strings.h"
@@ -122,8 +121,10 @@ StatusOr<RdmaArena*> HostRuntime::EnsureRdmaArena(uint64_t min_bytes) {
 StatusOr<RdmaArena*> HostRuntime::meta_arena() {
   if (!meta_arena_init_) {
     constexpr uint64_t kMetaArenaBytes = 8ull << 20;
-    auto storage = std::make_unique<uint8_t[]>(kMetaArenaBytes);
-    std::memset(storage.get(), 0, kMetaArenaBytes);
+    device::ZeroedBytes storage = device::AllocateZeroed(kMetaArenaBytes);
+    if (storage == nullptr) {
+      return ResourceExhausted(StrCat("meta arena: cannot allocate ", kMetaArenaBytes, " bytes"));
+    }
     RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion mr,
                             rdma_device_->nic()->RegisterMemory(storage.get(), kMetaArenaBytes));
     meta_arena_.size = kMetaArenaBytes;
@@ -153,7 +154,10 @@ StatusOr<RdmaArena*> HostRuntime::gpu_arena() {
       gpu_arena_.size = size;
       if (real_memory()) {
         gpu_arena_.region = device::MemRegion();
-        auto storage = std::make_unique<uint8_t[]>(size);
+        device::ZeroedBytes storage = device::AllocateZeroed(size);
+        if (storage == nullptr) {
+          return ResourceExhausted(StrCat("GPU arena: cannot allocate ", size, " bytes"));
+        }
         gpu_arena_.base_addr = reinterpret_cast<uint64_t>(storage.get());
         gpu_arena_.allocator = std::make_unique<tensor::ArenaAllocator>(
             storage.get(), size, StrCat("gpu:", options_.device_name),

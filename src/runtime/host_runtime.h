@@ -145,8 +145,8 @@ class HostRuntime {
   RdmaArena rdma_arena_;
   RdmaArena gpu_arena_;
   RdmaArena meta_arena_;
-  std::unique_ptr<uint8_t[]> gpu_storage_;  // Real-mode non-GDR GPU backing.
-  std::unique_ptr<uint8_t[]> meta_storage_;
+  device::ZeroedBytes gpu_storage_;  // Real-mode non-GDR GPU backing.
+  device::ZeroedBytes meta_storage_;
   bool rdma_arena_init_ = false;
   bool gpu_arena_init_ = false;
   bool meta_arena_init_ = false;

@@ -18,6 +18,27 @@ SchedulePolicy::~SchedulePolicy() = default;
 void SchedulePolicy::BeginEvent(int64_t /*time*/, uint64_t /*seq*/) {}
 void SchedulePolicy::EndEvent(int64_t /*time*/, uint64_t /*seq*/) {}
 
+void Simulator::TickRing::push_back(PollTick tick) {
+  if (size_ == slots_.size()) {
+    std::vector<PollTick> grown(std::max<size_t>(8, 2 * slots_.size()));
+    for (size_t i = 0; i < size_; ++i) grown[i] = std::move((*this)[i]);
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  (*this)[size_++] = std::move(tick);
+}
+
+void Simulator::TickRing::pop_front() {
+  slots_[head_].keep_alive.reset();
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --size_;
+}
+
+void Simulator::TickRing::Rotate() {
+  if (size_ < slots_.size()) (*this)[size_] = std::move(slots_[head_]);
+  head_ = (head_ + 1) & (slots_.size() - 1);
+}
+
 void Simulator::ArmPoll(int64_t delay, Poller* poller, uint64_t tag, bool jittered,
                         std::shared_ptr<void> keep_alive) {
   if (policy_ != nullptr) {
@@ -71,7 +92,8 @@ void Simulator::set_schedule_policy(SchedulePolicy* policy) {
   ++epoch_;
   if (policy_ == nullptr) return;
   for (TickLane& lane : lanes_) {
-    for (PollTick& t : lane.ticks) {
+    for (size_t i = 0; i < lane.ticks.size(); ++i) {
+      PollTick& t = lane.ticks[i];
       heap_.push_back(Event{t.time, t.seq,
                             TickEvent(t.poller, t.tag, t.jittered, std::move(t.keep_alive))});
       std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
@@ -89,7 +111,7 @@ void Simulator::StepTick(size_t lane) {
   CHECK(policy_ == nullptr) << "a poll tick may not install a SchedulePolicy";
   // Ticks armed during Tick() joined the backs of their lanes (lanes_ may
   // have grown), so this one is still the front of lanes_[lane].
-  std::deque<PollTick>& ticks = lanes_[lane].ticks;
+  TickRing& ticks = lanes_[lane].ticks;
   if (next.delay == Poller::kFired) {
     ++events_dispatched_;
     ++epoch_;
@@ -101,12 +123,20 @@ void Simulator::StepTick(size_t lane) {
   // seq (no policy is installed, so a jittered delay stays as it is), at the
   // back of its new delay's lane.
   CHECK_GE(next.delay, 0);
+  const auto rekey = [&](PollTick& t) {
+    t.time = now_ + next.delay;
+    t.seq = next_seq_++;
+    t.repeats = next.repeats;
+    t.epoch = epoch_;
+  };
+  if (next.delay == lanes_[lane].delay) {
+    ticks.Rotate();
+    rekey(ticks.back());
+    return;
+  }
   PollTick rearmed = std::move(ticks.front());
   ticks.pop_front();
-  rearmed.time = now_ + next.delay;
-  rearmed.seq = next_seq_++;
-  rearmed.repeats = next.repeats;
-  rearmed.epoch = epoch_;
+  rekey(rearmed);
   LaneFor(next.delay).ticks.push_back(std::move(rearmed));
 }
 
@@ -120,7 +150,7 @@ uint64_t Simulator::ReplayMisses(size_t lane_index, uint64_t budget, int64_t lim
     const PollTick& head = lanes_[i].ticks.front();
     if (Before(head, horizon)) horizon = Key{head.time, head.seq};
   }
-  std::deque<PollTick>& ticks = lanes_[lane_index].ticks;
+  TickRing& ticks = lanes_[lane_index].ticks;
   const int64_t delay = lanes_[lane_index].delay;
   const uint64_t size = ticks.size();
   uint64_t replayed = 0;
@@ -131,11 +161,10 @@ uint64_t Simulator::ReplayMisses(size_t lane_index, uint64_t budget, int64_t lim
     if (replayed == budget || !KnownMiss(head) || head.time > limit || !Before(head, horizon)) {
       return false;
     }
-    PollTick t = std::move(ticks.front());
-    ticks.pop_front();
+    ticks.Rotate();
+    PollTick& t = ticks.back();
     t.time += delay;
     t.seq = next_seq_++;
-    ticks.push_back(std::move(t));
     ++replayed;
     return true;
   };
@@ -156,9 +185,9 @@ uint64_t Simulator::ReplayMisses(size_t lane_index, uint64_t budget, int64_t lim
     if (turns > 0) {
       const int64_t shift = static_cast<int64_t>(turns) * delay;
       uint64_t seq = next_seq_ + (turns - 1) * size;
-      for (PollTick& t : ticks) {
-        t.time += shift;
-        t.seq = seq++;
+      for (size_t i = 0; i < size; ++i) {
+        ticks[i].time += shift;
+        ticks[i].seq = seq++;
       }
       next_seq_ += turns * size;
       replayed += turns * size;

@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -236,13 +235,40 @@ class Simulator {
     std::shared_ptr<void> keep_alive;
   };
 
+  // A FIFO of ticks in a ring buffer whose capacity only grows (a power of
+  // two), so queueing, firing and replaying ticks allocate nothing once a
+  // lane has held its most ticks. Index 0 is the front.
+  class TickRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    PollTick& operator[](size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+    PollTick& front() { return slots_[head_]; }
+    const PollTick& front() const { return slots_[head_]; }
+    PollTick& back() { return (*this)[size_ - 1]; }
+    void push_back(PollTick tick);
+    // Drops the front tick, releasing what it keeps alive.
+    void pop_front();
+    // Moves the front tick to the back. In a full ring that is only the
+    // head advancing.
+    void Rotate();
+    void clear() {
+      while (!empty()) pop_front();
+    }
+
+   private:
+    std::vector<PollTick> slots_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   // The armed ticks of one re-arm delay, in ascending (time, seq) order:
   // every tick enters at the back under (now + delay, next seq), and
   // neither term ever decreases. An empty lane is reused for the next new
   // delay, so there are never more lanes than distinct delays armed at once.
   struct TickLane {
     int64_t delay = 0;
-    std::deque<PollTick> ticks;
+    TickRing ticks;
   };
 
   // The event that runs |poller|'s tick under a policy.

@@ -1,9 +1,15 @@
 #include "src/collective/collective.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/net/fabric.h"
@@ -212,6 +218,67 @@ TEST(CollectiveTest, VirtualModeRunsWithoutMaterializing) {
   EXPECT_NEAR(static_cast<double>(group->stats().bytes_sent),
               static_cast<double>(expected), static_cast<double>(expected) / 100);
   EXPECT_GT(world.simulator.Now(), 0);
+}
+
+// The page-backed blocks of device::AllocateZeroed in this process: an
+// anonymous read-write mapping followed directly by a one-page PROT_NONE
+// guard. Keyed by start address; the value is the block's length.
+std::map<uintptr_t, uintptr_t> ZeroedBlocks() {
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  std::map<uintptr_t, uintptr_t> blocks;
+  FILE* maps = std::fopen("/proc/self/maps", "r");
+  CHECK(maps != nullptr);
+  char line[512];
+  uintptr_t rw_start = 0, rw_end = 0;
+  while (std::fgets(line, sizeof(line), maps) != nullptr) {
+    uintptr_t start = 0, end = 0;
+    char perms[5] = {};
+    uint64_t inode = 0;
+    int path = 0;
+    if (std::sscanf(line, "%" SCNxPTR "-%" SCNxPTR " %4s %*s %*s %" SCNu64 " %n", &start, &end,
+                    perms, &inode, &path) < 4) {
+      continue;
+    }
+    const bool anonymous = inode == 0 && (line[path] == '\0' || line[path] == '\n');
+    if (std::string(perms) == "---p" && start == rw_end && end - start == page) {
+      blocks[rw_start] = rw_end - rw_start;
+    }
+    rw_start = rw_end = 0;
+    if (anonymous && std::string(perms) == "rw-p") {
+      rw_start = start;
+      rw_end = end;
+    }
+  }
+  std::fclose(maps);
+  return blocks;
+}
+
+// Region storage is faulted in only where the simulation writes it: a
+// 64-host all-reduce over virtual payloads writes only a few slots of each
+// rank's RPC slabs, so the slabs stay almost entirely non-resident.
+TEST(CollectiveTest, VirtualAllReduceLeavesRegionStorageNonResident) {
+  const std::map<uintptr_t, uintptr_t> before = ZeroedBlocks();
+  World world(64);
+  CollectiveOptions options;
+  options.materialize = false;
+  const uint64_t count = 1u << 20;
+  auto group = world.MakeGroup(64, count, options);
+  ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
+                group->AllReduce(count, std::move(done));
+              }).ok());
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  uint64_t blocks = 0, mapped_pages = 0, resident_pages = 0;
+  for (const auto& [start, length] : ZeroedBlocks()) {
+    if (before.count(start) != 0) continue;
+    std::vector<unsigned char> pages(length / page);
+    ASSERT_EQ(mincore(reinterpret_cast<void*>(start), length, pages.data()), 0);
+    ++blocks;
+    mapped_pages += pages.size();
+    for (unsigned char v : pages) resident_pages += v & 1;
+  }
+  EXPECT_GE(blocks, 64u);  // At least one RPC slab per rank.
+  EXPECT_LT(resident_pages * 20, mapped_pages)
+      << resident_pages << " of " << mapped_pages << " pages resident in " << blocks << " blocks";
 }
 
 TEST(CollectiveTest, TrivialAndInvalidOps) {

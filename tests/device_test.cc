@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -63,6 +66,68 @@ TEST_F(DeviceTest, AllocateMemRegionProvidesUsableMemory) {
 TEST_F(DeviceTest, AllocateMemRegionRejectsZeroSize) {
   auto dev = MakeDevice(0, 7000);
   EXPECT_FALSE(dev->AllocateMemRegion(0).ok());
+}
+
+TEST_F(DeviceTest, AllocateMemRegionThatCannotBeMappedIsResourceExhausted) {
+  auto dev = MakeDevice(0, 7000);
+  auto region = dev->AllocateMemRegion(uint64_t{1} << 62);  // Beyond any address space.
+  EXPECT_EQ(region.status().code(), StatusCode::kResourceExhausted) << region.status();
+}
+
+uint64_t PageBytes() { return static_cast<uint64_t>(sysconf(_SC_PAGESIZE)); }
+
+// Pages of [p, p + size) resident in memory, by mincore.
+uint64_t ResidentPages(const uint8_t* p, uint64_t size) {
+  const uintptr_t first = reinterpret_cast<uintptr_t>(p) / PageBytes() * PageBytes();
+  const uintptr_t end = reinterpret_cast<uintptr_t>(p) + size;
+  std::vector<unsigned char> pages((end - first + PageBytes() - 1) / PageBytes());
+  CHECK_EQ(mincore(reinterpret_cast<void*>(first), end - first, pages.data()), 0);
+  return std::count_if(pages.begin(), pages.end(), [](unsigned char v) { return v & 1; });
+}
+
+TEST(AllocateZeroedTest, BlockReadsZeroAfterADirtiedBlockWasFreed) {
+  for (const uint64_t size : {uint64_t{1000}, uint64_t{8} << 20}) {
+    {
+      ZeroedBytes dirty = AllocateZeroed(size);
+      ASSERT_NE(dirty, nullptr);
+      std::memset(dirty.get(), 0xAB, size);
+    }
+    ZeroedBytes block = AllocateZeroed(size);
+    ASSERT_NE(block, nullptr);
+    EXPECT_TRUE(std::all_of(block.get(), block.get() + size, [](uint8_t b) { return b == 0; }))
+        << size << " bytes";
+  }
+}
+
+TEST(AllocateZeroedTest, OnlyWrittenPagesAreResident) {
+  constexpr uint64_t kSize = 8ull << 20;
+  ZeroedBytes block = AllocateZeroed(kSize);
+  ASSERT_NE(block, nullptr);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(block.get()) % kZeroedAlignment, 0u);
+  EXPECT_EQ(ResidentPages(block.get(), kSize), 0u);
+  block.get()[kSize / 2] = 1;
+  EXPECT_EQ(ResidentPages(block.get(), kSize), 1u);
+}
+
+// A page-backed region ends at a guard page (or, for a size that is not a
+// multiple of kZeroedAlignment, at most that many bytes before it), so an
+// overrun faults in every build, not only under ASan.
+using DeviceDeathTest = DeviceTest;
+
+TEST_F(DeviceDeathTest, WritingPastARegionsEndFaults) {
+  auto dev = MakeDevice(0, 7000);
+  auto exact = dev->AllocateMemRegion(3 * PageBytes());
+  ASSERT_TRUE(exact.ok());
+  exact->data()[exact->size() - 1] = 1;
+  volatile uint8_t* past_exact = exact->data() + exact->size();
+  EXPECT_DEATH(*past_exact = 1, "");
+
+  auto odd = dev->AllocateMemRegion(2 * PageBytes() + 100);
+  ASSERT_TRUE(odd.ok());
+  odd->data()[odd->size() - 1] = 1;
+  const uint64_t slack = (kZeroedAlignment - odd->size() % kZeroedAlignment) % kZeroedAlignment;
+  volatile uint8_t* past_odd = odd->data() + odd->size() + slack;
+  EXPECT_DEATH(*past_odd = 1, "");
 }
 
 TEST_F(DeviceTest, RemoteRegionRoundTripsThroughWireEncoding) {
