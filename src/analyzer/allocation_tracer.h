@@ -1,23 +1,26 @@
 // Dynamic allocation-site analysis (§3.4, "Decide tensor allocation site").
 //
-// During the first mini-batch iteration the executor's tensor allocator is
-// instrumented: every allocation records (buffer address -> allocating graph
-// node), latest write wins. When a _Send node transfers a tensor, the address
-// map reveals which node actually allocated that buffer — which is not
-// necessarily the _Send's direct predecessor, because ops like Identity,
-// Reshape and ApplySgd pass buffers through without allocating. Those
-// allocation sites form the set S; in subsequent iterations the runtime
-// redirects allocations by nodes in S to the RDMA-registered arena, making
-// every to-be-transferred tensor RDMA-accessible with no extra copy.
+// During the first mini-batch iteration every node's allocations are
+// recorded: buffer address -> allocating graph node, latest write wins. The
+// kernels report them (ops::OpKernelContext::allocations) and the transfer
+// mechanism decides which step is traced. When a _Send node transfers a
+// tensor, the address map reveals which node actually allocated that buffer
+// — which is not necessarily the _Send's direct predecessor, because ops
+// like Identity, Reshape and ApplySgd pass buffers through without
+// allocating. Those allocation sites form the set S; in subsequent
+// iterations the runtime redirects allocations by nodes in S to the
+// RDMA-registered arena, making every to-be-transferred tensor
+// RDMA-accessible with no extra copy.
 #ifndef RDMADL_SRC_ANALYZER_ALLOCATION_TRACER_H_
 #define RDMADL_SRC_ANALYZER_ALLOCATION_TRACER_H_
 
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <set>
-#include <string>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace rdmadl {
 namespace analyzer {
@@ -29,42 +32,43 @@ class AllocationSiteTracer {
   // almost always 0, but the pair is kept for fidelity to the paper.
   using Site = std::pair<int, int>;
 
-  bool tracing() const { return tracing_; }
-  void set_tracing(bool tracing) { tracing_ = tracing; }
-
-  // Marks the start of one node execution (resets its allocation counter).
-  void BeginNodeExecution(int node_id) { alloc_index_ = 0; }
-
-  // Records one allocation by |node_id| at |ptr| (only while tracing).
-  void RecordAllocation(int node_id, const void* ptr, size_t bytes) {
-    if (!tracing_) return;
-    by_addr_[ptr] = Site{node_id, alloc_index_++};  // Latest info wins.
+  // Records the buffers one execution of |node_id| allocated, in call order:
+  // the i-th is site (node_id, i).
+  void RecordAllocations(int node_id, std::span<const void* const> buffers) {
+    for (size_t i = 0; i < buffers.size(); ++i) {
+      by_addr_[buffers[i]] = Site{node_id, static_cast<int>(i)};  // Latest info wins.
+    }
   }
 
   // Called when a tensor at |ptr| is about to be transferred: promotes its
-  // allocation site into set S. Returns true if the site was known.
-  bool RecordTransfer(const void* ptr) {
+  // allocation site into set S and returns it, or nullopt when the address
+  // was never recorded.
+  std::optional<Site> RecordTransfer(const void* ptr) {
     auto it = by_addr_.find(ptr);
-    if (it == by_addr_.end()) return false;
-    hot_sites_.insert(it->second);
-    return true;
+    if (it == by_addr_.end()) return std::nullopt;
+    MarkHot(it->second.first);
+    return it->second;
   }
 
-  // Whether allocations of |node_id| should come from the RDMA arena.
+  // Puts every allocation of |node_id| in set S (static producers: nodes
+  // known to feed a _Send before any step runs).
+  void MarkHot(int node_id) {
+    if (node_id >= static_cast<int>(hot_.size())) hot_.resize(node_id + 1, false);
+    hot_[node_id] = true;
+  }
+
+  // Whether allocations of |node_id| should come from the RDMA arena. Any
+  // allocation index of the node qualifies (kernels allocate once).
   bool InHotSet(int node_id) const {
-    // Any allocation index of the node qualifies (kernels allocate once).
-    auto it = hot_sites_.lower_bound(Site{node_id, 0});
-    return it != hot_sites_.end() && it->first == node_id;
+    return node_id < static_cast<int>(hot_.size()) && hot_[node_id];
   }
 
-  size_t hot_set_size() const { return hot_sites_.size(); }
+  size_t hot_set_size() const { return std::count(hot_.begin(), hot_.end(), true); }
   size_t traced_addresses() const { return by_addr_.size(); }
 
  private:
-  bool tracing_ = false;
-  int alloc_index_ = 0;
   std::unordered_map<const void*, Site> by_addr_;
-  std::set<Site> hot_sites_;
+  std::vector<bool> hot_;  // By node id.
 };
 
 }  // namespace analyzer

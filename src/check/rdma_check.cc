@@ -64,7 +64,7 @@ void RdmaCheck::Emit(DiagKind kind, std::string message, int src_host, int dst_h
   d.vtime_ns = now_ns;
   // Trace-linked: the violation shows up on its own track at the exact
   // virtual time, next to the NIC/fault events that led to it.
-  sim::TraceInstant("check", StrCat(DiagKindName(kind), ": ", d.message), now_ns);
+  sim::TraceInstant("check", now_ns, DiagKindName(kind), ": ", d.message);
   diagnostics_.push_back(std::move(d));
 }
 

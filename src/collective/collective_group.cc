@@ -22,10 +22,6 @@ namespace collective {
 
 namespace {
 
-int64_t CostNs(uint64_t bytes, double bytes_per_sec) {
-  return static_cast<int64_t>(static_cast<double>(bytes) / bytes_per_sec * 1e9);
-}
-
 // Virtual-mode address windows: each rank reserves a 1 TB window far above
 // the host runtime's windows (which sit at (index + 2) << 40); the data
 // buffer lives at the window base and the slot area 512 GB above it. The
@@ -372,7 +368,7 @@ float* CollectiveGroup::data(int rank) const {
 }
 
 int64_t CollectiveGroup::ReduceNs(uint64_t bytes) const {
-  return CostNs(bytes, cost().reduce_bytes_per_sec);
+  return net::CostNs(bytes, cost().reduce_bytes_per_sec);
 }
 
 const std::string& CollectiveGroup::RankTrack(int rank) const {
@@ -553,8 +549,7 @@ void CollectiveGroup::Finish(const std::shared_ptr<Op>& op) {
   if (op->finished) return;
   op->finished = true;
   stats_.allreduces++;
-  sim::TraceSpan("collective", StrCat("allreduce ", op->count, " elems"), op->start_ns,
-                 simulator()->Now());
+  sim::TraceSpan("collective", op->start_ns, simulator()->Now(), "allreduce ", op->count, " elems");
   ForgetDeclaredFlags(op);
   op_.reset();
   if (op->done) op->done(OkStatus());
@@ -566,7 +561,7 @@ void CollectiveGroup::Fail(const std::shared_ptr<Op>& op, const Status& status) 
   op->status = status;
   ForgetDeclaredFlags(op);
   op_.reset();
-  sim::TraceInstant("collective", StrCat("failed: ", status.message()), simulator()->Now());
+  sim::TraceInstant("collective", simulator()->Now(), "failed: ", status.message());
   if (op->done) op->done(status);
 }
 
@@ -660,8 +655,7 @@ Status CollectiveGroup::Reconfigure(const std::vector<int>& alive_hosts) {
   RDMADL_RETURN_IF_ERROR(ProvisionRanks(hosts()));
 
   ++stats_.reconfigurations;
-  sim::TraceInstant("collective", StrCat("reconfigured to ", size(), " ranks"),
-                    simulator()->Now());
+  sim::TraceInstant("collective", simulator()->Now(), "reconfigured to ", size(), " ranks");
   return OkStatus();
 }
 
@@ -735,9 +729,9 @@ void CollectiveGroup::PostChunk(const std::shared_ptr<Op>& op, int src_rank, int
   // ring schedule, so benchmarks isolate the transport effect.
   const net::CostModel& c = cost();
   const int64_t sender_ns =
-      c.rpc_dispatch_overhead_ns + CostNs(bytes, c.serialize_bytes_per_sec);
-  const int64_t receiver_ns = CostNs(bytes, c.deserialize_bytes_per_sec) +
-                              CostNs(bytes, c.staging_memcpy_bytes_per_sec);
+      c.rpc_dispatch_overhead_ns + net::CostNs(bytes, c.serialize_bytes_per_sec);
+  const int64_t receiver_ns = net::CostNs(bytes, c.deserialize_bytes_per_sec) +
+                              net::CostNs(bytes, c.staging_memcpy_bytes_per_sec);
   net::Fabric* fabric = directory_->rdma_fabric()->fabric();
   const bool copy = options_.materialize && bytes > 0;
   fabric->Transfer(

@@ -130,8 +130,8 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
       auto after_tree = [this, op, r, l, p, rk, R, range, lane_bytes, fb, phase_start, members,
                          start_bcast]() {
         if (op->finished) return;
-        sim::TraceSpan(RankTrack(r), StrCat("h-tree l", l, " ", range.count, "e"), *phase_start,
-                       simulator()->Now());
+        sim::TraceSpan(RankTrack(r), *phase_start, simulator()->Now(), "h-tree l", l, " ",
+                       range.count, "e");
         *phase_start = simulator()->Now();
         if (p != 0) {
           // Push the rack-partial slice to the tree parent.
@@ -162,8 +162,8 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
           ring.flag_base = fb + tree_rounds_;
           ring.phase_spans = false;  // One h-ring span from tree end to ring end.
           ring.on_done = [this, r, l, range, phase_start, start_bcast] {
-            sim::TraceSpan(RankTrack(r), StrCat("h-ring l", l, " ", range.count, "e"),
-                           *phase_start, simulator()->Now());
+            sim::TraceSpan(RankTrack(r), *phase_start, simulator()->Now(), "h-ring l", l, " ",
+                           range.count, "e");
             start_bcast();
           };
           RunRingLane(op, std::move(ring));

@@ -139,9 +139,10 @@ void CollectiveGroup::IssueInNetworkRound(const std::shared_ptr<Op>& op, int lan
           Fail(op, status);
           return;
         }
-        sim::TraceSpan(StrCat(options_.trace_prefix, " switch"),
-                       StrCat("innet l", lane, " w", round, " ", cnt, "e"), *phase_start,
-                       simulator()->Now());
+        if (sim::Tracer::Current() != nullptr) {  // The track name is built per round too.
+          sim::TraceSpan(StrCat(options_.trace_prefix, " switch"), *phase_start,
+                         simulator()->Now(), "innet l", lane, " w", round, " ", cnt, "e");
+        }
         if (round + 1 < rounds) IssueInNetworkRound(op, lane, round + 1);
       });
 }

@@ -53,8 +53,7 @@ void CollectiveGroup::StartNaiveGather(const std::shared_ptr<Op>& op) {
                     root->FoldSlot(naive_slot_offset_ + static_cast<uint64_t>(k - 1) *
                                                             max_elements_ * sizeof(float),
                                    0, op->count);
-                    sim::TraceSpan(RankTrack(0), StrCat("reduce r", k), begin,
-                                   simulator()->Now());
+                    sim::TraceSpan(RankTrack(0), begin, simulator()->Now(), "reduce r", k);
                     if (++op->naive_reduced == n - 1) {
                       // Result is final: scatter it back to every peer.
                       for (int j = 1; j < n; ++j) {

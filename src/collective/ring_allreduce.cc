@@ -85,9 +85,8 @@ void CollectiveGroup::RunRingLane(const std::shared_ptr<Op>& op, RingLane spec) 
                 ranks_[lane->rank]->FoldSlot(lane->slot_byte_offset(index),
                                              range.offset + chunk.offset, chunk.count);
                 if (index + 1 == phase_steps && lane->phase_spans) {
-                  sim::TraceSpan(RankTrack(lane->rank),
-                                 StrCat("rs l", lane->lane, " ", range.count, "e"),
-                                 lane->phase_start, simulator()->Now());
+                  sim::TraceSpan(RankTrack(lane->rank), lane->phase_start, simulator()->Now(),
+                                 "rs l", lane->lane, " ", range.count, "e");
                   lane->phase_start = simulator()->Now();
                 }
                 RingLaneStep(op, *lane, index + 1);
@@ -98,8 +97,8 @@ void CollectiveGroup::RunRingLane(const std::shared_ptr<Op>& op, RingLane spec) 
         // All-gather arrival t: the chunk already sits at its final offset;
         // forward it, or after the last step run the lane's finish step.
         if (index + 1 == 2 * phase_steps && lane->phase_spans) {
-          sim::TraceSpan(RankTrack(lane->rank), StrCat("ag l", lane->lane, " ", range.count, "e"),
-                         lane->phase_start, simulator()->Now());
+          sim::TraceSpan(RankTrack(lane->rank), lane->phase_start, simulator()->Now(), "ag l",
+                         lane->lane, " ", range.count, "e");
         }
         RingLaneStep(op, *lane, index + 1);
         resume();

@@ -102,10 +102,10 @@ int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor
   for (uint64_t i = 0; i < num_fragments; ++i) {
     const uint64_t frag_bytes = std::min<uint64_t>(ring, bytes - i * ring);
     ++stats_.fragments;
-    int64_t prep_ns = static_cast<int64_t>(frag_bytes / cost.serialize_bytes_per_sec * 1e9);
+    int64_t prep_ns = net::CostNs(frag_bytes, cost.serialize_bytes_per_sec);
     if (i == 0) prep_ns += cost.rpc_dispatch_overhead_ns;  // Per-call dispatch on this thread.
     if (fragmented) {
-      prep_ns += static_cast<int64_t>(frag_bytes / cost.memcpy_bytes_per_sec * 1e9);
+      prep_ns += net::CostNs(frag_bytes, cost.memcpy_bytes_per_sec);
       stats_.copied_bytes += frag_bytes;
     }
     const int64_t ser_end = flight->src_cpu->Reserve(cpu_cursor, std::max<int64_t>(prep_ns, 1));
@@ -129,7 +129,7 @@ int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor
             // Receiver: copy out of the in-library ring buffer into the user
             // buffer (§2.2), serialized on the receiver's comm CPU.
             const int64_t copy_ns = std::max<int64_t>(
-                static_cast<int64_t>(frag_bytes / cost.memcpy_bytes_per_sec * 1e9), 1);
+                net::CostNs(frag_bytes, cost.memcpy_bytes_per_sec), 1);
             stats_.copied_bytes += frag_bytes;
             const int64_t copy_end = flight->dst_cpu->Reserve(simulator->Now(), copy_ns);
             if (!last) return;
@@ -138,8 +138,7 @@ int64_t RpcMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor
             // Deserialization plus the per-call dispatch both occupy the
             // receive thread.
             const int64_t deser_ns =
-                static_cast<int64_t>(flight->total_bytes /
-                                     cost.deserialize_bytes_per_sec * 1e9) +
+                net::CostNs(flight->total_bytes, cost.deserialize_bytes_per_sec) +
                 cost.rpc_dispatch_overhead_ns;
             const int64_t deser_end =
                 flight->dst_cpu->Reserve(copy_end, std::max<int64_t>(deser_ns, 1));

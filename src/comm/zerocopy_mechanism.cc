@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 #include <utility>
 
 #include "src/check/rdma_check.h"
@@ -31,10 +32,6 @@ size_t MetadataBytes(int rank) { return 4 + 4 + 8 * rank + 8 + 4 + 8 + 1; }
 // bytes; the extents ride one SG-WR per lane stripe (one doorbell, one CQE
 // each).
 constexpr uint64_t kGdrSgExtentBytes = 1ull << 20;
-
-int64_t CostNs(uint64_t bytes, double bytes_per_sec) {
-  return static_cast<int64_t>(static_cast<double>(bytes) / bytes_per_sec * 1e9);
-}
 
 void PutU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
 void PutU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, 8); }
@@ -172,9 +169,7 @@ void ZeroCopyRdmaMechanism::Setup(const std::vector<graph::TransferEdge>& edges,
       cluster_->simulator()->ScheduleAfter(0, [done = std::move(done), s]() { done(s); });
       return;
     }
-    if (options_.graph_analysis) {
-      analysis(state->src).static_producers.insert(edge.producer);
-    }
+    if (options_.graph_analysis) tracers_[state->src].MarkHot(edge.producer_id);
     edges_.push_back(std::move(state));
   }
 
@@ -370,17 +365,6 @@ void ZeroCopyRdmaMechanism::BeginStep(int64_t step) {
   for (auto& [host, engine] : engines_) {
     engine->BeginEpoch(step);
   }
-  const bool tracing = options_.graph_analysis && step == 0;
-  for (auto& [host, a] : analysis_) {
-    a.tracer.set_tracing(tracing);
-  }
-  if (options_.graph_analysis && step == 0) {
-    // Tracers may not exist yet for hosts that have not executed a node;
-    // they are created lazily with tracing enabled via this flag.
-    tracing_step_ = true;
-  } else {
-    tracing_step_ = false;
-  }
   for (auto& state : edges_) {
     state->hold = Tensor();
     FreeStepStaging(state.get());
@@ -416,25 +400,17 @@ tensor::Allocator* ZeroCopyRdmaMechanism::AllocatorForNode(HostRuntime* host,
     CHECK(gpu.ok()) << gpu.status();
     return (*gpu)->allocator.get();
   }
-  if (!options_.graph_analysis) return default_alloc;
-  DeviceAnalysis& a = analysis(host);
-  if (a.static_producers.count(node.name()) > 0 || a.tracer.InHotSet(node.id())) {
-    StatusOr<RdmaArena*> arena = host->rdma_arena();
-    CHECK(arena.ok()) << arena.status();
-    return (*arena)->allocator.get();
-  }
-  return default_alloc;
+  if (!options_.graph_analysis || !tracers_[host].InHotSet(node.id())) return default_alloc;
+  StatusOr<RdmaArena*> arena = host->rdma_arena();
+  CHECK(arena.ok()) << arena.status();
+  return (*arena)->allocator.get();
 }
 
-void ZeroCopyRdmaMechanism::OnNodeBegin(HostRuntime* host, const graph::Node& node) {
-  DeviceAnalysis& a = analysis(host);
-  if (tracing_step_) a.tracer.set_tracing(true);
-  a.tracer.BeginNodeExecution(node.id());
-}
-
-void ZeroCopyRdmaMechanism::OnAllocation(HostRuntime* host, const graph::Node& node,
-                                         const void* ptr, size_t bytes) {
-  analysis(host).tracer.RecordAllocation(node.id(), ptr, bytes);
+void ZeroCopyRdmaMechanism::OnAllocations(HostRuntime* host, const graph::Node& node,
+                                          std::span<const void* const> buffers) {
+  // §3.4 traces the first mini-batch only.
+  if (!options_.graph_analysis || step_ != 0) return;
+  tracers_[host].RecordAllocations(node.id(), buffers);
 }
 
 int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor,
@@ -448,9 +424,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
 
   // §3.4 dynamic analysis: learn the allocation site of every transferred
   // buffer so later iterations allocate it RDMA-accessible directly.
-  if (options_.graph_analysis) {
-    analysis(src).tracer.RecordTransfer(ptr);
-  }
+  if (options_.graph_analysis) tracers_[src].RecordTransfer(ptr);
 
   // Degradation ladder gate: a demoted edge stays on the staged TCP path
   // until its probation window opens, at which point one send re-probes the
@@ -461,7 +435,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
     }
     s->path = EdgePath::kProbation;
     ++stats_.probation_probes;
-    sim::TraceInstant("ladder", StrCat(s->edge.key, " probation probe"), simulator->Now());
+    sim::TraceInstant("ladder", simulator->Now(), s->edge.key, " probation probe");
   }
 
   // Classify the source buffer.
@@ -527,8 +501,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
     stats_.pcie_bytes += bytes;
     const net::CostModel& cost = src->cost();
     const int64_t pcie_ns =
-        cost.pcie_latency_ns +
-        static_cast<int64_t>(bytes / cost.pcie_bandwidth_bytes_per_sec * 1e9);
+        cost.pcie_latency_ns + net::CostNs(bytes, cost.pcie_bandwidth_bytes_per_sec);
     net::Host* machine =
         src->rdma_device()->nic()->fabric()->host(src->endpoint().host_id);
     const int64_t pcie_end = machine->pcie().Reserve(simulator->Now(), pcie_ns);
@@ -547,8 +520,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
   }
   const net::CostModel& cost = src->cost();
   const int64_t copy_ns =
-      cost.arena_alloc_overhead_ns +
-      static_cast<int64_t>(bytes / cost.staging_memcpy_bytes_per_sec * 1e9);
+      cost.arena_alloc_overhead_ns + net::CostNs(bytes, cost.staging_memcpy_bytes_per_sec);
   PostPayload(s, tensor, staging, arena->lkey, /*data_rkey=*/0, copy_ns, staging,
               std::move(on_sent));
   return copy_ns;
@@ -722,8 +694,8 @@ bool ZeroCopyRdmaMechanism::TryRecv(const graph::TransferEdge& edge, Tensor* out
       stats_.pcie_bytes += s->recv_tensor.TotalBytes();
       const net::CostModel& cost = s->dst->cost();
       const int64_t pcie_ns =
-          cost.pcie_latency_ns + static_cast<int64_t>(s->recv_tensor.TotalBytes() /
-                                                      cost.pcie_bandwidth_bytes_per_sec * 1e9);
+          cost.pcie_latency_ns +
+          net::CostNs(s->recv_tensor.TotalBytes(), cost.pcie_bandwidth_bytes_per_sec);
       net::Host* machine =
           s->dst->rdma_device()->nic()->fabric()->host(s->dst->endpoint().host_id);
       const int64_t end = machine->pcie().Reserve(s->dst->simulator()->Now(), pcie_ns);
@@ -800,9 +772,9 @@ int64_t ZeroCopyRdmaMechanism::SendDegraded(EdgeState* s, const Tensor& tensor,
   // cost structure as the RPC mechanism this path falls back to.
   const net::CostModel& cost = s->src->cost();
   const int64_t sender_ns =
-      cost.rpc_dispatch_overhead_ns + CostNs(bytes, cost.serialize_bytes_per_sec);
-  const int64_t receiver_ns = CostNs(bytes, cost.deserialize_bytes_per_sec) +
-                              CostNs(bytes, cost.staging_memcpy_bytes_per_sec);
+      cost.rpc_dispatch_overhead_ns + net::CostNs(bytes, cost.serialize_bytes_per_sec);
+  const int64_t receiver_ns = net::CostNs(bytes, cost.deserialize_bytes_per_sec) +
+                              net::CostNs(bytes, cost.staging_memcpy_bytes_per_sec);
   sim::Simulator* simulator = s->src->simulator();
   auto on_sent_shared =
       std::make_shared<std::function<void(Status)>>(std::move(on_sent));
@@ -854,8 +826,8 @@ void ZeroCopyRdmaMechanism::LadderDemote(EdgeState* s, const char* why) {
   s->consecutive_failures = 0;
   s->degraded_successes = 0;
   ++stats_.ladder_demotions;
-  sim::TraceInstant("ladder", StrCat(s->edge.key, " demoted to RPC staging: ", why),
-                    s->src->simulator()->Now());
+  sim::TraceInstant("ladder", s->src->simulator()->Now(), s->edge.key, " demoted to RPC staging: ",
+                    why);
 }
 
 void ZeroCopyRdmaMechanism::LadderPromote(EdgeState* s) {
@@ -863,8 +835,7 @@ void ZeroCopyRdmaMechanism::LadderPromote(EdgeState* s) {
   s->consecutive_failures = 0;
   s->degraded_successes = 0;
   ++stats_.ladder_promotions;
-  sim::TraceInstant("ladder", StrCat(s->edge.key, " promoted to zero-copy"),
-                    s->src->simulator()->Now());
+  sim::TraceInstant("ladder", s->src->simulator()->Now(), s->edge.key, " promoted to zero-copy");
 }
 
 std::function<void(Status)> ZeroCopyRdmaMechanism::WrapLadder(
@@ -882,8 +853,7 @@ std::function<void(Status)> ZeroCopyRdmaMechanism::WrapLadder(
       // restarts from zero clean degraded sends.
       s->path = EdgePath::kDegraded;
       s->degraded_successes = 0;
-      sim::TraceInstant("ladder", StrCat(s->edge.key, " probation failed"),
-                        s->src->simulator()->Now());
+      sim::TraceInstant("ladder", s->src->simulator()->Now(), s->edge.key, " probation failed");
     } else if (s->consecutive_failures >= kLadderDemoteAfter) {
       LadderDemote(s, "zero-copy failure streak");
     }
@@ -894,6 +864,11 @@ std::function<void(Status)> ZeroCopyRdmaMechanism::WrapLadder(
 
 EdgePath ZeroCopyRdmaMechanism::edge_path(int edge_id) const {
   return StateOf(edge_id)->path;
+}
+
+size_t ZeroCopyRdmaMechanism::traced_addresses(HostRuntime* host) const {
+  auto it = tracers_.find(host);
+  return it == tracers_.end() ? 0 : it->second.traced_addresses();
 }
 
 void ZeroCopyRdmaMechanism::FreeStepStaging(EdgeState* s) {

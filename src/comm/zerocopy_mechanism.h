@@ -23,12 +23,14 @@
 //   payload with a one-sided RDMA read.
 //
 // Graph-analyzer integration (§3.4):
-//   * producers that feed _Send nodes are allocated from the RDMA arena from
-//     step 0 (static analysis);
-//   * during step 0 a TracingAllocator maps buffer address -> allocating
-//     node; each transferred buffer promotes its true allocation site into
-//     set S (catching Identity/Reshape/ApplySgd pass-throughs), and from
-//     step 1 those sites allocate from the arena too;
+//   * producers that feed _Send nodes (TransferEdge::producer_id) are
+//     allocated from the RDMA arena from step 0 (static analysis);
+//   * during step 0 the executor reports each node's allocations
+//     (OnAllocations) and the tracer maps buffer address -> allocating node;
+//     each transferred buffer promotes its true allocation site into set S
+//     (catching Identity/Reshape/ApplySgd pass-throughs), and from step 1
+//     those nodes allocate from the arena too. Both kinds share one per-host
+//     hot set keyed by node id, so AllocatorForNode asks one question;
 //   * with graph analysis off (options.graph_analysis = false) every send
 //     pays a staging copy into the arena — the paper's RDMA.cp baseline.
 //
@@ -42,7 +44,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -147,14 +148,16 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
 
   tensor::Allocator* AllocatorForNode(runtime::HostRuntime* host, const graph::Node& node,
                                       tensor::Allocator* default_allocator) override;
-  void OnNodeBegin(runtime::HostRuntime* host, const graph::Node& node) override;
-  void OnAllocation(runtime::HostRuntime* host, const graph::Node& node, const void* ptr,
-                    size_t bytes) override;
+  void OnAllocations(runtime::HostRuntime* host, const graph::Node& node,
+                     std::span<const void* const> buffers) override;
 
   const ZeroCopyStats& stats() const { return stats_; }
 
   // Current ladder position of edge |edge_id| (tests and diagnostics).
   EdgePath edge_path(int edge_id) const;
+  // Buffer addresses the §3.4 trace recorded on |host| (tests and
+  // diagnostics).
+  size_t traced_addresses(runtime::HostRuntime* host) const;
 
   // Fault recovery: discards every edge's in-flight receive state (completion
   // flags, dynamic metadata blocks, partially received tensors, sender
@@ -212,13 +215,6 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   std::function<void(Status)> WrapLadder(EdgeState* state,
                                          std::function<void(Status)> on_sent);
 
-  // Host-side per-device analyzer state.
-  struct DeviceAnalysis {
-    analyzer::AllocationSiteTracer tracer;
-    std::set<std::string> static_producers;
-  };
-  DeviceAnalysis& analysis(runtime::HostRuntime* host) { return analysis_[host]; }
-
   // Per-sending-device transfer engine, created lazily. Kept in creation
   // order (not keyed by pointer value) so iteration is run-to-run stable.
   TransferEngine* engine_for(runtime::HostRuntime* src);
@@ -228,11 +224,11 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   ZeroCopyStats stats_;
   // By TransferEdge::id. unique_ptr: scheduled closures hold EdgeState*.
   std::vector<std::unique_ptr<EdgeState>> edges_;
-  std::map<runtime::HostRuntime*, DeviceAnalysis> analysis_;
+  // Per-device §3.4 analysis; its hot set starts as the static producers.
+  std::map<runtime::HostRuntime*, analyzer::AllocationSiteTracer> tracers_;
   std::map<runtime::HostRuntime*, uint8_t*> flag_sources_;
   std::vector<std::pair<runtime::HostRuntime*, std::unique_ptr<TransferEngine>>> engines_;
   int64_t step_ = -1;
-  bool tracing_step_ = false;
 };
 
 }  // namespace comm

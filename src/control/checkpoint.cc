@@ -66,10 +66,8 @@ Status CheckpointManager::Snapshot(int64_t step, double samples,
   stats_.bytes_captured += total_bytes;
   stats_.last_snapshot_bytes = total_bytes;
   stats_.variables_captured = static_cast<int64_t>(entries_.size());
-  sim::TraceInstant("checkpoint",
-                    StrCat("snapshot step ", step, ": ", entries_.size(),
-                           " variables, ", total_bytes, " bytes"),
-                    cluster_->simulator()->Now());
+  sim::TraceInstant("checkpoint", cluster_->simulator()->Now(), "snapshot step ", step, ": ",
+                    entries_.size(), " variables, ", total_bytes, " bytes");
   return OkStatus();
 }
 
@@ -111,10 +109,8 @@ Status CheckpointManager::Restore(const std::map<std::string, std::string>& var_
   ChargeCopyCost(total_bytes);
   ++stats_.restores;
   stats_.variables_restored += restored;
-  sim::TraceInstant("checkpoint",
-                    StrCat("restore to step ", step_, ": ", restored,
-                           " variables, ", total_bytes, " bytes"),
-                    cluster_->simulator()->Now());
+  sim::TraceInstant("checkpoint", cluster_->simulator()->Now(), "restore to step ", step_, ": ",
+                    restored, " variables, ", total_bytes, " bytes");
   return OkStatus();
 }
 

@@ -159,9 +159,7 @@ void MembershipService::OnLeaseExpiry(int monitor, int target, uint64_t seq) {
       if (tt.state == MemberState::kSuspected) {
         tt.state = MemberState::kAlive;
         ++stats_.suspicions_cleared;
-        sim::TraceInstant("membership",
-                          StrCat("host", target, " suspicion cleared"),
-                          simulator_->Now());
+        sim::TraceInstant("membership", simulator_->Now(), "host", target, " suspicion cleared");
       }
     } else {
       ++stats_.missed_leases;
@@ -169,10 +167,8 @@ void MembershipService::OnLeaseExpiry(int monitor, int target, uint64_t seq) {
       if (tt.state == MemberState::kAlive) {
         tt.state = MemberState::kSuspected;
         ++stats_.suspicions;
-        sim::TraceInstant("membership",
-                          StrCat("host", target, " suspected (missed lease ",
-                                 tt.missed, ")"),
-                          simulator_->Now());
+        sim::TraceInstant("membership", simulator_->Now(), "host", target,
+                          " suspected (missed lease ", tt.missed, ")");
       }
       if (tt.missed >= options_.missed_leases_to_confirm) {
         ConfirmDead(target);
@@ -192,8 +188,7 @@ void MembershipService::ConfirmDead(int target) {
   tt.state = MemberState::kDead;
   tt.confirmed_dead_at_ns = simulator_->Now();
   ++stats_.deaths_confirmed;
-  sim::TraceInstant("membership", StrCat("host", target, " confirmed dead"),
-                    simulator_->Now());
+  sim::TraceInstant("membership", simulator_->Now(), "host", target, " confirmed dead");
   if (on_death_) on_death_(target, tt.confirmed_dead_at_ns);
 }
 

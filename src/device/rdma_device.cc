@@ -1,5 +1,6 @@
 #include "src/device/rdma_device.h"
 
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -289,6 +290,36 @@ Status RdmaDevice::Connect(RdmaDevice* remote) {
     return b.status();
   }
   RDMADL_RETURN_IF_ERROR(a->Connect(*b));
+  // Both ends' receive slots are taken before the peers are recorded: a slot
+  // that cannot be had (no slab mapping, or the NIC at its MR cap) fails the
+  // connect with kResourceExhausted and leaves nothing behind.
+  std::array<RpcSlot, kRpcRecvDepth> my_slots, their_slots;
+  Status slots;
+  int taken = 0;
+  for (; taken < kRpcRecvDepth; ++taken) {
+    StatusOr<RpcSlot> my_slot = AcquireRpcSlot();
+    if (!my_slot.ok()) {
+      slots = my_slot.status();
+      break;
+    }
+    StatusOr<RpcSlot> their_slot = remote->AcquireRpcSlot();
+    if (!their_slot.ok()) {
+      ReleaseRpcSlot(*my_slot);
+      slots = their_slot.status();
+      break;
+    }
+    my_slots[taken] = *my_slot;
+    their_slots[taken] = *their_slot;
+  }
+  if (!slots.ok()) {
+    while (taken-- > 0) {  // Reverse order restores both free lists exactly.
+      remote->ReleaseRpcSlot(their_slots[taken]);
+      ReleaseRpcSlot(my_slots[taken]);
+    }
+    (void)remote->nic_->DestroyQueuePair(*b);
+    (void)nic_->DestroyQueuePair(a);
+    return slots;
+  }
   PeerConnection& mine = peers_[remote->local_];
   PeerConnection& theirs = remote->peers_[local_];
   CHECK(mine.channels.empty() && theirs.channels.empty());
@@ -297,8 +328,8 @@ Status RdmaDevice::Connect(RdmaDevice* remote) {
   rpc_qps_[a->qp_num()] = a;
   remote->rpc_qps_[(*b)->qp_num()] = *b;
   for (int i = 0; i < kRpcRecvDepth; ++i) {
-    PostRpcRecv(a, AcquireRpcSlot());
-    remote->PostRpcRecv(*b, remote->AcquireRpcSlot());
+    PostRpcRecv(a, my_slots[i]);
+    remote->PostRpcRecv(*b, their_slots[i]);
   }
   // Channel wrappers exist for the connection's lifetime; their QP bindings
   // attach lazily (AttachLane) and drop when the pool tears the lane down.
@@ -418,7 +449,8 @@ Status RdmaDevice::RecoverChannels() {
     // counter deliberately includes flushed-but-undrained WRs; their eventual
     // completions repost themselves (capped at the same depth in DrainCq).
     while (rpc_recv_posted_[peer.rpc_qp->qp_num()] < kRpcRecvDepth) {
-      PostRpcRecv(peer.rpc_qp, AcquireRpcSlot());
+      RDMADL_ASSIGN_OR_RETURN(RpcSlot slot, AcquireRpcSlot());
+      PostRpcRecv(peer.rpc_qp, slot);
     }
   }
   return OkStatus();
@@ -433,18 +465,19 @@ int RdmaDevice::rpc_recvs_posted(const Endpoint& remote) const {
 
 // --------------------------------------------------------------------- MiniRPC
 
-RdmaDevice::RpcSlot RdmaDevice::AcquireRpcSlot() {
+StatusOr<RdmaDevice::RpcSlot> RdmaDevice::AcquireRpcSlot() {
   if (rpc_free_slots_.empty()) {
     ZeroedBytes slab = AllocateZeroed(kRpcSlotBytes * kRpcSlotsPerSlab);
-    CHECK(slab != nullptr) << "cannot allocate an RPC slab";
-    StatusOr<rdma::MemoryRegion> mr =
-        nic_->RegisterMemory(slab.get(), kRpcSlotBytes * kRpcSlotsPerSlab);
-    CHECK(mr.ok()) << mr.status();
+    if (slab == nullptr) {
+      return ResourceExhausted(StrCat("cannot allocate an RPC slab on ", local_.ToString()));
+    }
+    RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion mr,
+                            nic_->RegisterMemory(slab.get(), kRpcSlotBytes * kRpcSlotsPerSlab));
     for (int i = 0; i < kRpcSlotsPerSlab; ++i) {
-      rpc_free_slots_.push_back(RpcSlot{slab.get() + i * kRpcSlotBytes, mr->lkey});
+      rpc_free_slots_.push_back(RpcSlot{slab.get() + i * kRpcSlotBytes, mr.lkey});
     }
     rpc_slabs_.push_back(std::move(slab));
-    rpc_slab_mrs_.push_back(*mr);
+    rpc_slab_mrs_.push_back(mr);
   }
   RpcSlot slot = rpc_free_slots_.back();
   rpc_free_slots_.pop_back();
@@ -465,10 +498,10 @@ void RdmaDevice::PostRpcRecv(rdma::QueuePair* qp, RpcSlot slot) {
   CHECK(s.ok()) << s;
 }
 
-void RdmaDevice::SendRpcFrame(rdma::QueuePair* qp, const std::vector<uint8_t>& frame) {
+Status RdmaDevice::SendRpcFrame(rdma::QueuePair* qp, const std::vector<uint8_t>& frame) {
   CHECK_LE(frame.size(), kRpcSlotBytes)
       << "MiniRPC frame exceeds slot size; address-distribution messages are small by design";
-  RpcSlot slot = AcquireRpcSlot();
+  RDMADL_ASSIGN_OR_RETURN(RpcSlot slot, AcquireRpcSlot());
   std::memcpy(slot.data, frame.data(), frame.size());
   rdma::SendWorkRequest wr;
   wr.wr_id = next_wr_id_++;
@@ -479,6 +512,7 @@ void RdmaDevice::SendRpcFrame(rdma::QueuePair* qp, const std::vector<uint8_t>& f
   rpc_send_slots_[wr.wr_id] = slot;
   Status s = qp->PostSend(wr);
   CHECK(s.ok()) << s;
+  return OkStatus();
 }
 
 void RdmaDevice::RegisterRpcHandler(const std::string& method, RpcHandler handler) {
@@ -509,8 +543,17 @@ void RdmaDevice::Call(const Endpoint& remote, const std::string& method,
 
   rdma::QueuePair* qp = peers_[remote].rpc_qp;
   // Caller-side dispatch cost, then post.
-  simulator()->ScheduleAfter(cost().mini_rpc_dispatch_ns,
-                             [this, qp, frame = std::move(frame)]() { SendRpcFrame(qp, frame); });
+  simulator()->ScheduleAfter(cost().mini_rpc_dispatch_ns, [this, qp, call_id,
+                                                            frame = std::move(frame)]() {
+    Status sent = SendRpcFrame(qp, frame);
+    if (sent.ok()) return;
+    // No slot for the request: the call fails here.
+    auto it = pending_calls_.find(call_id);
+    if (it == pending_calls_.end()) return;
+    RpcCallback cb = std::move(it->second.callback);
+    pending_calls_.erase(it);
+    cb(sent, {});
+  });
 }
 
 void RdmaDevice::HandleRpcInbound(rdma::QueuePair* qp, const uint8_t* data, uint64_t len) {
@@ -543,7 +586,10 @@ void RdmaDevice::HandleRpcInbound(rdma::QueuePair* qp, const uint8_t* data, uint
             PutU32(&frame, static_cast<uint32_t>(response.size()));
             frame.insert(frame.end(), response.begin(), response.end());
           }
-          SendRpcFrame(qp, frame);
+          // Without a slot the callee cannot answer, not even with an
+          // error; the caller's call stays pending.
+          Status sent = SendRpcFrame(qp, frame);
+          if (!sent.ok()) LOG(ERROR) << "RPC response to call " << call_id << " dropped: " << sent;
         });
     return;
   }

@@ -198,10 +198,14 @@ class RdmaDevice {
   StatusOr<MemRegion> AllocateMemRegion(uint64_t size);
 
   // Returns the channel to |remote| over QP |qp_idx| (0 <= qp_idx <
-  // num_qps_per_peer), establishing the connection on first use.
+  // num_qps_per_peer), establishing the connection on first use. A NIC that
+  // cannot take the connection's RPC QP or its receive slots fails it with
+  // kResourceExhausted.
   StatusOr<RdmaChannel*> GetChannel(const Endpoint& remote, int qp_idx);
 
   // ---- Vanilla RPC for address distribution (not performance critical) ----
+  // A call fails through its callback, with kResourceExhausted when the
+  // request gets no RPC slot.
   void RegisterRpcHandler(const std::string& method, RpcHandler handler);
   void Call(const Endpoint& remote, const std::string& method, std::vector<uint8_t> payload,
             RpcCallback callback);
@@ -210,7 +214,8 @@ class RdmaDevice {
   // a transport failure has been observed and the simulator has quiesced.
   // Flushed RPC receive buffers are reposted. Idempotent: repeated calls (even
   // with flushed recv completions still in flight in the CQs) never over- or
-  // under-fill the RPC receive queues.
+  // under-fill the RPC receive queues. A receive buffer that cannot be
+  // reposted for want of a slot fails it with kResourceExhausted.
   Status RecoverChannels();
 
   // Outstanding RPC recv WRs toward |remote|'s rpc QP (tests: the recovery
@@ -278,10 +283,13 @@ class RdmaDevice {
     uint32_t lkey = 0;
   };
 
-  RpcSlot AcquireRpcSlot();
+  // kResourceExhausted when the free list is empty and no new slab can be
+  // mapped or registered (the NIC at max_memory_regions).
+  StatusOr<RpcSlot> AcquireRpcSlot();
   void ReleaseRpcSlot(RpcSlot slot);
   void HandleRpcInbound(rdma::QueuePair* qp, const uint8_t* data, uint64_t len);
-  void SendRpcFrame(rdma::QueuePair* qp, const std::vector<uint8_t>& frame);
+  // Fails, posting nothing, when no slot can be had.
+  Status SendRpcFrame(rdma::QueuePair* qp, const std::vector<uint8_t>& frame);
   void PostRpcRecv(rdma::QueuePair* qp, RpcSlot slot);
 
   DeviceDirectory* directory_;

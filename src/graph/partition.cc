@@ -75,10 +75,11 @@ StatusOr<PartitionResult> PartitionGraph(const Graph& graph) {
       }
 
       Graph* src_part = get_partition(producer->device());
+      Node* producer_copy = copies.at(producer->id());
       RDMADL_ASSIGN_OR_RETURN(
           Node * send,
           src_part->AddNode(StrCat("_send_", producer->name(), "_to_", node->device()),
-                            "_Send", std::vector<Node*>{copies.at(producer->id())}));
+                            "_Send", std::vector<Node*>{producer_copy}));
       send->set_device(producer->device());
       send->set_output_dtype(producer->output_dtype());
       send->set_output_shape(producer->output_shape());
@@ -101,7 +102,7 @@ StatusOr<PartitionResult> PartitionGraph(const Graph& graph) {
       edge.dst_device = node->device();
       edge.send_node = send->name();
       edge.recv_node = recv->name();
-      edge.producer = producer->name();
+      edge.producer_id = producer_copy->id();
       edge.dtype = producer->output_dtype();
       edge.shape = producer->output_shape();
       result.transfers.push_back(std::move(edge));

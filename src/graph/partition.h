@@ -32,7 +32,7 @@ struct TransferEdge {
   std::string dst_device;
   std::string send_node;    // _Send node name in the source partition.
   std::string recv_node;    // _Recv node name in the destination partition.
-  std::string producer;     // Original producer node name.
+  int producer_id = 0;      // Id of the node feeding the _Send, in the source partition.
   tensor::DType dtype = tensor::DType::kFloat32;
   tensor::TensorShape shape;  // Static shape if the analyzer inferred one.
 };

@@ -139,6 +139,11 @@ struct CostModel {
   int64_t loopback_latency_ns = 400;
 };
 
+// Nanoseconds to move |bytes| at |bytes_per_sec|, truncated toward zero.
+inline int64_t CostNs(uint64_t bytes, double bytes_per_sec) {
+  return static_cast<int64_t>(static_cast<double>(bytes) / bytes_per_sec * 1e9);
+}
+
 // Capped exponential backoff: min(base << attempt, cap), safe for any attempt
 // (the naive `base << attempt` overflows int64 past attempt ~40 and goes
 // negative, which would schedule events in the past). Shared by the RC

@@ -206,12 +206,11 @@ void Fabric::SetFaultInjector(sim::FaultInjector* injector) {
     for (const sim::DownWindow& w : injector->down_windows(host->id())) {
       host->egress().AddDownWindow(w.from_ns, w.until_ns);
       host->ingress().AddDownWindow(w.from_ns, w.until_ns);
-      sim::TraceSpan("fault", StrCat("host", host->id(), " link down"), w.from_ns,
-                     w.until_ns);
+      sim::TraceSpan("fault", w.from_ns, w.until_ns, "host", host->id(), " link down");
     }
   }
   for (const auto& [host_id, at_ns] : injector->crash_times()) {
-    sim::TraceInstant("fault", StrCat("host", host_id, " crash"), at_ns);
+    sim::TraceInstant("fault", at_ns, "host", host_id, " crash");
   }
 }
 
@@ -267,7 +266,7 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
     // callers waiting on completion always make progress.
     const int dead = fault_->FirstDeadHost(src, dst, now);
     if (dead >= 0) {
-      sim::TraceInstant("fault", StrCat("transfer refused: host", dead, " crashed"), now);
+      sim::TraceInstant("fault", now, "transfer refused: host", dead, " crashed");
       check::OnTransferFinished(check_id);
       if (on_complete) {
         simulator_->ScheduleAt(
@@ -280,9 +279,7 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
     }
     const int64_t spike_ns = fault_->DrawSpikeNs(src, dst);
     if (spike_ns > 0) {
-      sim::TraceInstant("fault",
-                        StrCat("latency spike +", spike_ns, "ns host", src, "->host", dst),
-                        now);
+      sim::TraceInstant("fault", now, "latency spike +", spike_ns, "ns host", src, "->host", dst);
       latency += spike_ns;
     }
     // Straggler-knob link jitter: a small per-transfer latency wobble, drawn
@@ -318,8 +315,7 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
     const bool dropped = !loopback && fault_ != nullptr && fault_->ShouldDropSegment(src, dst);
     const int64_t deliver_at = start + wire_ns + latency;
     if (dropped) {
-      sim::TraceInstant("fault", StrCat("drop host", src, "->host", dst, " offset=0"),
-                        deliver_at);
+      sim::TraceInstant("fault", deliver_at, "drop host", src, "->host", dst, " offset=0");
     }
     auto chunk_cb = std::move(on_chunk);
     auto complete_cb = std::move(on_complete);
@@ -423,18 +419,15 @@ void Fabric::Transfer(int src, int dst, uint64_t bytes, Plane plane,
         }
       }
       if (seg.dropped) {
-        sim::TraceInstant(
-            "congestion",
-            StrCat("queue drop host", src, "->host", dst, " offset=", seg.offset),
-            seg.deliver_at);
+        sim::TraceInstant("congestion", seg.deliver_at, "queue drop host", src, "->host", dst,
+                          " offset=", seg.offset);
       }
     }
 
     if (!seg.dropped && !loopback && fault_ != nullptr && fault_->ShouldDropSegment(src, dst)) {
       seg.dropped = true;
-      sim::TraceInstant("fault",
-                        StrCat("drop host", src, "->host", dst, " offset=", seg.offset),
-                        seg.deliver_at);
+      sim::TraceInstant("fault", seg.deliver_at, "drop host", src, "->host", dst, " offset=",
+                        seg.offset);
     }
     if (seg.dropped) seg.length = 0;
     progress->segments.push_back(seg);

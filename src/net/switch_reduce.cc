@@ -45,8 +45,7 @@ void SwitchReduceStage::AllReduceChunk(const std::vector<int>& hosts, uint64_t b
   if (sim::FaultInjector* fault = fabric_->fault_injector()) {
     for (int h : hosts) {
       if (fault->HostDead(h, now)) {
-        sim::TraceInstant("fault",
-                          StrCat("switch-reduce refused: host", h, " crashed"), now);
+        sim::TraceInstant("fault", now, "switch-reduce refused: host", h, " crashed");
         if (complete) {
           simulator->ScheduleAt(
               now + cost.rdma_one_way_latency_ns,

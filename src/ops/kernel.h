@@ -1,10 +1,12 @@
 // Operator kernel interface.
 //
 // Kernels are instantiated per node by the executor. Every kernel allocates
-// its output through OpKernelContext::AllocateOutput, which routes through
-// the allocator the runtime chose for that node — this is the hook the
-// RDMA-aware analyzer uses to redirect to-be-transferred tensors into the
-// pre-registered RDMA arena (§3.4, "Decide tensor allocation site").
+// through OpKernelContext::AllocateOutput or OpKernelContext::Allocate, which
+// route through the allocator the runtime chose for that node — this is how
+// the RDMA-aware analyzer redirects to-be-transferred tensors into the
+// pre-registered RDMA arena (§3.4, "Decide tensor allocation site") — and
+// record each buffer, so the executor can hand the node's allocations to the
+// analyzer's first-step trace.
 //
 // Kernels run in one of two compute modes:
 //   kReal      — full numeric computation (unit tests, examples);
@@ -13,8 +15,10 @@
 #ifndef RDMADL_SRC_OPS_KERNEL_H_
 #define RDMADL_SRC_OPS_KERNEL_H_
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -78,15 +82,27 @@ class OpKernelContext {
     return inputs_[i];
   }
 
-  tensor::Allocator* allocator() const { return allocator_; }
   bool real_compute() const { return mode_ == ComputeMode::kReal; }
   ComputeMode mode() const { return mode_; }
   ResourceManager* resources() const { return resources_; }
 
-  // Allocates the output tensor through the node's allocator and sets it.
+  // Allocates a tensor through the node's allocator and records its buffer.
+  tensor::Tensor Allocate(tensor::DType dtype, const tensor::TensorShape& shape) {
+    CHECK_LT(num_allocations_, allocations_.size())
+        << node_->name() << " allocates more than " << allocations_.size() << " tensors";
+    tensor::Tensor t(allocator_, dtype, shape);
+    allocations_[num_allocations_++] = t.raw_data();
+    return t;
+  }
+  // Allocates a tensor as Allocate does and sets it as the output.
   tensor::Tensor* AllocateOutput(tensor::DType dtype, const tensor::TensorShape& shape) {
-    output_ = tensor::Tensor(allocator_, dtype, shape);
+    output_ = Allocate(dtype, shape);
     return &output_;
+  }
+  // The buffers Allocate and AllocateOutput returned, in call order: the
+  // i-th is the node's §3.4 allocation site (node, i).
+  std::span<const void* const> allocations() const {
+    return {allocations_.data(), num_allocations_};
   }
   // Forwards an existing tensor (buffer sharing; used by Identity, Variable,
   // in-place updates) — no new allocation happens.
@@ -110,6 +126,10 @@ class OpKernelContext {
   ResourceManager* resources_;
   const std::unordered_map<std::string, tensor::Tensor>* feeds_;
   tensor::Tensor output_;
+  // Inline, so recording never allocates; the built-in kernels allocate at
+  // most one tensor per execution.
+  std::array<const void*, 4> allocations_{};
+  size_t num_allocations_ = 0;
 };
 
 class OpKernel {

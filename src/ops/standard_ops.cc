@@ -157,7 +157,7 @@ class VariableKernel : public OpKernel {
     const std::string& name = ctx->node().name();
     if (!rm->HasVariable(name)) {
       const TensorShape shape = ctx->node().GetAttr<TensorShape>("shape");
-      Tensor var(ctx->allocator(), DType::kFloat32, shape);
+      Tensor var = ctx->Allocate(DType::kFloat32, shape);
       if (ctx->real_compute()) {
         const std::string init = ctx->node().GetAttrOr<std::string>("init", "zeros");
         float* data = var.data<float>();

@@ -488,9 +488,8 @@ void QueuePair::CompleteWire(const Status& status) {
                               : front.sge.empty() ? StrCat("wr", front.wr_id)
                                                   : StrCat("sg-wr", front.wr_id, " of ",
                                                            front.sge.size(), " extents");
-      sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                        StrCat("retransmit qp", qp_num_, " ", wqe, " attempt ", retry_attempts_),
-                        nic_->simulator()->Now());
+      sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"), nic_->simulator()->Now(),
+                        "retransmit qp", qp_num_, " ", wqe, " attempt ", retry_attempts_);
     }
     nic_->simulator()->ScheduleAfter(backoff, [this]() { ExecuteCurrent(); });
     return;
@@ -505,9 +504,8 @@ void QueuePair::CompleteWire(const Status& status) {
                                     nic_->cost().rdma_transport_retry_count,
                                     ") exhausted: ", status.message()))
                      .WithContextFrom(status);
-  sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                    StrCat("qp", qp_num_, " -> ERROR: ", status.message()),
-                    nic_->simulator()->Now());
+  sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"), nic_->simulator()->Now(), "qp",
+                    qp_num_, " -> ERROR: ", status.message());
   Finish(error_cause_);
 }
 

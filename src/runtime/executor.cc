@@ -1,6 +1,5 @@
 #include "src/runtime/executor.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/check/rdma_check.h"
@@ -45,27 +44,6 @@ Executor::Executor(HostRuntime* host, const graph::Graph* graph, TransferMechani
     CHECK(kernel.ok()) << kernel.status();
     kernels_[node->id()] = std::move(kernel).value();
   }
-}
-
-Executor::~Executor() {
-  for (tensor::TracingAllocator* wrapper : hooked_wrappers_) {
-    wrapper->set_alloc_hook(nullptr);
-  }
-}
-
-tensor::Allocator* Executor::Wrap(tensor::Allocator* base) {
-  tensor::TracingAllocator* wrapper = host_->tracing_allocator(base);
-  wrapper->set_alloc_hook([this](void* ptr, size_t bytes) {
-    if (current_node_ != nullptr) {
-      mechanism_->OnAllocation(host_, *current_node_, ptr, bytes);
-    }
-  });
-  // Every compute node wraps its allocator, so keep each wrapper once.
-  if (std::find(hooked_wrappers_.begin(), hooked_wrappers_.end(), wrapper) ==
-      hooked_wrappers_.end()) {
-    hooked_wrappers_.push_back(wrapper);
-  }
-  return wrapper;
 }
 
 int64_t Executor::CostOf(const Node& node) const {
@@ -229,20 +207,17 @@ void Executor::StartNode(Node* node) {
 
 void Executor::StartCompute(Node* node) {
   ++stats_.nodes_executed;
-  mechanism_->OnNodeBegin(host_, *node);
-
   std::vector<Tensor> inputs;
   inputs.reserve(node->inputs().size());
   for (const graph::NodeInput& in : node->inputs()) {
     inputs.push_back(outputs_[in.node->id()]);
   }
-  tensor::Allocator* base =
-      mechanism_->AllocatorForNode(host_, *node, host_->default_allocator());
-  current_node_ = node;
-  ops::OpKernelContext ctx(node, std::move(inputs), Wrap(base), host_->mode(),
-                           host_->resources(), feeds_);
+  ops::OpKernelContext ctx(
+      node, std::move(inputs),
+      mechanism_->AllocatorForNode(host_, *node, host_->default_allocator()), host_->mode(),
+      host_->resources(), feeds_);
   Status status = kernels_[node->id()]->Compute(&ctx);
-  current_node_ = nullptr;
+  mechanism_->OnAllocations(host_, *node, ctx.allocations());
   if (!status.ok()) {
     FailStep(Status(status.code(),
                     StrCat(node->name(), " (", node->op(), "): ", status.message())));

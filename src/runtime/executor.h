@@ -58,7 +58,6 @@ class Executor : private sim::Poller {
   // |edges| is indexed by TransferEdge::id and must outlive the executor.
   Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
            const std::vector<graph::TransferEdge>& edges, ExecutorOptions options);
-  ~Executor();
 
   // Runs the partition once. |feeds| must outlive the step. |on_done| fires
   // in virtual time when every node has completed (or on first error).
@@ -81,10 +80,6 @@ class Executor : private sim::Poller {
   const tensor::Tensor* OutputOf(const std::string& node_name) const;
 
  private:
-  // Allocation interception: installs this executor's hook on the host-owned
-  // TracingAllocator wrapper for |base|.
-  tensor::Allocator* Wrap(tensor::Allocator* base);
-
   int64_t CostOf(const graph::Node& node) const;
   const graph::TransferEdge& EdgeOf(const graph::Node& node) const;
 
@@ -141,12 +136,6 @@ class Executor : private sim::Poller {
   int failed_polls_in_row_ = 0;
   bool delayed_kick_scheduled_ = false;
   int idle_kicks_ = 0;  // Idle kicks since the last successful poll.
-
-  // Allocation tracing plumbing. Wrappers are owned by the HostRuntime (they
-  // must outlive tensors); this executor only installs hooks and clears them
-  // on destruction.
-  const graph::Node* current_node_ = nullptr;
-  std::vector<tensor::TracingAllocator*> hooked_wrappers_;
 };
 
 }  // namespace runtime

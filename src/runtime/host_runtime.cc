@@ -32,8 +32,8 @@ HostRuntime::HostRuntime(device::DeviceDirectory* directory, const HostRuntimeOp
 HostRuntime::~HostRuntime() {
   // This body runs before member destruction. Callbacks abandoned inside the
   // device by an aborted step may own tensors whose buffers deallocate
-  // through the arenas and tracing wrappers owned below — drop them while
-  // those allocators are still alive.
+  // through the arenas owned below — drop them while those allocators are
+  // still alive.
   if (rdma_device_ != nullptr) rdma_device_->DropPendingCallbacks();
   // Arenas registered with the NIC directly (virtual-mode data arenas, the
   // meta arena) bypass MemRegion's RAII deregistration — undo them here, or
@@ -46,14 +46,6 @@ HostRuntime::~HostRuntime() {
       }
     }
   }
-}
-
-tensor::TracingAllocator* HostRuntime::tracing_allocator(tensor::Allocator* base) {
-  auto it = tracing_wrappers_.find(base);
-  if (it == tracing_wrappers_.end()) {
-    it = tracing_wrappers_.emplace(base, std::make_unique<tensor::TracingAllocator>(base)).first;
-  }
-  return it->second.get();
 }
 
 StatusOr<std::unique_ptr<HostRuntime>> HostRuntime::Create(device::DeviceDirectory* directory,

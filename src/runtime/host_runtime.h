@@ -16,7 +16,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "src/device/rdma_device.h"
 #include "src/ops/kernel.h"
@@ -114,11 +113,6 @@ class HostRuntime {
   // (sends, receives, bookkeeping) overlap freely on the worker contexts.
   net::Link* compute_unit() { return &compute_unit_; }
 
-  // Stable TracingAllocator wrapper around |base|, owned by this runtime so
-  // it outlives every tensor allocated through it (tensors deallocate via
-  // the wrapper). The executor installs/clears the allocation hook.
-  tensor::TracingAllocator* tracing_allocator(tensor::Allocator* base);
-
   // Translates a pointer inside one of the registered arenas into the
   // (lkey, rkey) needed for one-sided verbs; fails for unregistered memory.
   StatusOr<const RdmaArena*> ArenaFor(const void* ptr) const;
@@ -131,14 +125,11 @@ class HostRuntime {
   // NOTE: declaration order is destruction-critical. Members are destroyed
   // in reverse order, and tensor Buffers deallocate through their allocator
   // at destruction: resources_ (variable tensors) must die before the arenas
-  // and wrappers they allocate from, and the wrappers before their base
-  // arenas would be wrong — hence wrappers first, arenas next, resources last.
+  // they allocate from — hence arenas first, resources last.
   device::DeviceDirectory* directory_;
   HostRuntimeOptions options_;
   int index_;
   std::unique_ptr<device::RdmaDevice> rdma_device_;
-  std::unordered_map<tensor::Allocator*, std::unique_ptr<tensor::TracingAllocator>>
-      tracing_wrappers_;
 
   tensor::Allocator* default_allocator_ = nullptr;
   std::unique_ptr<tensor::ArenaAllocator> virtual_default_allocator_;

@@ -120,8 +120,7 @@ Status DistributedSession::RunStep(const std::unordered_map<std::string, tensor:
   }
   ++steps_run_;
   last_step_duration_ns_ = cluster_->simulator()->Now() - start;
-  sim::TraceSpan("session", StrCat("step ", steps_run_ - 1), start,
-                 cluster_->simulator()->Now());
+  sim::TraceSpan("session", start, cluster_->simulator()->Now(), "step ", steps_run_ - 1);
   return OkStatus();
 }
 

@@ -19,6 +19,7 @@
 #define RDMADL_SRC_RUNTIME_TRANSFER_H_
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,10 +87,10 @@ class TransferMechanism {
                                               tensor::Allocator* default_allocator) {
     return default_allocator;
   }
-  // Allocation-site tracing hooks, driven by the executor.
-  virtual void OnNodeBegin(HostRuntime* host, const graph::Node& node) {}
-  virtual void OnAllocation(HostRuntime* host, const graph::Node& node, const void* ptr,
-                            size_t bytes) {}
+  // The buffers one execution of |node| on |host| allocated, in call order
+  // (ops::OpKernelContext::allocations), reported after its Compute.
+  virtual void OnAllocations(HostRuntime* host, const graph::Node& node,
+                             std::span<const void* const> buffers) {}
 };
 
 }  // namespace runtime

@@ -5,7 +5,8 @@
 // step's compute/communication overlap visible at a glance.
 //
 // Tracing is off unless a Tracer is installed (zero overhead on the hot path
-// beyond one pointer test).
+// beyond one pointer test): a name made of several parts is passed as those
+// parts, and TraceSpan/TraceInstant concatenate them only behind that test.
 #ifndef RDMADL_SRC_SIM_TRACE_H_
 #define RDMADL_SRC_SIM_TRACE_H_
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "src/util/status.h"
+#include "src/util/strings.h"
 
 namespace rdmadl {
 namespace sim {
@@ -68,6 +70,23 @@ inline void TraceSpan(const std::string& track, const std::string& name, int64_t
 inline void TraceInstant(const std::string& track, const std::string& name, int64_t at_ns) {
   if (Tracer* tracer = Tracer::Current()) {
     tracer->AddInstant(track, name, at_ns);
+  }
+}
+
+// The same, named StrCat(name_parts...), which is built only when a tracer
+// is installed.
+template <typename... NameParts>
+void TraceSpan(const std::string& track, int64_t start_ns, int64_t end_ns,
+               const NameParts&... name_parts) {
+  if (Tracer* tracer = Tracer::Current()) {
+    tracer->AddSpan(track, StrCat(name_parts...), start_ns, end_ns);
+  }
+}
+
+template <typename... NameParts>
+void TraceInstant(const std::string& track, int64_t at_ns, const NameParts&... name_parts) {
+  if (Tracer* tracer = Tracer::Current()) {
+    tracer->AddInstant(track, StrCat(name_parts...), at_ns);
   }
 }
 

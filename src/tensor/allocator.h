@@ -5,16 +5,17 @@
 //   * an ArenaAllocator carving tensors out of one large pre-registered
 //     RDMA-accessible region, so to-be-transferred tensors need no extra copy
 //     and no per-tensor NIC registration.
-// A TracingAllocator wrapper implements the dynamic allocation-site analysis:
-// it reports every allocation to a hook so the graph analyzer can map buffer
-// addresses to the graph node that allocated them (first training iteration),
-// then redirect those nodes' allocations to the RDMA arena afterwards.
+// The allocators know nothing of graph nodes: a kernel allocates through its
+// ops::OpKernelContext, which records each buffer, and the executor reports a
+// node's allocations to the transfer mechanism. That is the dynamic
+// allocation-site analysis (analyzer::AllocationSiteTracer): the first
+// training iteration maps buffer addresses to the graph node that allocated
+// them, and the mechanism then hands those nodes the RDMA arena.
 #ifndef RDMADL_SRC_TENSOR_ALLOCATOR_H_
 #define RDMADL_SRC_TENSOR_ALLOCATOR_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace rdmadl {
@@ -57,37 +58,6 @@ class CpuAllocator : public Allocator {
 
  private:
   AllocatorStats stats_;
-};
-
-// Wraps another allocator and reports each allocation/deallocation to hooks.
-// Used by the graph executor during the first mini-batch iteration (§3.4).
-class TracingAllocator : public Allocator {
- public:
-  using AllocHook = std::function<void(void* ptr, size_t bytes)>;
-  using FreeHook = std::function<void(void* ptr)>;
-
-  explicit TracingAllocator(Allocator* base) : base_(base) {}
-
-  void set_alloc_hook(AllocHook hook) { alloc_hook_ = std::move(hook); }
-  void set_free_hook(FreeHook hook) { free_hook_ = std::move(hook); }
-
-  void* Allocate(size_t bytes) override {
-    void* ptr = base_->Allocate(bytes);
-    if (ptr != nullptr && alloc_hook_) alloc_hook_(ptr, bytes);
-    return ptr;
-  }
-  void Deallocate(void* ptr) override {
-    if (ptr != nullptr && free_hook_) free_hook_(ptr);
-    base_->Deallocate(ptr);
-  }
-  std::string name() const override { return "tracing(" + base_->name() + ")"; }
-  MemorySpace memory_space() const override { return base_->memory_space(); }
-  const AllocatorStats& stats() const override { return base_->stats(); }
-
- private:
-  Allocator* base_;
-  AllocHook alloc_hook_;
-  FreeHook free_hook_;
 };
 
 }  // namespace tensor

@@ -618,10 +618,8 @@ Status TrainingDriver::RecoverFromFailure(ElasticReport* report) {
   ++report->reconfigurations;
   membership_->Resume();
   report->last_recovery_ns = cluster_->simulator()->Now() - recovery_start;
-  sim::TraceInstant("elastic",
-                    StrCat("reconfigured: ", worker_machines_.size(), " workers, ",
-                           ps_devices_.size(), " ps"),
-                    cluster_->simulator()->Now());
+  sim::TraceInstant("elastic", cluster_->simulator()->Now(), "reconfigured: ",
+                    worker_machines_.size(), " workers, ", ps_devices_.size(), " ps");
   return OkStatus();
 }
 

@@ -76,59 +76,62 @@ TEST_F(ShapeInferenceTest, StatsCountStaticAndDynamic) {
 
 TEST(AllocationTracerTest, RecordsLatestAllocationPerAddress) {
   AllocationSiteTracer tracer;
-  tracer.set_tracing(true);
-  int dummy1, dummy2;
-  tracer.BeginNodeExecution(1);
-  tracer.RecordAllocation(1, &dummy1, 64);
+  int dummy1 = 0, dummy2 = 0;
+  const void* node1[] = {&dummy1};
+  tracer.RecordAllocations(1, node1);
   // Same address reused by node 2: latest info wins (the paper's overwrite
   // rule).
-  tracer.BeginNodeExecution(2);
-  tracer.RecordAllocation(2, &dummy1, 64);
-  tracer.RecordAllocation(2, &dummy2, 64);
-  EXPECT_TRUE(tracer.RecordTransfer(&dummy1));
+  const void* node2[] = {&dummy1, &dummy2};
+  tracer.RecordAllocations(2, node2);
+  EXPECT_EQ(tracer.RecordTransfer(&dummy1), AllocationSiteTracer::Site(2, 0));
   EXPECT_TRUE(tracer.InHotSet(2));
   EXPECT_FALSE(tracer.InHotSet(1));
 }
 
 TEST(AllocationTracerTest, UnknownAddressNotPromoted) {
   AllocationSiteTracer tracer;
-  int dummy;
+  int dummy = 0;
   EXPECT_FALSE(tracer.RecordTransfer(&dummy));
   EXPECT_EQ(tracer.hot_set_size(), 0u);
 }
 
-TEST(AllocationTracerTest, TracingOffRecordsNothing) {
+TEST(AllocationTracerTest, NodeWithoutAllocationsRecordsNothing) {
   AllocationSiteTracer tracer;
-  tracer.set_tracing(false);
-  int dummy;
-  tracer.BeginNodeExecution(1);
-  tracer.RecordAllocation(1, &dummy, 64);
+  int dummy = 0;
+  tracer.RecordAllocations(1, {});
+  EXPECT_EQ(tracer.traced_addresses(), 0u);
   EXPECT_FALSE(tracer.RecordTransfer(&dummy));
 }
 
-TEST(AllocationTracerTest, TransferPromotionSurvivesTracingOff) {
+TEST(AllocationTracerTest, TransferAfterTheTracedStepStillPromotes) {
   AllocationSiteTracer tracer;
-  tracer.set_tracing(true);
-  int dummy;
-  tracer.BeginNodeExecution(7);
-  tracer.RecordAllocation(7, &dummy, 64);
-  tracer.set_tracing(false);
-  // Transfers keep resolving against the recorded map even after the tracing
-  // iteration ended.
-  EXPECT_TRUE(tracer.RecordTransfer(&dummy));
+  int dummy = 0;
+  const void* node7[] = {&dummy};
+  tracer.RecordAllocations(7, node7);
+  // The mechanism records only the first step, but transfers keep resolving
+  // against the recorded map after it.
+  EXPECT_EQ(tracer.RecordTransfer(&dummy), AllocationSiteTracer::Site(7, 0));
   EXPECT_TRUE(tracer.InHotSet(7));
 }
 
 TEST(AllocationTracerTest, AllocationIndexDistinguishesSites) {
   AllocationSiteTracer tracer;
-  tracer.set_tracing(true);
-  int a, b;
-  tracer.BeginNodeExecution(3);
-  tracer.RecordAllocation(3, &a, 64);  // (3, 0)
-  tracer.RecordAllocation(3, &b, 64);  // (3, 1)
-  EXPECT_TRUE(tracer.RecordTransfer(&b));
+  int a = 0, b = 0;
+  const void* node3[] = {&a, &b};  // Sites (3, 0) and (3, 1).
+  tracer.RecordAllocations(3, node3);
+  EXPECT_EQ(tracer.RecordTransfer(&b), AllocationSiteTracer::Site(3, 1));
   EXPECT_TRUE(tracer.InHotSet(3));
   EXPECT_EQ(tracer.hot_set_size(), 1u);
+}
+
+TEST(AllocationTracerTest, MarkHotSeedsTheHotSetByNodeId) {
+  AllocationSiteTracer tracer;
+  tracer.MarkHot(5);
+  EXPECT_TRUE(tracer.InHotSet(5));
+  EXPECT_FALSE(tracer.InHotSet(4));
+  EXPECT_FALSE(tracer.InHotSet(6));
+  EXPECT_FALSE(tracer.InHotSet(1000));
+  EXPECT_EQ(tracer.traced_addresses(), 0u);
 }
 
 }  // namespace

@@ -521,6 +521,61 @@ TEST_F(DeviceTest, QpCapFailsNewPeerAndKeepsCachedChannels) {
   }
 }
 
+TEST_F(DeviceTest, RpcSlotsThatCannotBeRegisteredFailTheConnect) {
+  // With no MR to spare, the connection's first RPC slab cannot be
+  // registered: GetChannel reports it, twice, and leaves no QP behind.
+  net::CostModel no_mrs = cost_;
+  no_mrs.max_memory_regions = 0;
+  net::Fabric fabric(&simulator_, no_mrs, 4);
+  rdma::RdmaFabric rdma(&fabric);
+  DeviceDirectory directory(&rdma);
+  auto a = RdmaDevice::Create(&directory, 1, 1, Endpoint{0, 7000});
+  auto b = RdmaDevice::Create(&directory, 1, 1, Endpoint{1, 7000});
+  ASSERT_TRUE(a.ok() && b.ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto channel = (*a)->GetChannel((*b)->endpoint(), 0);
+    EXPECT_EQ(channel.status().code(), StatusCode::kResourceExhausted) << channel.status();
+  }
+  EXPECT_EQ(rdma.nic(0)->num_queue_pairs(), 0);
+  EXPECT_EQ(rdma.nic(1)->num_queue_pairs(), 0);
+  EXPECT_EQ((*a)->rpc_recvs_posted((*b)->endpoint()), -1);
+
+  // An RPC over the same missing connection fails through its callback.
+  bool called = false;
+  (*a)->Call((*b)->endpoint(), "any", {}, [&](const Status& s, const std::vector<uint8_t>&) {
+    called = true;
+    EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s;
+  });
+  ASSERT_TRUE(simulator_.Run().ok());
+  EXPECT_TRUE(called);
+}
+
+TEST_F(DeviceTest, RpcRequestWithoutASlotFailsItsCall) {
+  // One MR per NIC: the connection's first slab. Its 16 slots hold the 8
+  // posted receives and 8 requests, so of 9 calls dispatched together the
+  // last finds no slot and fails; the other 8 complete.
+  net::CostModel one_mr = cost_;
+  one_mr.max_memory_regions = 1;
+  net::Fabric fabric(&simulator_, one_mr, 4);
+  rdma::RdmaFabric rdma(&fabric);
+  DeviceDirectory directory(&rdma);
+  auto a = RdmaDevice::Create(&directory, 1, 1, Endpoint{0, 7000});
+  auto b = RdmaDevice::Create(&directory, 1, 1, Endpoint{1, 7000});
+  ASSERT_TRUE(a.ok() && b.ok());
+  (*b)->RegisterRpcHandler("echo", [](const std::vector<uint8_t>& req) { return req; });
+  std::vector<StatusCode> codes;
+  for (int i = 0; i < 9; ++i) {
+    (*a)->Call((*b)->endpoint(), "echo", {static_cast<uint8_t>(i)},
+               [&codes](const Status& s, const std::vector<uint8_t>&) {
+                 codes.push_back(s.code());
+               });
+  }
+  ASSERT_TRUE(simulator_.Run().ok());
+  ASSERT_EQ(codes.size(), 9u);
+  EXPECT_EQ(codes.front(), StatusCode::kResourceExhausted);  // Fails at dispatch.
+  EXPECT_EQ(std::count(codes.begin(), codes.end(), StatusCode::kOk), 8);
+}
+
 TEST_F(DeviceTest, DeviceDestructionReturnsPooledLanes) {
   net::CostModel tight = cost_;
   tight.max_queue_pairs = 4;

@@ -189,7 +189,6 @@ TEST_F(GraphTest, PartitionInsertsSendRecvOnCrossDeviceEdge) {
   const TransferEdge& edge = result->transfers[0];
   EXPECT_EQ(edge.src_device, "ps:0");
   EXPECT_EQ(edge.dst_device, "worker:0");
-  EXPECT_EQ(edge.producer, "weight");
   EXPECT_EQ(edge.shape, TensorShape({128, 128}));
 
   // The send node lives in the ps partition and consumes the weight copy.
@@ -205,6 +204,8 @@ TEST_F(GraphTest, PartitionInsertsSendRecvOnCrossDeviceEdge) {
   ASSERT_NE(send, nullptr);
   EXPECT_EQ(send->op(), "_Send");
   EXPECT_EQ(send->inputs()[0].node->name(), "weight");
+  // The producer is named by its id in the source partition.
+  EXPECT_EQ(edge.producer_id, ps->FindNode("weight")->id());
   Node* recv = worker->FindNode(edge.recv_node);
   ASSERT_NE(recv, nullptr);
   EXPECT_EQ(recv->op(), "_Recv");
@@ -214,6 +215,30 @@ TEST_F(GraphTest, PartitionInsertsSendRecvOnCrossDeviceEdge) {
   ASSERT_NE(use_copy, nullptr);
   EXPECT_EQ(use_copy->inputs()[0].node, recv);
   ExpectDenseEdgeIds(*result);
+}
+
+TEST_F(GraphTest, PartitionProducerIdIsTheSendInputsIdInTheSourcePartition) {
+  // "scale" precedes the producer in the ps partition, so its id is not 0.
+  Node* scale = *g_.AddNode("scale", "Const", std::vector<Node*>{});
+  Node* w = *g_.AddNode("weight", "Variable", std::vector<Node*>{});
+  Node* use = *g_.AddNode("use", "Identity", {w});
+  scale->set_device("ps:0");
+  w->set_device("ps:0");
+  use->set_device("worker:0");
+  auto result = PartitionGraph(g_);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->transfers.size(), 1u);
+  const TransferEdge& edge = result->transfers[0];
+  Graph* ps = nullptr;
+  for (auto& part : result->partitions) {
+    if (part.device == "ps:0") ps = part.graph.get();
+  }
+  ASSERT_NE(ps, nullptr);
+  const Node* weight = ps->FindNode("weight");
+  ASSERT_NE(weight, nullptr);
+  EXPECT_EQ(weight->id(), 1);
+  EXPECT_EQ(edge.producer_id, weight->id());
+  EXPECT_EQ(ps->FindNode(edge.send_node)->inputs()[0].node, weight);
 }
 
 TEST_F(GraphTest, PartitionSharesRecvAcrossConsumersOnSameDevice) {

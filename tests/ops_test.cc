@@ -55,6 +55,34 @@ TEST_F(OpsTest, ConstFillsValue) {
   EXPECT_EQ(out->at<float>(2), 2.5f);
 }
 
+TEST_F(OpsTest, ContextReportsAllocationsInCallOrder) {
+  Node* n = *g_.AddNode("n", "Identity", std::vector<Node*>{});
+  OpKernelContext ctx(n, {}, CpuAllocator::Get(), ComputeMode::kReal, &resources_, &feeds_);
+  EXPECT_TRUE(ctx.allocations().empty());
+  Tensor scratch = ctx.Allocate(DType::kFloat32, TensorShape{2});
+  const void* output = ctx.AllocateOutput(DType::kFloat32, TensorShape{3})->raw_data();
+  ctx.set_output(scratch);  // Forwarding a buffer allocates nothing.
+  ASSERT_EQ(ctx.allocations().size(), 2u);
+  EXPECT_EQ(ctx.allocations()[0], scratch.raw_data());
+  EXPECT_EQ(ctx.allocations()[1], output);
+}
+
+TEST_F(OpsTest, VariableReportsItsBufferOnlyWhenItAllocates) {
+  Node* n = *g_.AddNode("v", "Variable", std::vector<Node*>{});
+  n->SetAttr("shape", TensorShape{4});
+  auto kernel = KernelRegistry::Global()->Create(*n);
+  ASSERT_TRUE(kernel.ok());
+  OpKernelContext first(n, {}, CpuAllocator::Get(), ComputeMode::kReal, &resources_, &feeds_);
+  ASSERT_TRUE((*kernel)->Compute(&first).ok());
+  ASSERT_EQ(first.allocations().size(), 1u);
+  EXPECT_EQ(first.allocations()[0], first.output().raw_data());
+  // Later steps share the persistent buffer through set_output.
+  OpKernelContext second(n, {}, CpuAllocator::Get(), ComputeMode::kReal, &resources_, &feeds_);
+  ASSERT_TRUE((*kernel)->Compute(&second).ok());
+  EXPECT_TRUE(second.allocations().empty());
+  EXPECT_EQ(second.output().raw_data(), first.output().raw_data());
+}
+
 TEST_F(OpsTest, PlaceholderReadsFeed) {
   Node* n = *g_.AddNode("x", "Placeholder", std::vector<Node*>{});
   n->SetAttr("shape", TensorShape{tensor::kUnknownDim, 2});

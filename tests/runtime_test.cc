@@ -343,6 +343,33 @@ TEST(ZeroCopyAnalysisTest, TracerPromotesAllocationSiteAfterFirstStep) {
   EXPECT_EQ(mech.stats().zero_copy_sends, 3);
 }
 
+TEST(ZeroCopyAnalysisTest, TracerRecordsOnlyTheFirstStep) {
+  for (bool graph_analysis : {true, false}) {
+    auto cluster = MakeCluster(2);
+    ASSERT_TRUE(cluster->AddProcess("ps:0", 0).ok());
+    ASSERT_TRUE(cluster->AddProcess("worker:0", 1).ok());
+    comm::ZeroCopyOptions options;
+    options.graph_analysis = graph_analysis;
+    comm::ZeroCopyRdmaMechanism mech(cluster.get(), options);
+    PsWorkerGraph g = BuildPsWorkerGraph();
+    DistributedSession session(cluster.get(), &mech, g.graph.get(), SessionOptions{});
+    ASSERT_TRUE(session.Setup().ok());
+    std::unordered_map<std::string, Tensor> feeds;
+    feeds["x"] = Ones(TensorShape{4, 4});
+    HostRuntime* worker = cluster->host("worker:0");
+
+    ASSERT_TRUE(session.RunStep(feeds).ok());
+    const size_t traced = mech.traced_addresses(worker);
+    // RDMA.cp never traces; RDMA.zerocp traces MatMul's step-0 buffer.
+    EXPECT_EQ(traced > 0, graph_analysis);
+    // From step 1 MatMul allocates from the RDMA arena, at an address the
+    // trace has never seen: recording it would grow the map.
+    ASSERT_TRUE(session.RunStep(feeds).ok());
+    ASSERT_TRUE(session.RunStep(feeds).ok());
+    EXPECT_EQ(mech.traced_addresses(worker), traced);
+  }
+}
+
 TEST(ZeroCopyAnalysisTest, DynamicShapeUsesDynamicProtocol) {
   auto cluster = MakeCluster(2);
   ASSERT_TRUE(cluster->AddProcess("ps:0", 0).ok());

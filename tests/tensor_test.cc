@@ -169,24 +169,6 @@ TEST_F(ArenaTest, ManyRandomAllocationsConserveSpace) {
   EXPECT_EQ(arena_.largest_free_block(), storage_.size());
 }
 
-TEST(TracingAllocatorTest, HooksFire) {
-  CpuAllocator base;
-  TracingAllocator tracing(&base);
-  void* seen_ptr = nullptr;
-  size_t seen_bytes = 0;
-  void* freed_ptr = nullptr;
-  tracing.set_alloc_hook([&](void* p, size_t b) {
-    seen_ptr = p;
-    seen_bytes = b;
-  });
-  tracing.set_free_hook([&](void* p) { freed_ptr = p; });
-  void* p = tracing.Allocate(512);
-  EXPECT_EQ(seen_ptr, p);
-  EXPECT_EQ(seen_bytes, 512u);
-  tracing.Deallocate(p);
-  EXPECT_EQ(freed_ptr, p);
-}
-
 TEST(TensorTest, AllocatesAndAccesses) {
   Tensor t(CpuAllocator::Get(), DType::kFloat32, TensorShape{2, 3});
   EXPECT_TRUE(t.valid());
