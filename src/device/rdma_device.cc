@@ -1,6 +1,6 @@
 #include "src/device/rdma_device.h"
 
-#include <array>
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -16,7 +16,8 @@ namespace {
 //   [u8 type] [u64 call_id] [u16 method_len] [u32 payload_len] [method] [payload]
 constexpr uint8_t kRpcRequest = 0;
 constexpr uint8_t kRpcResponse = 1;
-constexpr uint8_t kRpcError = 2;
+constexpr uint8_t kRpcError = 2;          // No such method.
+constexpr uint8_t kRpcResponseTooLarge = 3;
 constexpr size_t kRpcHeaderBytes = 1 + 8 + 2 + 4;
 
 void PutU16(std::vector<uint8_t>* out, uint16_t v) {
@@ -41,6 +42,19 @@ uint64_t GetU64(const uint8_t* p) {
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
   return v;
+}
+
+std::vector<uint8_t> RpcFrame(uint8_t type, uint64_t call_id, const std::string& method,
+                              const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> frame;
+  frame.reserve(kRpcHeaderBytes + method.size() + payload.size());
+  frame.push_back(type);
+  PutU64(&frame, call_id);
+  PutU16(&frame, static_cast<uint16_t>(method.size()));
+  PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  frame.insert(frame.end(), method.begin(), method.end());
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
 }
 
 }  // namespace
@@ -198,9 +212,8 @@ RdmaDevice::RdmaDevice(DeviceDirectory* directory, int num_qps_per_peer, const E
       num_qps_per_peer_(num_qps_per_peer) {}
 
 RdmaDevice::~RdmaDevice() {
-  for (const rdma::MemoryRegion& mr : rpc_slab_mrs_) {
-    (void)nic_->DeregisterMemory(mr);
-  }
+  // Left registered, the MRs would name freed blocks (found by RdmaCheck).
+  for (const auto& [endpoint, peer] : peers_) (void)nic_->DeregisterMemory(peer.rpc_mr);
   // Returns every pooled lane touching this endpoint (peer devices are told
   // to drop their bindings). RPC QPs stay with the NIC, as before.
   directory_->qp_pool_.UnregisterEndpoint(local_);
@@ -290,53 +303,37 @@ Status RdmaDevice::Connect(RdmaDevice* remote) {
     return b.status();
   }
   RDMADL_RETURN_IF_ERROR(a->Connect(*b));
-  // Both ends' receive slots are taken before the peers are recorded: a slot
-  // that cannot be had (no slab mapping, or the NIC at its MR cap) fails the
+  // Both ends' RPC blocks are made before the peers are recorded: a block
+  // that cannot be had (no memory, or the NIC at its MR cap) fails the
   // connect with kResourceExhausted and leaves nothing behind.
-  std::array<RpcSlot, kRpcRecvDepth> my_slots, their_slots;
-  Status slots;
-  int taken = 0;
-  for (; taken < kRpcRecvDepth; ++taken) {
-    StatusOr<RpcSlot> my_slot = AcquireRpcSlot();
-    if (!my_slot.ok()) {
-      slots = my_slot.status();
-      break;
-    }
-    StatusOr<RpcSlot> their_slot = remote->AcquireRpcSlot();
-    if (!their_slot.ok()) {
-      ReleaseRpcSlot(*my_slot);
-      slots = their_slot.status();
-      break;
-    }
-    my_slots[taken] = *my_slot;
-    their_slots[taken] = *their_slot;
-  }
-  if (!slots.ok()) {
-    while (taken-- > 0) {  // Reverse order restores both free lists exactly.
-      remote->ReleaseRpcSlot(their_slots[taken]);
-      ReleaseRpcSlot(my_slots[taken]);
-    }
+  PeerConnection mine, theirs;
+  Status blocks = MakeRpcBlock(&mine);
+  if (blocks.ok()) blocks = remote->MakeRpcBlock(&theirs);
+  if (!blocks.ok()) {
+    if (mine.rpc_mr.lkey != 0) (void)nic_->DeregisterMemory(mine.rpc_mr);
     (void)remote->nic_->DestroyQueuePair(*b);
     (void)nic_->DestroyQueuePair(a);
-    return slots;
+    return blocks;
   }
-  PeerConnection& mine = peers_[remote->local_];
-  PeerConnection& theirs = remote->peers_[local_];
-  CHECK(mine.channels.empty() && theirs.channels.empty());
   mine.rpc_qp = a;
   theirs.rpc_qp = *b;
-  rpc_qps_[a->qp_num()] = a;
-  remote->rpc_qps_[(*b)->qp_num()] = *b;
-  for (int i = 0; i < kRpcRecvDepth; ++i) {
-    PostRpcRecv(a, my_slots[i]);
-    remote->PostRpcRecv(*b, their_slots[i]);
+  auto [my_it, my_new] = peers_.try_emplace(remote->local_, std::move(mine));
+  auto [their_it, their_new] = remote->peers_.try_emplace(local_, std::move(theirs));
+  CHECK(my_new && their_new);
+  PeerConnection* my_conn = &my_it->second;
+  PeerConnection* their_conn = &their_it->second;
+  rpc_connections_[a->qp_num()] = my_conn;
+  remote->rpc_connections_[(*b)->qp_num()] = their_conn;
+  for (int i = 0; i < kRpcRecvSlots; ++i) {
+    PostRpcRecv(my_conn, i);
+    remote->PostRpcRecv(their_conn, i);
   }
   // Channel wrappers exist for the connection's lifetime; their QP bindings
   // attach lazily (AttachLane) and drop when the pool tears the lane down.
   for (int i = 0; i < num_qps_per_peer_; ++i) {
-    mine.channels.push_back(
+    my_conn->channels.push_back(
         std::unique_ptr<RdmaChannel>(new RdmaChannel(this, remote->local_, i, nullptr)));
-    theirs.channels.push_back(
+    their_conn->channels.push_back(
         std::unique_ptr<RdmaChannel>(new RdmaChannel(remote, local_, i, nullptr)));
   }
   return OkStatus();
@@ -382,37 +379,6 @@ void RdmaDevice::OnLaneTornDown(const Endpoint& remote, int lane) {
 void RdmaDevice::DrainCq(rdma::CompletionQueue* cq) {
   rdma::WorkCompletion wc;
   while (cq->Poll(&wc)) {
-    if (wc.opcode == rdma::Opcode::kRecv) {
-      // Inbound RPC message.
-      auto slot_it = rpc_recv_slots_.find(wc.wr_id);
-      CHECK(slot_it != rpc_recv_slots_.end());
-      RpcSlot slot = slot_it->second;
-      rpc_recv_slots_.erase(slot_it);
-      auto qp_it = rpc_qps_.find(wc.qp_num);
-      CHECK(qp_it != rpc_qps_.end());
-      rdma::QueuePair* qp = qp_it->second;
-      --rpc_recv_posted_[qp->qp_num()];
-      if (wc.status.ok()) {
-        HandleRpcInbound(qp, slot.data, wc.byte_len);
-      } else if (qp->in_error()) {
-        // Flushed recv: park the slot. Reposting now would be flush-completed
-        // again immediately; RecoverChannels replenishes the queue once the
-        // QP is back in service.
-        ReleaseRpcSlot(slot);
-        continue;
-      }
-      // Keep the receive queue replenished. A failed completion reaching this
-      // point is a stale flush that surfaced after the QP was already
-      // recovered; its slot may be reposted, but never past the depth a
-      // concurrent RecoverChannels already restored.
-      if (rpc_recv_posted_[qp->qp_num()] >= kRpcRecvDepth) {
-        ReleaseRpcSlot(slot);
-        continue;
-      }
-      PostRpcRecv(qp, slot);
-      continue;
-    }
-    // Send-side completion: Memcpy callback or RPC send slot recycle.
     auto pending_it = pending_sends_.find(wc.wr_id);
     if (pending_it != pending_sends_.end()) {
       MemcpyCallback cb = std::move(pending_it->second);
@@ -420,13 +386,9 @@ void RdmaDevice::DrainCq(rdma::CompletionQueue* cq) {
       if (cb) cb(wc.status);  // A caller may post without a callback.
       continue;
     }
-    auto slot_it = rpc_send_slots_.find(wc.wr_id);
-    if (slot_it != rpc_send_slots_.end()) {
-      ReleaseRpcSlot(slot_it->second);
-      rpc_send_slots_.erase(slot_it);
-      if (!wc.status.ok()) {
-        LOG(ERROR) << "RPC send completion error: " << wc.status;
-      }
+    auto conn_it = rpc_connections_.find(wc.qp_num);
+    if (conn_it != rpc_connections_.end()) {
+      OnRpcCompletion(conn_it->second, wc);
       continue;
     }
     LOG(WARNING) << "orphan completion wr_id=" << wc.wr_id;
@@ -439,18 +401,14 @@ Status RdmaDevice::RecoverChannels() {
       rdma::QueuePair* qp = channel->qp_;
       if (qp != nullptr && qp->in_error()) RDMADL_RETURN_IF_ERROR(qp->Recover());
     }
-    if (peer.rpc_qp == nullptr) continue;
     if (peer.rpc_qp->in_error()) {
       RDMADL_RETURN_IF_ERROR(peer.rpc_qp->Recover());
     }
-    // Unconditional top-up, so the call is idempotent: a second invocation —
-    // or one racing in-flight flushed recvs whose completions have not drained
-    // yet — finds the counter already at depth and posts nothing. The
-    // counter deliberately includes flushed-but-undrained WRs; their eventual
-    // completions repost themselves (capped at the same depth in DrainCq).
-    while (rpc_recv_posted_[peer.rpc_qp->qp_num()] < kRpcRecvDepth) {
-      RDMADL_ASSIGN_OR_RETURN(RpcSlot slot, AcquireRpcSlot());
-      PostRpcRecv(peer.rpc_qp, slot);
+    // Only idle receive slots are reposted, so the call is idempotent: a slot
+    // whose flushed completion has not drained yet is still busy, and that
+    // completion reposts it (OnRpcCompletion).
+    for (int i = 0; i < kRpcRecvSlots; ++i) {
+      if (peer.rpc_wr_ids[i] == 0) PostRpcRecv(&peer, i);
     }
   }
   return OkStatus();
@@ -458,61 +416,86 @@ Status RdmaDevice::RecoverChannels() {
 
 int RdmaDevice::rpc_recvs_posted(const Endpoint& remote) const {
   auto it = peers_.find(remote);
-  if (it == peers_.end() || it->second.rpc_qp == nullptr) return -1;
-  auto posted = rpc_recv_posted_.find(it->second.rpc_qp->qp_num());
-  return posted == rpc_recv_posted_.end() ? 0 : posted->second;
+  if (it == peers_.end()) return -1;
+  const auto& wr_ids = it->second.rpc_wr_ids;
+  return static_cast<int>(kRpcRecvSlots -
+                          std::count(wr_ids.begin(), wr_ids.begin() + kRpcRecvSlots, 0));
 }
 
 // --------------------------------------------------------------------- MiniRPC
 
-StatusOr<RdmaDevice::RpcSlot> RdmaDevice::AcquireRpcSlot() {
-  if (rpc_free_slots_.empty()) {
-    ZeroedBytes slab = AllocateZeroed(kRpcSlotBytes * kRpcSlotsPerSlab);
-    if (slab == nullptr) {
-      return ResourceExhausted(StrCat("cannot allocate an RPC slab on ", local_.ToString()));
-    }
-    RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion mr,
-                            nic_->RegisterMemory(slab.get(), kRpcSlotBytes * kRpcSlotsPerSlab));
-    for (int i = 0; i < kRpcSlotsPerSlab; ++i) {
-      rpc_free_slots_.push_back(RpcSlot{slab.get() + i * kRpcSlotBytes, mr.lkey});
-    }
-    rpc_slabs_.push_back(std::move(slab));
-    rpc_slab_mrs_.push_back(mr);
+Status RdmaDevice::MakeRpcBlock(PeerConnection* conn) {
+  constexpr uint64_t kBytes = kRpcSlots * kRpcSlotBytes;
+  conn->rpc_block = AllocateZeroed(kBytes);
+  if (conn->rpc_block == nullptr) {
+    return ResourceExhausted(StrCat("cannot allocate an RPC block on ", local_.ToString()));
   }
-  RpcSlot slot = rpc_free_slots_.back();
-  rpc_free_slots_.pop_back();
-  return slot;
+  RDMADL_ASSIGN_OR_RETURN(conn->rpc_mr, nic_->RegisterMemory(conn->rpc_block.get(), kBytes));
+  return OkStatus();
 }
 
-void RdmaDevice::ReleaseRpcSlot(RpcSlot slot) { rpc_free_slots_.push_back(slot); }
+void RdmaDevice::OnRpcCompletion(PeerConnection* conn, const rdma::WorkCompletion& wc) {
+  auto posted = std::find(conn->rpc_wr_ids.begin(), conn->rpc_wr_ids.end(), wc.wr_id);
+  if (posted == conn->rpc_wr_ids.end()) {
+    LOG(WARNING) << "orphan completion wr_id=" << wc.wr_id;
+    return;
+  }
+  *posted = 0;
+  const int slot = static_cast<int>(posted - conn->rpc_wr_ids.begin());
+  if (slot >= kRpcRecvSlots) {
+    if (!wc.status.ok()) LOG(ERROR) << "RPC send completion error: " << wc.status;
+    if (conn->rpc_waiting.empty()) return;
+    PostRpcSend(conn, slot, conn->rpc_waiting.front());
+    conn->rpc_waiting.pop_front();
+    return;
+  }
+  if (wc.status.ok()) {
+    HandleRpcInbound(conn, conn->rpc_block.get() + slot * kRpcSlotBytes, wc.byte_len);
+  } else if (conn->rpc_qp->in_error()) {
+    // Flushed: reposting now would be flushed again at once, so the slot
+    // stays idle until RecoverChannels. A flush that drains after the QP was
+    // recovered reposts its slot below.
+    return;
+  }
+  // A callback run above may have called RecoverChannels, which reposts idle
+  // slots.
+  if (conn->rpc_wr_ids[slot] == 0) PostRpcRecv(conn, slot);
+}
 
-void RdmaDevice::PostRpcRecv(rdma::QueuePair* qp, RpcSlot slot) {
+void RdmaDevice::PostRpcRecv(PeerConnection* conn, int slot) {
   rdma::RecvWorkRequest wr;
   wr.wr_id = next_wr_id_++;
-  wr.addr = reinterpret_cast<uint64_t>(slot.data);
-  wr.lkey = slot.lkey;
+  wr.addr = reinterpret_cast<uint64_t>(conn->rpc_block.get() + slot * kRpcSlotBytes);
+  wr.lkey = conn->rpc_mr.lkey;
   wr.length = kRpcSlotBytes;
-  rpc_recv_slots_[wr.wr_id] = slot;
-  ++rpc_recv_posted_[qp->qp_num()];
-  Status s = qp->PostRecv(wr);
+  conn->rpc_wr_ids[slot] = wr.wr_id;
+  Status s = conn->rpc_qp->PostRecv(wr);
   CHECK(s.ok()) << s;
 }
 
-Status RdmaDevice::SendRpcFrame(rdma::QueuePair* qp, const std::vector<uint8_t>& frame) {
-  CHECK_LE(frame.size(), kRpcSlotBytes)
-      << "MiniRPC frame exceeds slot size; address-distribution messages are small by design";
-  RDMADL_ASSIGN_OR_RETURN(RpcSlot slot, AcquireRpcSlot());
-  std::memcpy(slot.data, frame.data(), frame.size());
+void RdmaDevice::SendRpcFrame(PeerConnection* conn, std::vector<uint8_t> frame) {
+  // While a send slot is free no frame waits: a send completion hands its
+  // slot to the oldest waiting frame.
+  auto free = std::find(conn->rpc_wr_ids.begin() + kRpcRecvSlots, conn->rpc_wr_ids.end(), 0);
+  if (free == conn->rpc_wr_ids.end()) {
+    conn->rpc_waiting.push_back(std::move(frame));
+    return;
+  }
+  PostRpcSend(conn, static_cast<int>(free - conn->rpc_wr_ids.begin()), frame);
+}
+
+void RdmaDevice::PostRpcSend(PeerConnection* conn, int slot, const std::vector<uint8_t>& frame) {
+  uint8_t* data = conn->rpc_block.get() + slot * kRpcSlotBytes;
+  std::memcpy(data, frame.data(), frame.size());
   rdma::SendWorkRequest wr;
   wr.wr_id = next_wr_id_++;
   wr.opcode = rdma::Opcode::kSend;
-  wr.local_addr = reinterpret_cast<uint64_t>(slot.data);
-  wr.lkey = slot.lkey;
+  wr.local_addr = reinterpret_cast<uint64_t>(data);
+  wr.lkey = conn->rpc_mr.lkey;
   wr.length = frame.size();
-  rpc_send_slots_[wr.wr_id] = slot;
-  Status s = qp->PostSend(wr);
+  conn->rpc_wr_ids[slot] = wr.wr_id;
+  Status s = conn->rpc_qp->PostSend(wr);
   CHECK(s.ok()) << s;
-  return OkStatus();
 }
 
 void RdmaDevice::RegisterRpcHandler(const std::string& method, RpcHandler handler) {
@@ -521,42 +504,29 @@ void RdmaDevice::RegisterRpcHandler(const std::string& method, RpcHandler handle
 
 void RdmaDevice::Call(const Endpoint& remote, const std::string& method,
                       std::vector<uint8_t> payload, RpcCallback callback) {
-  // Ensure the connection (and its RPC QP) exists.
-  StatusOr<RdmaChannel*> chan = GetChannel(remote, 0);
-  if (!chan.ok()) {
-    simulator()->ScheduleAfter(0, [callback = std::move(callback), s = chan.status()]() {
-      callback(s, {});
-    });
+  // A request that fits a slot makes sure the connection (and its RPC QP)
+  // exists.
+  const uint64_t frame_bytes = kRpcHeaderBytes + method.size() + payload.size();
+  Status s = frame_bytes > kRpcSlotBytes
+                 ? InvalidArgument(StrCat("RPC request of ", frame_bytes,
+                                          " bytes does not fit a ", kRpcSlotBytes,
+                                          "-byte RPC slot"))
+                 : GetChannel(remote, 0).status();
+  if (!s.ok()) {
+    simulator()->ScheduleAfter(0, [callback = std::move(callback), s]() { callback(s, {}); });
     return;
   }
   const uint64_t call_id = next_call_id_++;
-  pending_calls_[call_id] = PendingCall{std::move(callback)};
-
-  std::vector<uint8_t> frame;
-  frame.reserve(kRpcHeaderBytes + method.size() + payload.size());
-  frame.push_back(kRpcRequest);
-  PutU64(&frame, call_id);
-  PutU16(&frame, static_cast<uint16_t>(method.size()));
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.insert(frame.end(), method.begin(), method.end());
-  frame.insert(frame.end(), payload.begin(), payload.end());
-
-  rdma::QueuePair* qp = peers_[remote].rpc_qp;
+  pending_calls_[call_id] = std::move(callback);
   // Caller-side dispatch cost, then post.
-  simulator()->ScheduleAfter(cost().mini_rpc_dispatch_ns, [this, qp, call_id,
-                                                            frame = std::move(frame)]() {
-    Status sent = SendRpcFrame(qp, frame);
-    if (sent.ok()) return;
-    // No slot for the request: the call fails here.
-    auto it = pending_calls_.find(call_id);
-    if (it == pending_calls_.end()) return;
-    RpcCallback cb = std::move(it->second.callback);
-    pending_calls_.erase(it);
-    cb(sent, {});
-  });
+  simulator()->ScheduleAfter(cost().mini_rpc_dispatch_ns,
+                             [this, conn = &peers_[remote],
+                              frame = RpcFrame(kRpcRequest, call_id, method, payload)]() mutable {
+                               SendRpcFrame(conn, std::move(frame));
+                             });
 }
 
-void RdmaDevice::HandleRpcInbound(rdma::QueuePair* qp, const uint8_t* data, uint64_t len) {
+void RdmaDevice::HandleRpcInbound(PeerConnection* conn, const uint8_t* data, uint64_t len) {
   CHECK_GE(len, kRpcHeaderBytes);
   const uint8_t type = data[0];
   const uint64_t call_id = GetU64(data + 1);
@@ -564,32 +534,21 @@ void RdmaDevice::HandleRpcInbound(rdma::QueuePair* qp, const uint8_t* data, uint
   const uint32_t payload_len = GetU32(data + 11);
   CHECK_EQ(len, kRpcHeaderBytes + method_len + payload_len);
   const uint8_t* body = data + kRpcHeaderBytes;
+  std::vector<uint8_t> payload(body + method_len, body + method_len + payload_len);
 
   if (type == kRpcRequest) {
     std::string method(reinterpret_cast<const char*>(body), method_len);
-    std::vector<uint8_t> payload(body + method_len, body + method_len + payload_len);
     // Handler dispatch cost on the callee side.
     simulator()->ScheduleAfter(
-        cost().mini_rpc_dispatch_ns, [this, qp, method, payload = std::move(payload), call_id]() {
-          std::vector<uint8_t> frame;
+        cost().mini_rpc_dispatch_ns, [this, conn, method, payload = std::move(payload), call_id]() {
           auto it = rpc_handlers_.find(method);
           if (it == rpc_handlers_.end()) {
-            frame.push_back(kRpcError);
-            PutU64(&frame, call_id);
-            PutU16(&frame, 0);
-            PutU32(&frame, 0);
-          } else {
-            std::vector<uint8_t> response = it->second(payload);
-            frame.push_back(kRpcResponse);
-            PutU64(&frame, call_id);
-            PutU16(&frame, 0);
-            PutU32(&frame, static_cast<uint32_t>(response.size()));
-            frame.insert(frame.end(), response.begin(), response.end());
+            SendRpcFrame(conn, RpcFrame(kRpcError, call_id, {}, {}));
+            return;
           }
-          // Without a slot the callee cannot answer, not even with an
-          // error; the caller's call stays pending.
-          Status sent = SendRpcFrame(qp, frame);
-          if (!sent.ok()) LOG(ERROR) << "RPC response to call " << call_id << " dropped: " << sent;
+          std::vector<uint8_t> frame = RpcFrame(kRpcResponse, call_id, {}, it->second(payload));
+          if (frame.size() > kRpcSlotBytes) frame = RpcFrame(kRpcResponseTooLarge, call_id, {}, {});
+          SendRpcFrame(conn, std::move(frame));
         });
     return;
   }
@@ -600,12 +559,14 @@ void RdmaDevice::HandleRpcInbound(rdma::QueuePair* qp, const uint8_t* data, uint
     LOG(WARNING) << "RPC response for unknown call " << call_id;
     return;
   }
-  RpcCallback cb = std::move(it->second.callback);
+  RpcCallback cb = std::move(it->second);
   pending_calls_.erase(it);
   if (type == kRpcError) {
     cb(NotFound("no such RPC method"), {});
+  } else if (type == kRpcResponseTooLarge) {
+    cb(InvalidArgument(StrCat("RPC response does not fit a ", kRpcSlotBytes, "-byte RPC slot")),
+       {});
   } else {
-    std::vector<uint8_t> payload(body + method_len, body + method_len + payload_len);
     cb(OkStatus(), payload);
   }
 }

@@ -8,7 +8,9 @@
 //   channel->Memcpy(local, remote, size, direction, cb) -> async one-sided op
 //
 // plus a vanilla send/recv RPC used only to distribute remote memory
-// addresses (off the critical path).
+// addresses (off the critical path). Each connection side owns the RPC's
+// buffers: one registered block of a few small slots, made at connect time,
+// so nothing after the connect fails or is dropped for want of a buffer.
 //
 // The device is configured with the number of CQs and of QPs per connected
 // peer; QPs are spread over the CQs round-robin (Figure 4), and each CQ has a
@@ -17,7 +19,9 @@
 #ifndef RDMADL_SRC_DEVICE_RDMA_DEVICE_H_
 #define RDMADL_SRC_DEVICE_RDMA_DEVICE_H_
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -199,30 +203,35 @@ class RdmaDevice {
 
   // Returns the channel to |remote| over QP |qp_idx| (0 <= qp_idx <
   // num_qps_per_peer), establishing the connection on first use. A NIC that
-  // cannot take the connection's RPC QP or its receive slots fails it with
-  // kResourceExhausted.
+  // cannot take the connection's RPC QP or register its RPC buffers fails it
+  // with kResourceExhausted, and nothing of it is left behind.
   StatusOr<RdmaChannel*> GetChannel(const Endpoint& remote, int qp_idx);
 
   // ---- Vanilla RPC for address distribution (not performance critical) ----
-  // A call fails through its callback, with kResourceExhausted when the
-  // request gets no RPC slot.
+  // A call fails at the caller, through its callback, only when its
+  // connection cannot be made (as GetChannel) or its request frame does not
+  // fit an RPC slot (kInvalidArgument). The callee answers kNotFound for an
+  // unknown method and kInvalidArgument for a response that does not fit. A
+  // frame that finds every send slot of its connection busy waits, in order,
+  // for one. A request or response lost to a transport failure never calls
+  // back: MembershipService relies on this, counting any callback as proof
+  // of life.
   void RegisterRpcHandler(const std::string& method, RpcHandler handler);
   void Call(const Endpoint& remote, const std::string& method, std::vector<uint8_t> payload,
             RpcCallback callback);
 
   // Recovers every errored QP to this device's peers (data and RPC QPs) after
   // a transport failure has been observed and the simulator has quiesced.
-  // Flushed RPC receive buffers are reposted. Idempotent: repeated calls (even
+  // Flushed RPC receive slots are reposted. Idempotent: repeated calls (even
   // with flushed recv completions still in flight in the CQs) never over- or
-  // under-fill the RPC receive queues. A receive buffer that cannot be
-  // reposted for want of a slot fails it with kResourceExhausted.
+  // under-fill the RPC receive queues.
   Status RecoverChannels();
 
   // Outstanding RPC recv WRs toward |remote|'s rpc QP (tests: the recovery
   // invariant is that this returns the full depth after RecoverChannels).
   // -1 when not connected. The depth itself is rpc_recv_depth().
   int rpc_recvs_posted(const Endpoint& remote) const;
-  static constexpr int rpc_recv_depth() { return kRpcRecvDepth; }
+  static constexpr int rpc_recv_depth() { return kRpcRecvSlots; }
 
   // Drops, without invoking, every pending Memcpy and RPC callback. Teardown
   // aid: callbacks abandoned by an aborted step may own tensors whose buffers
@@ -247,6 +256,14 @@ class RdmaDevice {
   friend class RdmaChannel;
   friend struct MemRegion::Impl;
 
+  // A connection side's RPC block: kRpcRecvSlots receive slots, then
+  // kRpcSendSlots send slots, of kRpcSlotBytes each. It is under a page, so it
+  // is no mapping of its own. The largest frame any caller sends is 76 bytes.
+  static constexpr uint64_t kRpcSlotBytes = 128;
+  static constexpr int kRpcRecvSlots = 8;
+  static constexpr int kRpcSendSlots = 16;
+  static constexpr int kRpcSlots = kRpcRecvSlots + kRpcSendSlots;
+
   // Data QPs are not owned here: channels bind lazily to pooled lanes
   // (DeviceDirectory::qp_pool) and drop the binding when the peer's device
   // goes away and the pool tears the lane down. Channel wrappers themselves
@@ -254,10 +271,15 @@ class RdmaDevice {
   struct PeerConnection {
     std::vector<std::unique_ptr<RdmaChannel>> channels;
     rdma::QueuePair* rpc_qp = nullptr;          // Dedicated two-sided RPC QP.
-  };
-
-  struct PendingCall {
-    RpcCallback callback;
+    ZeroedBytes rpc_block;
+    rdma::MemoryRegion rpc_mr;
+    // The wr_id each slot is posted under, 0 while it is idle. Completions
+    // find their slot by it: a QP that errors flushes later receives ahead of
+    // a matched one whose CQE is still on its way. A receive slot is idle only
+    // after its flush drained on an errored QP; RecoverChannels reposts it.
+    std::array<uint64_t, kRpcSlots> rpc_wr_ids{};
+    // Frames that found every send slot busy, in the order they were sent.
+    std::deque<std::vector<uint8_t>> rpc_waiting;
   };
 
   RdmaDevice(DeviceDirectory* directory, int num_qps_per_peer, const Endpoint& local);
@@ -275,22 +297,15 @@ class RdmaDevice {
   // Drains one CQ, dispatching Memcpy callbacks and RPC messages.
   void DrainCq(rdma::CompletionQueue* cq);
 
-  // A fixed-size message buffer carved out of a registered slab; RPC sends
-  // and receives borrow slots from a free list so the library registers few,
-  // large regions rather than one MR per message.
-  struct RpcSlot {
-    uint8_t* data = nullptr;
-    uint32_t lkey = 0;
-  };
-
-  // kResourceExhausted when the free list is empty and no new slab can be
-  // mapped or registered (the NIC at max_memory_regions).
-  StatusOr<RpcSlot> AcquireRpcSlot();
-  void ReleaseRpcSlot(RpcSlot slot);
-  void HandleRpcInbound(rdma::QueuePair* qp, const uint8_t* data, uint64_t len);
-  // Fails, posting nothing, when no slot can be had.
-  Status SendRpcFrame(rdma::QueuePair* qp, const std::vector<uint8_t>& frame);
-  void PostRpcRecv(rdma::QueuePair* qp, RpcSlot slot);
+  // Maps and registers |conn|'s RPC block (kResourceExhausted when it cannot).
+  Status MakeRpcBlock(PeerConnection* conn);
+  void OnRpcCompletion(PeerConnection* conn, const rdma::WorkCompletion& wc);
+  void HandleRpcInbound(PeerConnection* conn, const uint8_t* data, uint64_t len);
+  // Posts |frame| (at most kRpcSlotBytes) from a free send slot, or queues it
+  // until one frees.
+  void SendRpcFrame(PeerConnection* conn, std::vector<uint8_t> frame);
+  void PostRpcSend(PeerConnection* conn, int slot, const std::vector<uint8_t>& frame);
+  void PostRpcRecv(PeerConnection* conn, int slot);
 
   DeviceDirectory* directory_;
   Endpoint local_;
@@ -303,26 +318,10 @@ class RdmaDevice {
   std::vector<rdma::CompletionQueue*> cqs_;
   std::map<Endpoint, PeerConnection> peers_;
   std::unordered_map<uint64_t, MemcpyCallback> pending_sends_;
-  // Outstanding RPC recv WRs per rpc_qp (qp_num -> count), so recovery knows
-  // how many flushed buffers to repost.
-  std::unordered_map<uint32_t, int> rpc_recv_posted_;
   std::unordered_map<std::string, RpcHandler> rpc_handlers_;
-  std::unordered_map<uint64_t, PendingCall> pending_calls_;
-  // qp_num -> owning QP, for routing inbound RPC messages.
-  std::unordered_map<uint32_t, rdma::QueuePair*> rpc_qps_;
-  // In-flight RPC slots keyed by wr_id (sends await completion to recycle;
-  // recvs await the inbound message).
-  std::unordered_map<uint64_t, RpcSlot> rpc_send_slots_;
-  std::unordered_map<uint64_t, RpcSlot> rpc_recv_slots_;
-  std::vector<ZeroedBytes> rpc_slabs_;
-  // One MR per slab, deregistered at device teardown (leaving them would
-  // leave rkeys naming freed slab memory — found by RdmaCheck).
-  std::vector<rdma::MemoryRegion> rpc_slab_mrs_;
-  std::vector<RpcSlot> rpc_free_slots_;
-
-  static constexpr uint64_t kRpcSlotBytes = 64 * 1024;
-  static constexpr int kRpcSlotsPerSlab = 16;
-  static constexpr int kRpcRecvDepth = 8;
+  std::unordered_map<uint64_t, RpcCallback> pending_calls_;
+  // rpc_qp's qp_num -> its connection, for routing RPC completions.
+  std::unordered_map<uint32_t, PeerConnection*> rpc_connections_;
 };
 
 }  // namespace device

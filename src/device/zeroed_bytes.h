@@ -8,7 +8,7 @@
 namespace rdmadl {
 namespace device {
 
-// Zeroed byte storage for simulated host memory: region storage, RPC slabs
+// Zeroed byte storage for simulated host memory: region storage, RPC blocks
 // and the runtime's real-memory arenas.
 //
 // A block of a page or more is its own anonymous mapping, returned to the

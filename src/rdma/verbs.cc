@@ -599,36 +599,44 @@ void QueuePair::DeliverInbound(const uint8_t* src, uint64_t length, bool copy_by
   // An errored QP no longer matches inbound messages; the sender's completion
   // already carried the failure.
   if (state_ == QpState::kError) return;
-  inbound_.push_back(InboundMessage{src, length, copy_bytes});
-  MatchInbound();
+  if (recv_queue_.empty()) {
+    InboundMessage msg{{}, length, copy_bytes};
+    if (copy_bytes) msg.bytes.assign(src, src + length);
+    inbound_.push_back(std::move(msg));
+    return;
+  }
+  CompleteRecv(src, length, copy_bytes);
 }
 
 void QueuePair::MatchInbound() {
   while (!inbound_.empty() && !recv_queue_.empty()) {
-    InboundMessage msg = inbound_.front();
+    InboundMessage msg = std::move(inbound_.front());
     inbound_.pop_front();
-    RecvWorkRequest recv = recv_queue_.front();
-    recv_queue_.pop_front();
-
-    WorkCompletion wc;
-    wc.wr_id = recv.wr_id;
-    wc.opcode = Opcode::kRecv;
-    wc.qp_num = qp_num_;
-    if (msg.length > recv.length) {
-      wc.status = InvalidArgument(
-          StrCat("inbound SEND of ", msg.length, " bytes exceeds posted recv buffer of ",
-                 recv.length, " bytes"));
-      wc.byte_len = 0;
-    } else {
-      if (msg.length > 0 && msg.copy_bytes) {
-        std::memcpy(reinterpret_cast<void*>(recv.addr), msg.src, msg.length);
-      }
-      wc.status = OkStatus();
-      wc.byte_len = msg.length;
-    }
-    nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns,
-                                     [this, wc]() { recv_cq_->Push(wc); });
+    CompleteRecv(msg.bytes.data(), msg.length, msg.copy_bytes);
   }
+}
+
+void QueuePair::CompleteRecv(const uint8_t* src, uint64_t length, bool copy_bytes) {
+  RecvWorkRequest recv = recv_queue_.front();
+  recv_queue_.pop_front();
+  WorkCompletion wc;
+  wc.wr_id = recv.wr_id;
+  wc.opcode = Opcode::kRecv;
+  wc.qp_num = qp_num_;
+  if (length > recv.length) {
+    wc.status = InvalidArgument(StrCat("inbound SEND of ", length,
+                                       " bytes exceeds posted recv buffer of ", recv.length,
+                                       " bytes"));
+    wc.byte_len = 0;
+  } else {
+    if (length > 0 && copy_bytes) {
+      std::memcpy(reinterpret_cast<void*>(recv.addr), src, length);
+    }
+    wc.status = OkStatus();
+    wc.byte_len = length;
+  }
+  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns,
+                                   [this, wc]() { recv_cq_->Push(wc); });
 }
 
 // ------------------------------------------------------------------ NicDevice

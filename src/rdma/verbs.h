@@ -200,8 +200,10 @@ class QueuePair {
  private:
   friend class NicDevice;
 
+  // A SEND that found no posted receive. Its sender's WR has completed and
+  // may reuse the buffer, so the payload is held here.
   struct InboundMessage {
-    const uint8_t* src = nullptr;
+    std::vector<uint8_t> bytes;
     uint64_t length = 0;
     bool copy_bytes = true;
   };
@@ -270,6 +272,9 @@ class QueuePair {
   // Target side of a SEND: match against posted receives.
   void DeliverInbound(const uint8_t* src, uint64_t length, bool copy_bytes);
   void MatchInbound();
+  // Lands one message in the oldest posted receive; its CQE follows
+  // cq_poll_overhead_ns later.
+  void CompleteRecv(const uint8_t* src, uint64_t length, bool copy_bytes);
 
   NicDevice* nic_;
   uint32_t qp_num_;

@@ -550,10 +550,10 @@ TEST_F(DeviceTest, RpcSlotsThatCannotBeRegisteredFailTheConnect) {
   EXPECT_TRUE(called);
 }
 
-TEST_F(DeviceTest, RpcRequestWithoutASlotFailsItsCall) {
-  // One MR per NIC: the connection's first slab. Its 16 slots hold the 8
-  // posted receives and 8 requests, so of 9 calls dispatched together the
-  // last finds no slot and fails; the other 8 complete.
+TEST_F(DeviceTest, CallsBeyondTheSendSlotsWaitAndAllComplete) {
+  // One MR per NIC: each side's one RPC block. 40 calls dispatched together
+  // find 16 send slots; the rest wait for one, and every call completes with
+  // its own payload.
   net::CostModel one_mr = cost_;
   one_mr.max_memory_regions = 1;
   net::Fabric fabric(&simulator_, one_mr, 4);
@@ -563,17 +563,95 @@ TEST_F(DeviceTest, RpcRequestWithoutASlotFailsItsCall) {
   auto b = RdmaDevice::Create(&directory, 1, 1, Endpoint{1, 7000});
   ASSERT_TRUE(a.ok() && b.ok());
   (*b)->RegisterRpcHandler("echo", [](const std::vector<uint8_t>& req) { return req; });
-  std::vector<StatusCode> codes;
-  for (int i = 0; i < 9; ++i) {
-    (*a)->Call((*b)->endpoint(), "echo", {static_cast<uint8_t>(i)},
-               [&codes](const Status& s, const std::vector<uint8_t>&) {
-                 codes.push_back(s.code());
+  const int kCalls = 40;
+  int completed = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    (*a)->Call((*b)->endpoint(), "echo", {static_cast<uint8_t>(i), 0xAB},
+               [&completed, i](const Status& s, const std::vector<uint8_t>& r) {
+                 EXPECT_TRUE(s.ok()) << s;
+                 EXPECT_EQ(r, (std::vector<uint8_t>{static_cast<uint8_t>(i), 0xAB}));
+                 ++completed;
                });
   }
   ASSERT_TRUE(simulator_.Run().ok());
-  ASSERT_EQ(codes.size(), 9u);
-  EXPECT_EQ(codes.front(), StatusCode::kResourceExhausted);  // Fails at dispatch.
-  EXPECT_EQ(std::count(codes.begin(), codes.end(), StatusCode::kOk), 8);
+  EXPECT_EQ(completed, kCalls);
+  EXPECT_EQ(rdma.nic(0)->num_registered_regions(), 1);
+  EXPECT_EQ(rdma.nic(1)->num_registered_regions(), 1);
+}
+
+TEST_F(DeviceTest, ConnectWithoutAnMrFailsAndLeavesTheCalleesOtherCallersServed) {
+  // One MR per NIC, and a and c both connect to b. b's one MR goes to its
+  // connection with a, so c's connect fails, through its call's callback;
+  // a's call is answered.
+  net::CostModel one_mr = cost_;
+  one_mr.max_memory_regions = 1;
+  net::Fabric fabric(&simulator_, one_mr, 4);
+  rdma::RdmaFabric rdma(&fabric);
+  DeviceDirectory directory(&rdma);
+  auto a = RdmaDevice::Create(&directory, 1, 1, Endpoint{0, 7000});
+  auto b = RdmaDevice::Create(&directory, 1, 1, Endpoint{1, 7000});
+  auto c = RdmaDevice::Create(&directory, 1, 1, Endpoint{2, 7000});
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  (*b)->RegisterRpcHandler("echo", [](const std::vector<uint8_t>& req) { return req; });
+  ASSERT_TRUE((*a)->GetChannel((*b)->endpoint(), 0).ok());
+  Status c_status = Internal("not called");
+  (*c)->Call((*b)->endpoint(), "echo", {1},
+             [&](const Status& s, const std::vector<uint8_t>&) { c_status = s; });
+  Status a_status = Internal("not called");
+  std::vector<uint8_t> a_response;
+  (*a)->Call((*b)->endpoint(), "echo", {2}, [&](const Status& s, const std::vector<uint8_t>& r) {
+    a_status = s;
+    a_response = r;
+  });
+  ASSERT_TRUE(simulator_.Run().ok());
+  EXPECT_EQ(c_status.code(), StatusCode::kResourceExhausted) << c_status;
+  EXPECT_TRUE(a_status.ok()) << a_status;
+  EXPECT_EQ(a_response, std::vector<uint8_t>{2});
+  EXPECT_EQ(rdma.nic(2)->num_queue_pairs(), 0);
+}
+
+TEST_F(DeviceTest, RequestThatDoesNotFitASlotFailsItsCall) {
+  // A frame is a 15-byte header, the method and the payload; a slot holds
+  // 128 bytes. With "echo", a 109-byte payload fits exactly and 110 does not.
+  auto a = MakeDevice(0, 7000);
+  auto b = MakeDevice(1, 7000);
+  b->RegisterRpcHandler("echo", [](const std::vector<uint8_t>& req) { return req; });
+  Status too_big = Internal("not called");
+  a->Call(b->endpoint(), "echo", std::vector<uint8_t>(110, 1),
+          [&](const Status& s, const std::vector<uint8_t>&) { too_big = s; });
+  Status fits = Internal("not called");
+  std::vector<uint8_t> response;
+  a->Call(b->endpoint(), "echo", std::vector<uint8_t>(109, 2),
+          [&](const Status& s, const std::vector<uint8_t>& r) {
+            fits = s;
+            response = r;
+          });
+  ASSERT_TRUE(simulator_.Run().ok());
+  EXPECT_EQ(too_big.code(), StatusCode::kInvalidArgument) << too_big;
+  EXPECT_TRUE(fits.ok()) << fits;
+  EXPECT_EQ(response, std::vector<uint8_t>(109, 2));
+}
+
+TEST_F(DeviceTest, ResponseThatDoesNotFitASlotFailsTheCallAsTooLarge) {
+  auto a = MakeDevice(0, 7000);
+  auto b = MakeDevice(1, 7000);
+  b->RegisterRpcHandler("big", [](const std::vector<uint8_t>&) {
+    return std::vector<uint8_t>(200, 3);
+  });
+  b->RegisterRpcHandler("echo", [](const std::vector<uint8_t>& req) { return req; });
+  Status big = Internal("not called");
+  a->Call(b->endpoint(), "big", {},
+          [&](const Status& s, const std::vector<uint8_t>&) { big = s; });
+  ASSERT_TRUE(simulator_.Run().ok());
+  EXPECT_EQ(big.code(), StatusCode::kInvalidArgument) << big;
+  EXPECT_NE(big.message().find("response"), std::string::npos) << big;
+
+  // The connection still serves calls.
+  Status echo = Internal("not called");
+  a->Call(b->endpoint(), "echo", {5},
+          [&](const Status& s, const std::vector<uint8_t>&) { echo = s; });
+  ASSERT_TRUE(simulator_.Run().ok());
+  EXPECT_TRUE(echo.ok()) << echo;
 }
 
 TEST_F(DeviceTest, DeviceDestructionReturnsPooledLanes) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -483,6 +484,11 @@ TEST_F(VerbsTest, SendWaitsForPostedRecv) {
   // No recv posted yet: nothing delivered.
   WorkCompletion wc;
   EXPECT_FALSE(qb->recv_cq()->Poll(&wc));
+  // The SEND has completed anyway, and its sender reuses the buffer at once:
+  // the receiver must still get the bytes as posted.
+  ASSERT_TRUE(qa->send_cq()->Poll(&wc));
+  EXPECT_TRUE(wc.status.ok()) << wc.status;
+  std::fill(msg.begin(), msg.end(), 0x77);
 
   RecvWorkRequest rwr;
   rwr.wr_id = 2;
@@ -494,6 +500,7 @@ TEST_F(VerbsTest, SendWaitsForPostedRecv) {
   ASSERT_TRUE(qb->recv_cq()->Poll(&wc));
   EXPECT_EQ(wc.byte_len, msg.size());
   EXPECT_EQ(recv_buf[0], 0x5A);
+  EXPECT_EQ(recv_buf[99], 0x5A);
 }
 
 TEST_F(VerbsTest, OversizedSendCompletesWithError) {
