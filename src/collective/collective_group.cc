@@ -279,54 +279,28 @@ Status CollectiveGroup::ProvisionRanks(const std::vector<int>& hosts) {
 
     // The data buffer is registered once and persists; the slot area is
     // sized by the current layout, so a previous one is released before its
-    // replacement is registered.
-    rank->slot_lkey = 0;
-    uint32_t slot_rkey = 0;
-    if (options_.materialize) {
-      if (!rank->data_region.valid()) {
-        RDMADL_ASSIGN_OR_RETURN(rank->data_region, rank->device->AllocateMemRegion(data_bytes));
-        rank->data_addr = reinterpret_cast<uint64_t>(rank->data_region.data());
-        rank->data_lkey = rank->data_region.lkey();
-      }
-      rank->slot_region = device::MemRegion();
-      rank->slot_addr = 0;
-      if (slot_bytes > 0) {
-        RDMADL_ASSIGN_OR_RETURN(rank->slot_region, rank->device->AllocateMemRegion(slot_bytes));
-        rank->slot_addr = reinterpret_cast<uint64_t>(rank->slot_region.data());
-        rank->slot_lkey = rank->slot_region.lkey();
-        slot_rkey = rank->slot_region.rkey();
-      }
-    } else {
-      // virtual_mrs[0] is the data registration; anything after it is the
-      // slot area, registered at a fixed offset in the rank's window.
-      if (rank->virtual_mrs.empty()) {
-        rank->data_addr = kVirtualBase + (next_virtual_window++) * kVirtualWindowBytes;
-        RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion data_mr,
-                                rank->device->nic()->RegisterMemory(
-                                    reinterpret_cast<void*>(rank->data_addr), data_bytes));
-        rank->data_lkey = data_mr.lkey;
-        rank->virtual_mrs.push_back(data_mr);
-      }
-      while (rank->virtual_mrs.size() > 1) {
-        RDMADL_RETURN_IF_ERROR(rank->device->nic()->DeregisterMemory(rank->virtual_mrs.back()));
-        rank->virtual_mrs.pop_back();
-      }
-      if (slot_bytes > 0) {
-        rank->slot_addr = rank->data_addr + kVirtualSlotOffset;
-        RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion slot_mr,
-                                rank->device->nic()->RegisterMemory(
-                                    reinterpret_cast<void*>(rank->slot_addr), slot_bytes));
-        rank->slot_lkey = slot_mr.lkey;
-        slot_rkey = slot_mr.rkey;
-        rank->virtual_mrs.push_back(slot_mr);
-      }
+    // replacement is registered. Virtual regions are ranges of the rank's
+    // window, with the slot area at a fixed offset in it.
+    if (!rank->data_region.valid()) {
+      RDMADL_ASSIGN_OR_RETURN(
+          rank->data_region,
+          options_.materialize
+              ? rank->device->AllocateMemRegion(data_bytes)
+              : rank->device->RegisterMemRegion(
+                    kVirtualBase + (next_virtual_window++) * kVirtualWindowBytes, data_bytes));
     }
-    const uint32_t data_rkey =
-        options_.materialize ? rank->data_region.rkey() : rank->virtual_mrs[0].rkey;
+    rank->slot_region = device::MemRegion();
+    if (slot_bytes > 0) {
+      RDMADL_ASSIGN_OR_RETURN(
+          rank->slot_region,
+          options_.materialize ? rank->device->AllocateMemRegion(slot_bytes)
+                               : rank->device->RegisterMemRegion(
+                                     rank->data_region.addr() + kVirtualSlotOffset, slot_bytes));
+    }
 
     rank->peers.assign(n, Rank::PeerAddrs{});
-    rank->peers[i].data = device::RemoteRegion{rank->data_addr, data_rkey, data_bytes};
-    rank->peers[i].slots = device::RemoteRegion{rank->slot_addr, slot_rkey, slot_bytes};
+    rank->peers[i].data = rank->data_region.Remote();
+    rank->peers[i].slots = rank->slot_region.Remote();
     rank->peers[i].flags = rank->flag_region.Remote();
 
     // Address distribution (§3.1): peers fetch the three descriptors over the
@@ -630,9 +604,9 @@ Status CollectiveGroup::Reconfigure(const std::vector<int>& alive_hosts) {
     }
   }
 
-  // Drop dead ranks. Destroying a rank's device unbinds its endpoint; the
-  // NIC-owned QPs survivors hold toward it stay valid but are never used
-  // again (the stale PeerConnection entries are inert). The quiesce
+  // Drop dead ranks. Destroying a rank's device unbinds its endpoint and
+  // takes down both ends of the survivors' RPC connections to it (their
+  // channel wrappers stay, and are never used again). The quiesce
   // precondition guarantees no scheduled closure still references the device.
   std::vector<std::unique_ptr<Rank>> survivors;
   for (auto& rank : ranks_) {

@@ -114,8 +114,9 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
           const int child_rank = (*members)[child];
           const Rank::PeerAddrs& peer = self->peers[child_rank];
           const uint64_t byte_off = range.offset * sizeof(float);
-          PostChunk(op, r, child_rank, l, self->data_addr + byte_off, self->data_lkey,
-                    peer.data.addr + byte_off, peer.data.rkey, lane_bytes, fb + bcast_flag);
+          PostChunk(op, r, child_rank, l, self->data_region.addr() + byte_off,
+                    self->data_region.lkey(), peer.data.addr + byte_off, peer.data.rkey,
+                    lane_bytes, fb + bcast_flag);
         }
       };
       // A leader's level-2 -> level-3 handoff.
@@ -142,9 +143,10 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
               hier_tree_slot_offset_ +
               (static_cast<uint64_t>(l) * tree_rounds_ + Ctz(p)) * lane_cap_elements_ *
                   sizeof(float);
-          PostChunk(op, r, parent_rank, l, self->data_addr + range.offset * sizeof(float),
-                    self->data_lkey, peer.slots.addr + slot_off, peer.slots.rkey, lane_bytes,
-                    fb + Ctz(p));
+          PostChunk(op, r, parent_rank, l,
+                    self->data_region.addr() + range.offset * sizeof(float),
+                    self->data_region.lkey(), peer.slots.addr + slot_off, peer.slots.rkey,
+                    lane_bytes, fb + Ctz(p));
           return;
         }
         if (!CheckDeadline(op, "intra-rack tree -> spine ring handoff")) return;

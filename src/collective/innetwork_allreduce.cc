@@ -124,7 +124,7 @@ void CollectiveGroup::IssueInNetworkRound(const std::shared_ptr<Op>& op, int lan
         if (op->finished) return;
         const int r = host_to_rank_[host];
         Rank* rank = ranks_[r].get();
-        if (buf != nullptr && rank->data_region.valid()) {
+        if (buf != nullptr && rank->data_ptr() != nullptr) {
           std::memcpy(rank->data_ptr() + lane_off + start,
                       buf + static_cast<size_t>(R) * W, cnt * sizeof(float));
         }

@@ -62,18 +62,11 @@ struct CollectiveGroup::Rank {
   // off for collectives). Declared after |device|: it is torn down first.
   std::unique_ptr<comm::TransferEngine> engine;
 
-  // Data buffer.
-  uint64_t data_addr = 0;
-  uint32_t data_lkey = 0;
-  device::MemRegion data_region;  // Invalid in virtual mode.
-
-  // Ring / tree / gather slots.
-  uint64_t slot_addr = 0;
-  uint32_t slot_lkey = 0;
-  device::MemRegion slot_region;  // Invalid in virtual mode.
-
-  // Virtual-mode registrations to drop on destruction.
-  std::vector<rdma::MemoryRegion> virtual_mrs;
+  // Data buffer and ring / tree / gather slots. In virtual mode both are
+  // registered ranges of the rank's window that own no storage (data() is
+  // null).
+  device::MemRegion data_region;
+  device::MemRegion slot_region;
 
   // Flag block: flag_capacity bytes + 1 source byte.
   device::MemRegion flag_region;
@@ -87,26 +80,18 @@ struct CollectiveGroup::Rank {
   };
   std::vector<PeerAddrs> peers;
 
-  float* data_ptr() const {
-    return data_region.valid() ? reinterpret_cast<float*>(data_region.data()) : nullptr;
-  }
-  uint8_t* slot_ptr() const { return slot_region.valid() ? slot_region.data() : nullptr; }
+  float* data_ptr() const { return reinterpret_cast<float*>(data_region.data()); }
+  uint8_t* slot_ptr() const { return slot_region.data(); }
   uint8_t* flags() const { return flag_region.data(); }
 
   // The reduce step every schedule shares: adds |count| floats from the slot
   // area at byte |slot_off| into the data vector at element |data_off|.
   // Virtual ranks hold no bytes, so this is a no-op for them.
   void FoldSlot(uint64_t slot_off, uint64_t data_off, uint64_t count) {
-    if (!data_region.valid() || count == 0) return;
+    if (data_ptr() == nullptr || count == 0) return;
     const float* src = reinterpret_cast<const float*>(slot_ptr() + slot_off);
     float* dst = data_ptr() + data_off;
     for (uint64_t i = 0; i < count; ++i) dst[i] += src[i];
-  }
-
-  ~Rank() {
-    for (const rdma::MemoryRegion& mr : virtual_mrs) {
-      (void)device->nic()->DeregisterMemory(mr);
-    }
   }
 };
 

@@ -32,8 +32,9 @@ void CollectiveGroup::StartNaiveGather(const std::shared_ptr<Op>& op) {
     const Rank::PeerAddrs& root_addrs = peer->peers[0];
     const uint64_t park =
         naive_slot_offset_ + static_cast<uint64_t>(k - 1) * max_elements_ * sizeof(float);
-    PostChunk(op, k, /*dst_rank=*/0, /*qp_lane=*/k - 1, peer->data_addr, peer->data_lkey,
-              root_addrs.slots.addr + park, root_addrs.slots.rkey, bytes, /*flag_index=*/k - 1);
+    PostChunk(op, k, /*dst_rank=*/0, /*qp_lane=*/k - 1, peer->data_region.addr(),
+              peer->data_region.lkey(), root_addrs.slots.addr + park, root_addrs.slots.rkey,
+              bytes, /*flag_index=*/k - 1);
   }
 
   // The root watches one flag per peer; arrivals reduce serially on the
@@ -58,9 +59,9 @@ void CollectiveGroup::StartNaiveGather(const std::shared_ptr<Op>& op) {
                       // Result is final: scatter it back to every peer.
                       for (int j = 1; j < n; ++j) {
                         const Rank::PeerAddrs& peer = root->peers[j];
-                        PostChunk(op, /*src_rank=*/0, j, /*qp_lane=*/j - 1, root->data_addr,
-                                  root->data_lkey, peer.data.addr, peer.data.rkey, bytes,
-                                  /*flag_index=*/0);
+                        PostChunk(op, /*src_rank=*/0, j, /*qp_lane=*/j - 1,
+                                  root->data_region.addr(), root->data_region.lkey(),
+                                  peer.data.addr, peer.data.rkey, bytes, /*flag_index=*/0);
                       }
                     }
                     resume();

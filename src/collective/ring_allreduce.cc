@@ -119,9 +119,9 @@ void CollectiveGroup::RingLaneStep(const std::shared_ptr<Op>& op, const RingLane
     // Reduce-scatter step s: into the successor's slot (lane, s).
     const ChunkRange chunk = SplitRange(range.count, lane.n, Mod(lane.pos - step, lane.n));
     PostChunk(op, lane.rank, lane.succ, lane.lane,
-              self->data_addr + (range.offset + chunk.offset) * sizeof(float), self->data_lkey,
-              peer.slots.addr + lane.slot_byte_offset(step), peer.slots.rkey,
-              chunk.count * sizeof(float), lane.flag_base + step);
+              self->data_region.addr() + (range.offset + chunk.offset) * sizeof(float),
+              self->data_region.lkey(), peer.slots.addr + lane.slot_byte_offset(step),
+              peer.slots.rkey, chunk.count * sizeof(float), lane.flag_base + step);
     return;
   }
   // All-gather step t: straight to the chunk's final offset in the
@@ -130,9 +130,9 @@ void CollectiveGroup::RingLaneStep(const std::shared_ptr<Op>& op, const RingLane
   const ChunkRange chunk =
       SplitRange(range.count, lane.n, Mod(owner - (step - phase_steps), lane.n));
   const uint64_t byte_off = (range.offset + chunk.offset) * sizeof(float);
-  PostChunk(op, lane.rank, lane.succ, lane.lane, self->data_addr + byte_off, self->data_lkey,
-            peer.data.addr + byte_off, peer.data.rkey, chunk.count * sizeof(float),
-            lane.flag_base + step);
+  PostChunk(op, lane.rank, lane.succ, lane.lane, self->data_region.addr() + byte_off,
+            self->data_region.lkey(), peer.data.addr + byte_off, peer.data.rkey,
+            chunk.count * sizeof(float), lane.flag_base + step);
 }
 
 }  // namespace collective

@@ -38,14 +38,6 @@ TransferEngine::TransferEngine(device::RdmaDevice* device, const TransferEngineO
   CHECK(device_ != nullptr);
 }
 
-TransferEngine::~TransferEngine() {
-  // Cached registrations would otherwise outlive the mechanism and surface as
-  // RdmaCheck teardown leaks (rkeys naming memory about to be freed).
-  mr_cache_.ForEach(
-      [this](const auto& entry) { (void)device_->nic()->DeregisterMemory(entry.value.mr); });
-  mr_cache_.Clear();
-}
-
 int TransferEngine::LaneCount() const {
   const int device_lanes = device_->num_qps_per_peer();
   if (options_.stripe_lanes <= 0) return device_lanes;
@@ -402,8 +394,8 @@ StatusOr<TransferEngine::MrHandle> TransferEngine::GetOrRegisterMr(const void* a
     entry->value.epoch = epoch_;  // Pin against eviction this epoch.
     ++stats_.mr_cache_hits;
     MrHandle handle;
-    handle.lkey = entry->value.mr.lkey;
-    handle.rkey = entry->value.mr.rkey;
+    handle.lkey = entry->value.mr.lkey();
+    handle.rkey = entry->value.mr.rkey();
     handle.hit = true;
     return handle;
   }
@@ -418,13 +410,13 @@ StatusOr<TransferEngine::MrHandle> TransferEngine::GetOrRegisterMr(const void* a
   int evictions = 0;
   auto evict_one = [this, &evictions]() {
     // Entries touched this epoch may be the target of an in-flight remote
-    // read (§3.3 receiver side); only earlier epochs are evictable.
+    // read (§3.3 receiver side); only earlier epochs are evictable. The
+    // victim's registration ends as it goes out of scope.
     auto victim =
         mr_cache_.EvictLru([this](const tensor::ExtentLruCache<CachedMr>::Entry& e) {
           return e.value.epoch < epoch_;
         });
     if (!victim.has_value()) return false;
-    (void)device_->nic()->DeregisterMemory(victim->value.mr);
     ++evictions;
     ++stats_.mr_cache_evictions;
     return true;
@@ -433,18 +425,18 @@ StatusOr<TransferEngine::MrHandle> TransferEngine::GetOrRegisterMr(const void* a
          std::max(1, options_.mr_cache_capacity)) {
     if (!evict_one()) break;
   }
-  auto mr_or = device_->nic()->RegisterMemory(reinterpret_cast<void*>(base), end - base);
+  auto mr_or = device_->RegisterMemRegion(base, end - base);
   while (!mr_or.ok() && mr_or.status().code() == StatusCode::kResourceExhausted) {
     // NIC MR limit: shed LRU cached extents until the registration fits or
     // nothing evictable remains.
     if (!evict_one()) break;
-    mr_or = device_->nic()->RegisterMemory(reinterpret_cast<void*>(base), end - base);
+    mr_or = device_->RegisterMemRegion(base, end - base);
   }
   if (!mr_or.ok()) return mr_or.status();
-  mr_cache_.Insert(base, end - base, CachedMr{*mr_or, epoch_});
   MrHandle handle;
-  handle.lkey = mr_or->lkey;
-  handle.rkey = mr_or->rkey;
+  handle.lkey = mr_or->lkey();
+  handle.rkey = mr_or->rkey();
+  mr_cache_.Insert(base, end - base, CachedMr{*std::move(mr_or), epoch_});
   handle.register_ns = device_->nic()->RegistrationCost(end - base);
   handle.evictions = evictions;
   return handle;

@@ -120,8 +120,9 @@ class TransferEngine {
     int evictions = 0;
   };
 
+  // The engine must go before |device|: its cached registrations are
+  // regions of that device.
   TransferEngine(device::RdmaDevice* device, const TransferEngineOptions& options);
-  ~TransferEngine();
 
   TransferEngine(const TransferEngine&) = delete;
   TransferEngine& operator=(const TransferEngine&) = delete;
@@ -189,7 +190,7 @@ class TransferEngine {
     bool flush_scheduled = false;
   };
   struct CachedMr {
-    rdma::MemoryRegion mr;
+    device::MemRegion mr;
     int64_t epoch = 0;
   };
   // One WR of a striped or gathered write, planned before anything posts:

@@ -272,14 +272,14 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
     }
     auto buffer = std::make_shared<tensor::Buffer>(buf, bytes);
     s->recv_tensor = Tensor(std::move(buffer), edge.dtype, edge.shape);
-    s->remote_data = RemoteRegion{reinterpret_cast<uint64_t>(buf), dst_gpu->rkey, bytes};
+    s->remote_data = RemoteRegion{reinterpret_cast<uint64_t>(buf), dst_gpu->region.rkey(), bytes};
     // The flag cannot ride at the payload tail here: the tail is GPU memory
     // the receiver's poll loop cannot touch. It lives in the always-real
     // metadata arena instead, written after every payload extent completes.
     s->flag_ptr = static_cast<uint8_t*>(dst_meta->allocator->Allocate(1));
     if (s->flag_ptr == nullptr) return ResourceExhausted("meta arena exhausted");
     s->remote_flag =
-        RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr), dst_meta->rkey, 1};
+        RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr), dst_meta->region.rkey(), 1};
     *s->flag_ptr = 0;
     s->dst_gpu_staging = false;  // Already device-resident on arrival.
   } else if (s->protocol == Protocol::kStatic) {
@@ -292,12 +292,12 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
     }
     auto buffer = std::make_shared<tensor::Buffer>(buf, bytes + 1);
     s->recv_tensor = Tensor(std::move(buffer), edge.dtype, edge.shape);
-    s->remote_data = RemoteRegion{reinterpret_cast<uint64_t>(buf), dst_arena->rkey, bytes};
+    s->remote_data = RemoteRegion{reinterpret_cast<uint64_t>(buf), dst_arena->region.rkey(), bytes};
     if (s->dst->real_memory()) {
       // Paper layout: flag byte at the tail of the tensor memory region.
       s->flag_ptr = buf + bytes;
       s->remote_flag = RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr),
-                                    dst_arena->rkey, 1};
+                                    dst_arena->region.rkey(), 1};
       *s->flag_ptr = 0;
     } else {
       // Virtual-memory mode: the data buffer is a fake address, so the flag
@@ -305,7 +305,7 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
       s->flag_ptr = static_cast<uint8_t*>(dst_meta->allocator->Allocate(1));
       if (s->flag_ptr == nullptr) return ResourceExhausted("meta arena exhausted");
       s->remote_flag =
-          RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr), dst_meta->rkey, 1};
+          RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr), dst_meta->region.rkey(), 1};
       *s->flag_ptr = 0;
     }
     s->dst_gpu_staging =
@@ -316,12 +316,12 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
     if (s->meta_block == nullptr) return ResourceExhausted("meta arena exhausted");
     std::memset(s->meta_block, 0, s->meta_bytes);
     s->flag_ptr = s->meta_block + s->meta_bytes - 1;
-    s->remote_meta = RemoteRegion{reinterpret_cast<uint64_t>(s->meta_block), dst_meta->rkey,
-                                  s->meta_bytes};
+    s->remote_meta = RemoteRegion{reinterpret_cast<uint64_t>(s->meta_block),
+                                  dst_meta->region.rkey(), s->meta_bytes};
     s->src_meta_staging =
         static_cast<uint8_t*>(src_meta->allocator->Allocate(s->meta_bytes));
     if (s->src_meta_staging == nullptr) return ResourceExhausted("meta arena exhausted");
-    s->src_meta_lkey = src_meta->lkey;
+    s->src_meta_lkey = src_meta->region.lkey();
   }
 
   // Declare the edge's completion flag to the protocol checker: TryRecv must
@@ -450,7 +450,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
     // GPU arena under GPUDirect).
     ++stats_.zero_copy_sends;
     if (in_gpu) ++stats_.device_zero_copy_sends;  // No staging hop at all.
-    PostPayload(s, tensor, ptr, (*registered)->lkey, /*data_rkey=*/0, /*delay_ns=*/0,
+    PostPayload(s, tensor, ptr, (*registered)->region.lkey(), /*data_rkey=*/0, /*delay_ns=*/0,
                 /*staging=*/nullptr, WrapLadder(s, std::move(on_sent)));
     return 0;
   }
@@ -505,7 +505,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
     net::Host* machine =
         src->rdma_device()->nic()->fabric()->host(src->endpoint().host_id);
     const int64_t pcie_end = machine->pcie().Reserve(simulator->Now(), pcie_ns);
-    PostPayload(s, tensor, staging, arena->lkey, /*data_rkey=*/0,
+    PostPayload(s, tensor, staging, arena->region.lkey(), /*data_rkey=*/0,
                 pcie_end - simulator->Now(), staging, std::move(on_sent));
     return 0;  // DMA copy; the executor worker is not held.
   }
@@ -521,7 +521,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
   const net::CostModel& cost = src->cost();
   const int64_t copy_ns =
       cost.arena_alloc_overhead_ns + net::CostNs(bytes, cost.staging_memcpy_bytes_per_sec);
-  PostPayload(s, tensor, staging, arena->lkey, /*data_rkey=*/0, copy_ns, staging,
+  PostPayload(s, tensor, staging, arena->region.lkey(), /*data_rkey=*/0, copy_ns, staging,
               std::move(on_sent));
   return copy_ns;
 }
@@ -570,7 +570,7 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
   payload.copy_bytes = s->src->real_memory();
   TransferEngine::WriteDesc flag;
   flag.local_addr = FlagSource(s->src);
-  flag.lkey = (*src_meta)->lkey;
+  flag.lkey = (*src_meta)->region.lkey();
   flag.remote_addr = s->remote_flag.addr;
   flag.rkey = s->remote_flag.rkey;
   flag.bytes = 1;
@@ -623,7 +623,7 @@ void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr
   if (data_rkey == 0) {
     StatusOr<const RdmaArena*> arena = s->src->ArenaFor(data_ptr);
     CHECK(arena.ok()) << arena.status();
-    data_rkey = (*arena)->rkey;
+    data_rkey = (*arena)->region.rkey();
   }
   PutU32(tail + 8, data_rkey);
   PutU64(tail + 12, bytes);
@@ -741,7 +741,7 @@ void ZeroCopyRdmaMechanism::StartDynamicRead(EdgeState* s) {
   CHECK_EQ(t.TotalBytes(), payload_bytes) << "metadata/payload size mismatch";
   s->recv_tensor = t;
   s->phase = RecvPhase::kTransferring;
-  s->read_channel->Memcpy(t.raw_data(), arena->lkey, src_addr, src_rkey, payload_bytes,
+  s->read_channel->Memcpy(t.raw_data(), arena->region.lkey(), src_addr, src_rkey, payload_bytes,
                           Direction::kRemoteToLocal,
                           [s](const Status& status) {
                             if (!status.ok()) {

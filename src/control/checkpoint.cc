@@ -21,10 +21,6 @@ void CheckpointManager::ChargeCopyCost(uint64_t bytes) {
   }
 }
 
-Status CheckpointManager::Snapshot(int64_t step, double samples) {
-  return Snapshot(step, samples, cluster_->device_names());
-}
-
 Status CheckpointManager::Snapshot(int64_t step, double samples,
                                    std::vector<std::string> devices) {
   entries_.clear();
@@ -112,14 +108,6 @@ Status CheckpointManager::Restore(const std::map<std::string, std::string>& var_
   sim::TraceInstant("checkpoint", cluster_->simulator()->Now(), "restore to step ", step_, ": ",
                     restored, " variables, ", total_bytes, " bytes");
   return OkStatus();
-}
-
-Status CheckpointManager::Restore() {
-  std::map<std::string, std::string> var_device;
-  for (const auto& [name, entry] : entries_) {
-    var_device.emplace(name, entry.source_device);
-  }
-  return Restore(var_device);
 }
 
 }  // namespace control

@@ -60,15 +60,12 @@ class CheckpointManager {
            completed_steps % options_.interval_steps == 0;
   }
 
-  // Captures every variable of every live process. |step| and |samples| tag
-  // the checkpoint so the driver can roll its counters back on restore.
-  // Replaces the previous checkpoint (single-slot, last-wins).
-  Status Snapshot(int64_t step, double samples);
-
-  // Capture restricted to |devices| — after an elastic reconfiguration a
-  // dead server's ResourceManager still holds the shards that were reassigned
-  // away from it, so the driver scopes the capture to the surviving
-  // membership to keep variable names unique.
+  // Captures every variable of the processes named in |devices|. |step| and
+  // |samples| tag the checkpoint so the driver can roll its counters back on
+  // restore. Replaces the previous checkpoint (single-slot, last-wins). After
+  // an elastic reconfiguration a dead server's ResourceManager still holds
+  // the shards that were reassigned away from it, so the driver scopes the
+  // capture to the surviving membership to keep variable names unique.
   Status Snapshot(int64_t step, double samples, std::vector<std::string> devices);
 
   // Restores the captured variables; |var_device| maps variable name to the
@@ -76,9 +73,6 @@ class CheckpointManager {
   // Captured variables absent from the map are skipped — they belonged to
   // replicas that no longer exist.
   Status Restore(const std::map<std::string, std::string>& var_device);
-
-  // Convenience: restore every variable to the device it was captured on.
-  Status Restore();
 
   bool has_checkpoint() const { return has_checkpoint_; }
   int64_t step() const { return step_; }

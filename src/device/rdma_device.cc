@@ -89,26 +89,14 @@ MemRegion::Impl::~Impl() {
   }
 }
 
-RemoteRegion MemRegion::Remote() const {
-  RemoteRegion r;
-  if (impl_) {
-    r.addr = reinterpret_cast<uint64_t>(impl_->data);
-    r.rkey = impl_->mr.rkey;
-    r.length = impl_->size;
-  }
-  return r;
-}
+RemoteRegion MemRegion::Remote() const { return RemoteRegion{addr(), rkey(), size()}; }
 
 StatusOr<RemoteRegion> MemRegion::RemoteSlice(uint64_t offset, uint64_t length) const {
   // Overflow-safe: offset + length could wrap for adversarial offsets.
-  if (!impl_ || offset > impl_->size || length > impl_->size - offset) {
+  if (!impl_ || offset > size() || length > size() - offset) {
     return OutOfRange("RemoteSlice out of region bounds");
   }
-  RemoteRegion r;
-  r.addr = reinterpret_cast<uint64_t>(impl_->data) + offset;
-  r.rkey = impl_->mr.rkey;
-  r.length = length;
-  return r;
+  return RemoteRegion{addr() + offset, rkey(), length};
 }
 
 // ------------------------------------------------------------- DeviceDirectory
@@ -212,10 +200,17 @@ RdmaDevice::RdmaDevice(DeviceDirectory* directory, int num_qps_per_peer, const E
       num_qps_per_peer_(num_qps_per_peer) {}
 
 RdmaDevice::~RdmaDevice() {
-  // Left registered, the MRs would name freed blocks (found by RdmaCheck).
-  for (const auto& [endpoint, peer] : peers_) (void)nic_->DeregisterMemory(peer.rpc_mr);
+  // Both ends of each RPC connection go, so a device bound later at this
+  // endpoint is connected afresh. A connection whose RPC QP is already null
+  // was closed by its peer's destruction.
+  for (auto& [remote, conn] : peers_) {
+    if (conn.rpc_qp == nullptr) continue;
+    RdmaDevice* peer = directory_->Find(remote);
+    peer->CloseRpc(&peer->peers_.at(local_));
+    CloseRpc(&conn);
+  }
   // Returns every pooled lane touching this endpoint (peer devices are told
-  // to drop their bindings). RPC QPs stay with the NIC, as before.
+  // to drop their bindings).
   directory_->qp_pool_.UnregisterEndpoint(local_);
   directory_->devices_.erase(local_);
 }
@@ -267,14 +262,19 @@ StatusOr<MemRegion> RdmaDevice::AllocateMemRegion(uint64_t size) {
   if (size == 0) {
     return InvalidArgument("AllocateMemRegion: size must be > 0");
   }
-  auto impl = std::make_shared<MemRegion::Impl>();
-  impl->storage = AllocateZeroed(size);
-  if (impl->storage == nullptr) {
+  ZeroedBytes storage = AllocateZeroed(size);
+  if (storage == nullptr) {
     return ResourceExhausted(StrCat("AllocateMemRegion: cannot allocate ", size, " bytes"));
   }
-  impl->data = impl->storage.get();
-  impl->size = size;
-  RDMADL_ASSIGN_OR_RETURN(impl->mr, nic_->RegisterMemory(impl->data, size));
+  const uint64_t addr = reinterpret_cast<uint64_t>(storage.get());
+  RDMADL_ASSIGN_OR_RETURN(MemRegion region, RegisterMemRegion(addr, size));
+  region.impl_->storage = std::move(storage);
+  return region;
+}
+
+StatusOr<MemRegion> RdmaDevice::RegisterMemRegion(uint64_t addr, uint64_t size) {
+  auto impl = std::make_shared<MemRegion::Impl>();
+  RDMADL_ASSIGN_OR_RETURN(impl->mr, nic_->RegisterMemory(reinterpret_cast<void*>(addr), size));
   impl->device = this;
   return MemRegion(std::move(impl));
 }
@@ -303,40 +303,52 @@ Status RdmaDevice::Connect(RdmaDevice* remote) {
     return b.status();
   }
   RDMADL_RETURN_IF_ERROR(a->Connect(*b));
-  // Both ends' RPC blocks are made before the peers are recorded: a block
+  // Both ends' RPC regions are made before the peers are recorded: a region
   // that cannot be had (no memory, or the NIC at its MR cap) fails the
   // connect with kResourceExhausted and leaves nothing behind.
-  PeerConnection mine, theirs;
-  Status blocks = MakeRpcBlock(&mine);
-  if (blocks.ok()) blocks = remote->MakeRpcBlock(&theirs);
-  if (!blocks.ok()) {
-    if (mine.rpc_mr.lkey != 0) (void)nic_->DeregisterMemory(mine.rpc_mr);
+  constexpr uint64_t kRpcBytes = kRpcSlots * kRpcSlotBytes;
+  StatusOr<MemRegion> my_region = AllocateMemRegion(kRpcBytes);
+  StatusOr<MemRegion> their_region =
+      my_region.ok() ? remote->AllocateMemRegion(kRpcBytes) : my_region.status();
+  if (!their_region.ok()) {
     (void)remote->nic_->DestroyQueuePair(*b);
     (void)nic_->DestroyQueuePair(a);
-    return blocks;
+    return their_region.status();
   }
-  mine.rpc_qp = a;
-  theirs.rpc_qp = *b;
-  auto [my_it, my_new] = peers_.try_emplace(remote->local_, std::move(mine));
-  auto [their_it, their_new] = remote->peers_.try_emplace(local_, std::move(theirs));
-  CHECK(my_new && their_new);
-  PeerConnection* my_conn = &my_it->second;
-  PeerConnection* their_conn = &their_it->second;
+  PeerConnection* my_conn = &peers_[remote->local_];
+  PeerConnection* their_conn = &remote->peers_[local_];
+  CHECK(my_conn->rpc_qp == nullptr && their_conn->rpc_qp == nullptr);
+  my_conn->rpc_qp = a;
+  their_conn->rpc_qp = *b;
+  my_conn->rpc_region = *std::move(my_region);
+  their_conn->rpc_region = *std::move(their_region);
   rpc_connections_[a->qp_num()] = my_conn;
   remote->rpc_connections_[(*b)->qp_num()] = their_conn;
   for (int i = 0; i < kRpcRecvSlots; ++i) {
     PostRpcRecv(my_conn, i);
     remote->PostRpcRecv(their_conn, i);
   }
-  // Channel wrappers exist for the connection's lifetime; their QP bindings
-  // attach lazily (AttachLane) and drop when the pool tears the lane down.
-  for (int i = 0; i < num_qps_per_peer_; ++i) {
+  // Channel wrappers exist for the device's lifetime (a reconnect finds them
+  // in place); their QP bindings attach lazily (AttachLane) and drop when the
+  // pool tears the lane down.
+  for (int i = static_cast<int>(my_conn->channels.size()); i < num_qps_per_peer_; ++i) {
     my_conn->channels.push_back(
         std::unique_ptr<RdmaChannel>(new RdmaChannel(this, remote->local_, i, nullptr)));
+  }
+  for (int i = static_cast<int>(their_conn->channels.size()); i < num_qps_per_peer_; ++i) {
     their_conn->channels.push_back(
         std::unique_ptr<RdmaChannel>(new RdmaChannel(remote, local_, i, nullptr)));
   }
   return OkStatus();
+}
+
+void RdmaDevice::CloseRpc(PeerConnection* conn) {
+  rpc_connections_.erase(conn->rpc_qp->qp_num());
+  (void)nic_->DestroyQueuePair(conn->rpc_qp);
+  conn->rpc_qp = nullptr;
+  conn->rpc_region = MemRegion();
+  conn->rpc_wr_ids = {};
+  conn->rpc_waiting.clear();
 }
 
 StatusOr<RdmaChannel*> RdmaDevice::GetChannel(const Endpoint& remote, int qp_idx) {
@@ -344,7 +356,7 @@ StatusOr<RdmaChannel*> RdmaDevice::GetChannel(const Endpoint& remote, int qp_idx
     return InvalidArgument(StrCat("qp_idx out of range: ", qp_idx));
   }
   auto it = peers_.find(remote);
-  if (it == peers_.end()) {
+  if (it == peers_.end() || it->second.rpc_qp == nullptr) {
     RdmaDevice* peer = directory_->Find(remote);
     if (peer == nullptr) {
       return NotFound(StrCat("no device bound at ", remote.ToString()));
@@ -401,6 +413,7 @@ Status RdmaDevice::RecoverChannels() {
       rdma::QueuePair* qp = channel->qp_;
       if (qp != nullptr && qp->in_error()) RDMADL_RETURN_IF_ERROR(qp->Recover());
     }
+    if (peer.rpc_qp == nullptr) continue;
     if (peer.rpc_qp->in_error()) {
       RDMADL_RETURN_IF_ERROR(peer.rpc_qp->Recover());
     }
@@ -416,23 +429,13 @@ Status RdmaDevice::RecoverChannels() {
 
 int RdmaDevice::rpc_recvs_posted(const Endpoint& remote) const {
   auto it = peers_.find(remote);
-  if (it == peers_.end()) return -1;
+  if (it == peers_.end() || it->second.rpc_qp == nullptr) return -1;
   const auto& wr_ids = it->second.rpc_wr_ids;
   return static_cast<int>(kRpcRecvSlots -
                           std::count(wr_ids.begin(), wr_ids.begin() + kRpcRecvSlots, 0));
 }
 
 // --------------------------------------------------------------------- MiniRPC
-
-Status RdmaDevice::MakeRpcBlock(PeerConnection* conn) {
-  constexpr uint64_t kBytes = kRpcSlots * kRpcSlotBytes;
-  conn->rpc_block = AllocateZeroed(kBytes);
-  if (conn->rpc_block == nullptr) {
-    return ResourceExhausted(StrCat("cannot allocate an RPC block on ", local_.ToString()));
-  }
-  RDMADL_ASSIGN_OR_RETURN(conn->rpc_mr, nic_->RegisterMemory(conn->rpc_block.get(), kBytes));
-  return OkStatus();
-}
 
 void RdmaDevice::OnRpcCompletion(PeerConnection* conn, const rdma::WorkCompletion& wc) {
   auto posted = std::find(conn->rpc_wr_ids.begin(), conn->rpc_wr_ids.end(), wc.wr_id);
@@ -450,7 +453,7 @@ void RdmaDevice::OnRpcCompletion(PeerConnection* conn, const rdma::WorkCompletio
     return;
   }
   if (wc.status.ok()) {
-    HandleRpcInbound(conn, conn->rpc_block.get() + slot * kRpcSlotBytes, wc.byte_len);
+    HandleRpcInbound(conn, conn->rpc_region.data() + slot * kRpcSlotBytes, wc.byte_len);
   } else if (conn->rpc_qp->in_error()) {
     // Flushed: reposting now would be flushed again at once, so the slot
     // stays idle until RecoverChannels. A flush that drains after the QP was
@@ -465,8 +468,8 @@ void RdmaDevice::OnRpcCompletion(PeerConnection* conn, const rdma::WorkCompletio
 void RdmaDevice::PostRpcRecv(PeerConnection* conn, int slot) {
   rdma::RecvWorkRequest wr;
   wr.wr_id = next_wr_id_++;
-  wr.addr = reinterpret_cast<uint64_t>(conn->rpc_block.get() + slot * kRpcSlotBytes);
-  wr.lkey = conn->rpc_mr.lkey;
+  wr.addr = reinterpret_cast<uint64_t>(conn->rpc_region.data() + slot * kRpcSlotBytes);
+  wr.lkey = conn->rpc_region.lkey();
   wr.length = kRpcSlotBytes;
   conn->rpc_wr_ids[slot] = wr.wr_id;
   Status s = conn->rpc_qp->PostRecv(wr);
@@ -485,13 +488,13 @@ void RdmaDevice::SendRpcFrame(PeerConnection* conn, std::vector<uint8_t> frame) 
 }
 
 void RdmaDevice::PostRpcSend(PeerConnection* conn, int slot, const std::vector<uint8_t>& frame) {
-  uint8_t* data = conn->rpc_block.get() + slot * kRpcSlotBytes;
+  uint8_t* data = conn->rpc_region.data() + slot * kRpcSlotBytes;
   std::memcpy(data, frame.data(), frame.size());
   rdma::SendWorkRequest wr;
   wr.wr_id = next_wr_id_++;
   wr.opcode = rdma::Opcode::kSend;
   wr.local_addr = reinterpret_cast<uint64_t>(data);
-  wr.lkey = conn->rpc_mr.lkey;
+  wr.lkey = conn->rpc_region.lkey();
   wr.length = frame.size();
   conn->rpc_wr_ids[slot] = wr.wr_id;
   Status s = conn->rpc_qp->PostSend(wr);

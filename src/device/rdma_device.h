@@ -4,13 +4,19 @@
 //
 //   RdmaDevice::Create(num_cqs, num_qps_per_peer, local_endpoint)
 //   device->AllocateMemRegion(size_in_bytes)            -> MemRegion
+//   device->RegisterMemRegion(addr, size_in_bytes)      -> MemRegion
 //   device->GetChannel(remote_endpoint, qp_idx)         -> RdmaChannel
 //   channel->Memcpy(local, remote, size, direction, cb) -> async one-sided op
 //
 // plus a vanilla send/recv RPC used only to distribute remote memory
 // addresses (off the critical path). Each connection side owns the RPC's
-// buffers: one registered block of a few small slots, made at connect time,
-// so nothing after the connect fails or is dropped for want of a buffer.
+// buffers: one region of a few small slots, made at connect time, so nothing
+// after the connect fails or is dropped for want of a buffer.
+//
+// Every NIC registration is a MemRegion, and dropping the handle is the only
+// way one ends. RegisterMemRegion registers a range the caller names and owns
+// no storage: a virtual payload range that is never dereferenced, or memory
+// the caller already holds.
 //
 // The device is configured with the number of CQs and of QPs per connected
 // peer; QPs are spread over the CQs round-robin (Figure 4), and each CQ has a
@@ -53,15 +59,20 @@ struct RemoteRegion {
   static StatusOr<RemoteRegion> Decode(const uint8_t* data, size_t len);
 };
 
-// An RDMA-accessible local memory region, allocated from and owned by a
-// device. Movable handle; freeing happens when the handle (and its copies)
-// are gone.
+// An RDMA-accessible local memory region, registered with a device's NIC.
+// Movable handle; the registration (and the storage, when the region owns
+// any) is released when the handle and its copies are gone, which must be
+// before the device is.
 class MemRegion {
  public:
   MemRegion() = default;
 
-  uint8_t* data() const { return impl_ ? impl_->data : nullptr; }
-  uint64_t size() const { return impl_ ? impl_->size : 0; }
+  // The region's storage; null for a region that owns none
+  // (RegisterMemRegion).
+  uint8_t* data() const { return impl_ ? impl_->storage.get() : nullptr; }
+  // The registered range's first address, whether or not it owns storage.
+  uint64_t addr() const { return impl_ ? impl_->mr.addr : 0; }
+  uint64_t size() const { return impl_ ? impl_->mr.length : 0; }
   uint32_t lkey() const { return impl_ ? impl_->mr.lkey : 0; }
   uint32_t rkey() const { return impl_ ? impl_->mr.rkey : 0; }
   bool valid() const { return impl_ != nullptr; }
@@ -75,8 +86,6 @@ class MemRegion {
   friend class RdmaDevice;
   struct Impl {
     ~Impl();
-    uint8_t* data = nullptr;
-    uint64_t size = 0;
     rdma::MemoryRegion mr;
     RdmaDevice* device = nullptr;
     ZeroedBytes storage;
@@ -192,6 +201,9 @@ class RdmaDevice {
   static StatusOr<std::unique_ptr<RdmaDevice>> Create(DeviceDirectory* directory, int num_cqs,
                                                       int num_qps_per_peer,
                                                       const Endpoint& local);
+  // Takes down both ends of every RPC connection and returns the pooled
+  // lanes touching this endpoint. Peers keep their channel wrappers to it. The
+  // simulator must be quiesced (no event may still reference this device).
   ~RdmaDevice();
 
   RdmaDevice(const RdmaDevice&) = delete;
@@ -201,10 +213,16 @@ class RdmaDevice {
   // with the NIC (one registration per region; prefer few large regions).
   StatusOr<MemRegion> AllocateMemRegion(uint64_t size);
 
+  // Registers [addr, addr + size), which the caller names and keeps valid
+  // (or never dereferences: a virtual payload range), as a region that owns
+  // no storage.
+  StatusOr<MemRegion> RegisterMemRegion(uint64_t addr, uint64_t size);
+
   // Returns the channel to |remote| over QP |qp_idx| (0 <= qp_idx <
-  // num_qps_per_peer), establishing the connection on first use. A NIC that
-  // cannot take the connection's RPC QP or register its RPC buffers fails it
-  // with kResourceExhausted, and nothing of it is left behind.
+  // num_qps_per_peer), establishing the connection on first use, and again
+  // after the device at |remote| was destroyed and a new one bound there. A
+  // NIC that cannot take the connection's RPC QP or register its RPC buffers
+  // fails it with kResourceExhausted, and nothing of it is left behind.
   StatusOr<RdmaChannel*> GetChannel(const Endpoint& remote, int qp_idx);
 
   // ---- Vanilla RPC for address distribution (not performance critical) ----
@@ -256,7 +274,7 @@ class RdmaDevice {
   friend class RdmaChannel;
   friend struct MemRegion::Impl;
 
-  // A connection side's RPC block: kRpcRecvSlots receive slots, then
+  // A connection side's RPC region: kRpcRecvSlots receive slots, then
   // kRpcSendSlots send slots, of kRpcSlotBytes each. It is under a page, so it
   // is no mapping of its own. The largest frame any caller sends is 76 bytes.
   static constexpr uint64_t kRpcSlotBytes = 128;
@@ -270,9 +288,9 @@ class RdmaDevice {
   // live for the device's lifetime, so callers may cache RdmaChannel*.
   struct PeerConnection {
     std::vector<std::unique_ptr<RdmaChannel>> channels;
-    rdma::QueuePair* rpc_qp = nullptr;          // Dedicated two-sided RPC QP.
-    ZeroedBytes rpc_block;
-    rdma::MemoryRegion rpc_mr;
+    // Dedicated two-sided RPC QP; null once the peer's device is gone.
+    rdma::QueuePair* rpc_qp = nullptr;
+    MemRegion rpc_region;
     // The wr_id each slot is posted under, 0 while it is idle. Completions
     // find their slot by it: a QP that errors flushes later receives ahead of
     // a matched one whose CQE is still on its way. A receive slot is idle only
@@ -287,6 +305,9 @@ class RdmaDevice {
   // Establishes the RPC QP pair and lazy channel wrappers between this
   // device and |remote|; data lanes attach from the pool on first use.
   Status Connect(RdmaDevice* remote);
+  // Destroys |conn|'s RPC QP and releases its RPC region; the channel
+  // wrappers stay.
+  void CloseRpc(PeerConnection* conn);
   // Binds |channel| to its pooled lane, creating the lane on first use.
   Status AttachLane(RdmaChannel* channel);
   // Pool teardown callback: drop the cached QP binding so the next use
@@ -297,8 +318,6 @@ class RdmaDevice {
   // Drains one CQ, dispatching Memcpy callbacks and RPC messages.
   void DrainCq(rdma::CompletionQueue* cq);
 
-  // Maps and registers |conn|'s RPC block (kResourceExhausted when it cannot).
-  Status MakeRpcBlock(PeerConnection* conn);
   void OnRpcCompletion(PeerConnection* conn, const rdma::WorkCompletion& wc);
   void HandleRpcInbound(PeerConnection* conn, const uint8_t* data, uint64_t len);
   // Posts |frame| (at most kRpcSlotBytes) from a free send slot, or queues it

@@ -35,17 +35,6 @@ HostRuntime::~HostRuntime() {
   // through the arenas owned below — drop them while those allocators are
   // still alive.
   if (rdma_device_ != nullptr) rdma_device_->DropPendingCallbacks();
-  // Arenas registered with the NIC directly (virtual-mode data arenas, the
-  // meta arena) bypass MemRegion's RAII deregistration — undo them here, or
-  // the NIC keeps rkeys naming memory about to be freed (found by RdmaCheck).
-  if (rdma_device_ != nullptr) {
-    for (RdmaArena* arena : {&rdma_arena_, &gpu_arena_, &meta_arena_}) {
-      if (arena->raw_mr.lkey != 0) {
-        (void)rdma_device_->nic()->DeregisterMemory(arena->raw_mr);
-        arena->raw_mr = rdma::MemoryRegion();
-      }
-    }
-  }
 }
 
 StatusOr<std::unique_ptr<HostRuntime>> HostRuntime::Create(device::DeviceDirectory* directory,
@@ -70,25 +59,12 @@ StatusOr<std::unique_ptr<HostRuntime>> HostRuntime::Create(device::DeviceDirecto
 StatusOr<RdmaArena> HostRuntime::MakeArena(uint64_t size, uint64_t virtual_base,
                                            const char* label) {
   RdmaArena arena;
-  arena.size = size;
-  if (real_memory()) {
-    RDMADL_ASSIGN_OR_RETURN(arena.region, rdma_device_->AllocateMemRegion(size));
-    arena.base_addr = reinterpret_cast<uint64_t>(arena.region.data());
-    arena.lkey = arena.region.lkey();
-    arena.rkey = arena.region.rkey();
-    arena.allocator = std::make_unique<tensor::ArenaAllocator>(
-        arena.region.data(), size, StrCat(label, ":", options_.device_name));
-  } else {
-    void* base = reinterpret_cast<void*>(virtual_base);
-    RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion mr,
-                            rdma_device_->nic()->RegisterMemory(base, size));
-    arena.base_addr = virtual_base;
-    arena.lkey = mr.lkey;
-    arena.rkey = mr.rkey;
-    arena.raw_mr = mr;
-    arena.allocator = std::make_unique<tensor::ArenaAllocator>(
-        base, size, StrCat(label, ":", options_.device_name));
-  }
+  RDMADL_ASSIGN_OR_RETURN(arena.region, real_memory()
+                                            ? rdma_device_->AllocateMemRegion(size)
+                                            : rdma_device_->RegisterMemRegion(virtual_base, size));
+  arena.allocator = std::make_unique<tensor::ArenaAllocator>(
+      reinterpret_cast<void*>(arena.region.addr()), size,
+      StrCat(label, ":", options_.device_name));
   return arena;
 }
 
@@ -102,10 +78,9 @@ StatusOr<RdmaArena*> HostRuntime::EnsureRdmaArena(uint64_t min_bytes) {
     RDMADL_ASSIGN_OR_RETURN(
         rdma_arena_, MakeArena(size, VirtualWindowBase(index_) + kVirtualRdmaOffset, "rdma"));
     rdma_arena_init_ = true;
-  } else if (rdma_arena_.size < min_bytes) {
-    return FailedPrecondition(
-        StrCat("RDMA arena of ", rdma_arena_.size, " bytes already created; planner now needs ",
-               min_bytes));
+  } else if (rdma_arena_.region.size() < min_bytes) {
+    return FailedPrecondition(StrCat("RDMA arena of ", rdma_arena_.region.size(),
+                                     " bytes already created; planner now needs ", min_bytes));
   }
   return &rdma_arena_;
 }
@@ -113,20 +88,9 @@ StatusOr<RdmaArena*> HostRuntime::EnsureRdmaArena(uint64_t min_bytes) {
 StatusOr<RdmaArena*> HostRuntime::meta_arena() {
   if (!meta_arena_init_) {
     constexpr uint64_t kMetaArenaBytes = 8ull << 20;
-    device::ZeroedBytes storage = device::AllocateZeroed(kMetaArenaBytes);
-    if (storage == nullptr) {
-      return ResourceExhausted(StrCat("meta arena: cannot allocate ", kMetaArenaBytes, " bytes"));
-    }
-    RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion mr,
-                            rdma_device_->nic()->RegisterMemory(storage.get(), kMetaArenaBytes));
-    meta_arena_.size = kMetaArenaBytes;
-    meta_arena_.base_addr = reinterpret_cast<uint64_t>(storage.get());
-    meta_arena_.lkey = mr.lkey;
-    meta_arena_.rkey = mr.rkey;
-    meta_arena_.raw_mr = mr;
+    RDMADL_ASSIGN_OR_RETURN(meta_arena_.region, rdma_device_->AllocateMemRegion(kMetaArenaBytes));
     meta_arena_.allocator = std::make_unique<tensor::ArenaAllocator>(
-        storage.get(), kMetaArenaBytes, StrCat("meta:", options_.device_name));
-    meta_storage_ = std::move(storage);
+        meta_arena_.region.data(), kMetaArenaBytes, StrCat("meta:", options_.device_name));
     meta_arena_init_ = true;
   }
   return &meta_arena_;
@@ -143,20 +107,16 @@ StatusOr<RdmaArena*> HostRuntime::gpu_arena() {
     if (options_.gpudirect) {
       RDMADL_ASSIGN_OR_RETURN(gpu_arena_, MakeArena(size, vbase, "gpu-gdr"));
     } else {
-      gpu_arena_.size = size;
       if (real_memory()) {
-        gpu_arena_.region = device::MemRegion();
         device::ZeroedBytes storage = device::AllocateZeroed(size);
         if (storage == nullptr) {
           return ResourceExhausted(StrCat("GPU arena: cannot allocate ", size, " bytes"));
         }
-        gpu_arena_.base_addr = reinterpret_cast<uint64_t>(storage.get());
         gpu_arena_.allocator = std::make_unique<tensor::ArenaAllocator>(
             storage.get(), size, StrCat("gpu:", options_.device_name),
             tensor::MemorySpace::kGpu);
         gpu_storage_ = std::move(storage);
       } else {
-        gpu_arena_.base_addr = vbase;
         gpu_arena_.allocator = std::make_unique<tensor::ArenaAllocator>(
             reinterpret_cast<void*>(vbase), size, StrCat("gpu:", options_.device_name),
             tensor::MemorySpace::kGpu);
@@ -169,7 +129,7 @@ StatusOr<RdmaArena*> HostRuntime::gpu_arena() {
 
 StatusOr<const RdmaArena*> HostRuntime::ArenaFor(const void* ptr) const {
   if (rdma_arena_init_ && rdma_arena_.Contains(ptr)) return &rdma_arena_;
-  if (gpu_arena_init_ && gpu_arena_.Contains(ptr) && gpu_arena_.lkey != 0) return &gpu_arena_;
+  if (gpu_arena_init_ && gpu_arena_.Contains(ptr) && gpu_arena_.region.valid()) return &gpu_arena_;
   if (meta_arena_init_ && meta_arena_.Contains(ptr)) return &meta_arena_;
   return FailedPrecondition("pointer is not inside a registered RDMA arena");
 }

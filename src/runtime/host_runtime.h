@@ -31,14 +31,10 @@ namespace runtime {
 // access.
 struct RdmaArena {
   std::unique_ptr<tensor::ArenaAllocator> allocator;
-  uint64_t base_addr = 0;
-  uint64_t size = 0;
-  uint32_t lkey = 0;
-  uint32_t rkey = 0;
-  device::MemRegion region;  // Keeps real-mode storage alive (invalid when virtual).
-  // Raw NIC registration for arenas that bypass MemRegion (virtual-mode and
-  // meta arenas); deregistered by ~HostRuntime. lkey == 0 when unused.
-  rdma::MemoryRegion raw_mr;
+  // The registration: real storage, or in virtual mode a range that owns
+  // none. Invalid (keys 0) for a GPU arena without GPUDirect, which the NIC
+  // cannot reach.
+  device::MemRegion region;
 
   bool Contains(const void* ptr) const { return allocator && allocator->Contains(ptr); }
 };
@@ -125,7 +121,8 @@ class HostRuntime {
   // NOTE: declaration order is destruction-critical. Members are destroyed
   // in reverse order, and tensor Buffers deallocate through their allocator
   // at destruction: resources_ (variable tensors) must die before the arenas
-  // they allocate from — hence arenas first, resources last.
+  // they allocate from — hence arenas first, resources last. The arenas'
+  // regions release their registrations, so they follow rdma_device_.
   device::DeviceDirectory* directory_;
   HostRuntimeOptions options_;
   int index_;
@@ -137,7 +134,6 @@ class HostRuntime {
   RdmaArena gpu_arena_;
   RdmaArena meta_arena_;
   device::ZeroedBytes gpu_storage_;  // Real-mode non-GDR GPU backing.
-  device::ZeroedBytes meta_storage_;
   bool rdma_arena_init_ = false;
   bool gpu_arena_init_ = false;
   bool meta_arena_init_ = false;

@@ -5,7 +5,7 @@
 // cached extent that fully contains [addr, addr+len). The transfer engine
 // uses this in front of verbs memory registration (the §3.4 registration
 // cache, after RDMAvisor): extents are page-aligned MR registrations, values
-// carry the MemoryRegion plus pinning metadata.
+// carry the registered region plus pinning metadata.
 //
 // Recency is tracked with a strictly increasing internal tick — never with
 // addresses — so eviction-victim selection is identical across runs even when
@@ -41,11 +41,6 @@ class ExtentLruCache {
     return e;
   }
 
-  // Lookup without bumping recency.
-  const Entry* Peek(uint64_t addr, uint64_t len) const {
-    return const_cast<ExtentLruCache*>(this)->Find(addr, len);
-  }
-
   // Inserts a new extent as most recently used. Overlapping extents are
   // allowed (registrations at different alignments); lookups return the
   // first cover found.
@@ -75,13 +70,6 @@ class ExtentLruCache {
     return out;
   }
 
-  // Visits every entry (teardown: deregister all cached MRs).
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const auto& [key, entry] : by_base_) fn(entry);
-  }
-
-  void Clear() { by_base_.clear(); }
   size_t size() const { return by_base_.size(); }
   bool empty() const { return by_base_.empty(); }
 

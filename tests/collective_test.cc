@@ -11,9 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "src/check/testing.h"
 #include "src/device/zeroed_bytes.h"
 #include "src/net/fabric.h"
 #include "src/rdma/verbs.h"
+
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
 
 namespace rdmadl {
 namespace collective {

@@ -4,9 +4,12 @@
 
 #include <memory>
 
+#include "src/check/testing.h"
 #include "src/comm/rpc_mechanism.h"
 #include "src/comm/zerocopy_mechanism.h"
 #include "src/runtime/session.h"
+
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
 
 namespace rdmadl {
 namespace comm {

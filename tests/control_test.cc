@@ -214,7 +214,7 @@ TEST(CheckpointTest, SnapshotRestoreRoundTripsBytes) {
   Tensor golden_b = world.MakeVariable("ps:1", "var_b", 128, 100.0f);
 
   CheckpointManager checkpoint(world.cluster.get(), CheckpointOptions{});
-  ASSERT_TRUE(checkpoint.Snapshot(/*step=*/3, /*samples=*/96).ok());
+  ASSERT_TRUE(checkpoint.Snapshot(/*step=*/3, /*samples=*/96, {"ps:0", "ps:1"}).ok());
   EXPECT_TRUE(checkpoint.has_checkpoint());
   EXPECT_EQ(checkpoint.step(), 3);
   EXPECT_EQ(checkpoint.stats().variables_captured, 2);
@@ -227,7 +227,7 @@ TEST(CheckpointTest, SnapshotRestoreRoundTripsBytes) {
       for (int64_t i = 0; i < var.num_elements(); ++i) var.at<float>(i) = -7.0f;
     }
   }
-  ASSERT_TRUE(checkpoint.Restore().ok());
+  ASSERT_TRUE(checkpoint.Restore({{"var_a", "ps:0"}, {"var_b", "ps:1"}}).ok());
 
   const Tensor& a = world.cluster->host("ps:0")->resources()->GetVariable("var_a");
   const Tensor& b = world.cluster->host("ps:1")->resources()->GetVariable("var_b");
@@ -239,7 +239,7 @@ TEST(CheckpointTest, RestoreRetargetsShardToSurvivor) {
   CheckpointWorld world;
   Tensor golden = world.MakeVariable("ps:0", "shard", 64, 5.0f);
   CheckpointManager checkpoint(world.cluster.get(), CheckpointOptions{});
-  ASSERT_TRUE(checkpoint.Snapshot(/*step=*/1, /*samples=*/32).ok());
+  ASSERT_TRUE(checkpoint.Snapshot(/*step=*/1, /*samples=*/32, {"ps:0", "ps:1"}).ok());
 
   // "ps:0 died": restore its shard onto ps:1, which has never held it.
   ASSERT_TRUE(checkpoint.Restore({{"shard", "ps:1"}}).ok());

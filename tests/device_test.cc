@@ -7,8 +7,11 @@
 #include <numeric>
 #include <vector>
 
+#include "src/check/testing.h"
 #include "src/device/rdma_device.h"
 #include "src/sim/fault.h"
+
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
 
 namespace rdmadl {
 namespace device {
@@ -675,6 +678,61 @@ TEST_F(DeviceTest, DeviceDestructionReturnsPooledLanes) {
   auto b2 = RdmaDevice::Create(&directory, 1, 2, Endpoint{1, 7000});
   ASSERT_TRUE(b2.ok());
   EXPECT_TRUE((*a)->GetChannel((*b2)->endpoint(), 0).ok());
+}
+
+TEST_F(DeviceTest, DeviceBoundAtADestroyedPeersEndpointIsCalledAfresh) {
+  // a connects to b, b is destroyed and b2 is bound at b's endpoint. b took
+  // down both ends of its RPC connection to a, so calls between a and b2 both
+  // complete, whichever side connects first.
+  auto echo = [](const std::vector<uint8_t>& req) { return req; };
+  auto a = MakeDevice(0, 7000);
+  a->RegisterRpcHandler("echo", echo);
+  const Endpoint at_b{1, 7000};
+  for (bool survivor_first : {false, true}) {
+    {
+      auto b = MakeDevice(1, 7000);
+      b->RegisterRpcHandler("echo", echo);
+      Status first = Internal("not called");
+      a->Call(at_b, "echo", {1}, [&](const Status& s, const std::vector<uint8_t>&) { first = s; });
+      ASSERT_TRUE(simulator_.Run().ok());
+      ASSERT_TRUE(first.ok()) << first;
+    }
+    EXPECT_EQ(a->rpc_recvs_posted(at_b), -1);
+    EXPECT_EQ(rdma_.nic(1)->num_queue_pairs(), 0);
+
+    auto b2 = MakeDevice(1, 7000);
+    b2->RegisterRpcHandler("echo", echo);
+    Status to_b2 = Internal("not called"), to_a = Internal("not called");
+    std::vector<uint8_t> from_b2, from_a;
+    auto call_b2 = [&] {
+      a->Call(at_b, "echo", {2}, [&](const Status& s, const std::vector<uint8_t>& r) {
+        to_b2 = s;
+        from_b2 = r;
+      });
+    };
+    auto call_a = [&] {
+      b2->Call(a->endpoint(), "echo", {3}, [&](const Status& s, const std::vector<uint8_t>& r) {
+        to_a = s;
+        from_a = r;
+      });
+    };
+    if (survivor_first) {
+      call_b2();
+      call_a();
+    } else {
+      call_a();
+      call_b2();
+    }
+    ASSERT_TRUE(simulator_.Run().ok());
+    EXPECT_TRUE(to_b2.ok()) << to_b2;
+    EXPECT_EQ(from_b2, std::vector<uint8_t>{2});
+    EXPECT_TRUE(to_a.ok()) << to_a;
+    EXPECT_EQ(from_a, std::vector<uint8_t>{3});
+    EXPECT_EQ(a->rpc_recvs_posted(at_b), RdmaDevice::rpc_recv_depth());
+    EXPECT_EQ(b2->rpc_recvs_posted(a->endpoint()), RdmaDevice::rpc_recv_depth());
+    // b2's RPC QP and the one lane both calls share.
+    EXPECT_EQ(rdma_.nic(1)->num_queue_pairs(), 2);
+  }
 }
 
 }  // namespace
