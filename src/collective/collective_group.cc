@@ -701,17 +701,13 @@ void CollectiveGroup::PostChunk(const std::shared_ptr<Op>& op, int src_rank, int
   // stream on the wire, deserialize + staging copy into the destination on
   // the receiver, then the receiver-side completion sets the flag byte. Same
   // ring schedule, so benchmarks isolate the transport effect.
-  const net::CostModel& c = cost();
-  const int64_t sender_ns =
-      c.rpc_dispatch_overhead_ns + net::CostNs(bytes, c.serialize_bytes_per_sec);
-  const int64_t receiver_ns = net::CostNs(bytes, c.deserialize_bytes_per_sec) +
-                              net::CostNs(bytes, c.staging_memcpy_bytes_per_sec);
+  const net::StagedCopyNs staged = net::StagedCopyCost(cost(), bytes);
   net::Fabric* fabric = directory_->rdma_fabric()->fabric();
   const bool copy = options_.materialize && bytes > 0;
   fabric->Transfer(
       src->endpoint.host_id, dst->endpoint.host_id, std::max<uint64_t>(bytes, 1),
-      net::Plane::kTcp, sender_ns, nullptr,
-      [this, op, dst, local_addr, remote_addr, bytes, flag_index, receiver_ns,
+      net::Plane::kTcp, staged.sender, nullptr,
+      [this, op, dst, local_addr, remote_addr, bytes, flag_index, receiver_ns = staged.receiver,
        copy](Status status) {
         if (op->finished) return;
         if (!status.ok()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
 #include <utility>
 
@@ -49,10 +50,15 @@ uint64_t GetU64(const uint8_t* p) {
 }  // namespace
 
 struct ZeroCopyRdmaMechanism::EdgeState {
+  ~EdgeState() {
+    if (flag_ptr != nullptr) check::OnFlagForgotten(dst->endpoint().host_id, flag_ptr);
+  }
+
   graph::TransferEdge edge;
   Protocol protocol = Protocol::kStatic;
   HostRuntime* src = nullptr;
   HostRuntime* dst = nullptr;
+  HostState* sender = nullptr;                  // src's record.
   device::RdmaChannel* channel = nullptr;       // src -> dst, carries writes.
   device::RdmaChannel* read_channel = nullptr;  // dst -> src, carries reads.
   int qp_index = 0;                             // Lane hint for the engine.
@@ -60,8 +66,11 @@ struct ZeroCopyRdmaMechanism::EdgeState {
   // ---- Receiver state ----
   RecvPhase phase = RecvPhase::kWaiting;
   Tensor recv_tensor;            // Static: preallocated once; dynamic: per arrival.
+  // dst's meta-arena carve-out: the dynamic metadata block (|meta_bytes|,
+  // flag at its tail), or the flag byte of a static edge whose payload tail
+  // is not host-pollable.
+  std::unique_ptr<tensor::Buffer> meta_block;
   uint8_t* flag_ptr = nullptr;   // Always-real completion flag polled by RdmaRecv.
-  uint8_t* meta_block = nullptr; // Dynamic: metadata block in dst's meta arena.
   size_t meta_bytes = 0;
   bool dst_gpu_staging = false;  // Static receive needs a PCIe H2D after the flag.
   // §3.5 extended: receive buffer lives in the dst GPU arena and the payload
@@ -72,13 +81,15 @@ struct ZeroCopyRdmaMechanism::EdgeState {
   RemoteRegion remote_data;
   RemoteRegion remote_flag;
   RemoteRegion remote_meta;
-  uint8_t* src_meta_staging = nullptr;  // Sender-side metadata build buffer.
+  // Dynamic: sender-side metadata build buffer in src's meta arena.
+  std::unique_ptr<tensor::Buffer> src_meta_staging;
   uint32_t src_meta_lkey = 0;
 
-  // Keeps sender buffers alive until the receiver's read has certainly
-  // finished (released at the next step boundary).
+  // Keep sender buffers alive until the receiver's read has certainly
+  // finished (released at the next step boundary, in this order): the sent
+  // tensor, and the staging copy a dynamic receiver reads instead of it.
   Tensor hold;
-  std::vector<void*> staging_to_free_at_step;  // Freed on BeginStep (dynamic staging).
+  std::shared_ptr<tensor::Buffer> hold_staging;
 
   // ---- Degradation ladder (survives ResetTransientState by design) ----
   EdgePath path = EdgePath::kZeroCopy;
@@ -89,53 +100,21 @@ struct ZeroCopyRdmaMechanism::EdgeState {
 ZeroCopyRdmaMechanism::ZeroCopyRdmaMechanism(runtime::Cluster* cluster, ZeroCopyOptions options)
     : cluster_(cluster), options_(options) {}
 
-ZeroCopyRdmaMechanism::~ZeroCopyRdmaMechanism() {
-  // Return the per-edge arena carve-outs so a rebuilt mechanism (elastic
-  // reconfiguration tears this one down and sets up a fresh one over the
-  // surviving hosts) can re-carve receive buffers from the same registered
-  // arenas. Stale "zc_addr" handlers are overwritten by the next Setup on
-  // every host that still receives.
-  for (auto& s : edges_) {
-    if (s->flag_ptr != nullptr) {
-      check::OnFlagForgotten(s->dst->endpoint().host_id, s->flag_ptr);
-    }
-    if (s->protocol == Protocol::kStatic) {
-      if (s->remote_data.addr != 0) {
-        StatusOr<RdmaArena*> arena =
-            s->device_route ? s->dst->gpu_arena() : s->dst->rdma_arena();
-        if (arena.ok()) {
-          (*arena)->allocator->Deallocate(reinterpret_cast<void*>(s->remote_data.addr));
-        }
-      }
-      // Device-route flags live in the meta arena in every memory mode (GPU
-      // payload bytes are never host-pollable), virtual-mode flags always do.
-      if ((!s->dst->real_memory() || s->device_route) && s->flag_ptr != nullptr) {
-        StatusOr<RdmaArena*> meta = s->dst->meta_arena();
-        if (meta.ok()) (*meta)->allocator->Deallocate(s->flag_ptr);
-      }
-    } else {
-      if (s->meta_block != nullptr) {
-        StatusOr<RdmaArena*> meta = s->dst->meta_arena();
-        if (meta.ok()) (*meta)->allocator->Deallocate(s->meta_block);
-      }
-      if (s->src_meta_staging != nullptr) {
-        StatusOr<RdmaArena*> meta = s->src->meta_arena();
-        if (meta.ok()) (*meta)->allocator->Deallocate(s->src_meta_staging);
-      }
-    }
-    FreeStepStaging(s.get());
-  }
-  // The per-host "flag = 1" source bytes are carved from the meta arenas too;
-  // a rebuilt mechanism re-carves its own, so return them as well (leaving
-  // them would leak one byte per host per rebuild — found by RdmaCheck).
-  for (auto& [host, flag] : flag_sources_) {
-    StatusOr<RdmaArena*> meta = host->meta_arena();
-    if (meta.ok()) (*meta)->allocator->Deallocate(flag);
-  }
-}
+// Every carve-out releases itself with its EdgeState or HostState, so a
+// rebuilt mechanism (elastic reconfiguration tears this one down and sets up
+// a fresh one over the surviving hosts) re-carves from the same registered
+// arenas. Stale "zc_addr" handlers are overwritten by the next Setup on every
+// host that still receives.
+ZeroCopyRdmaMechanism::~ZeroCopyRdmaMechanism() = default;
 
 void ZeroCopyRdmaMechanism::Setup(const std::vector<graph::TransferEdge>& edges,
                                   std::function<void(Status)> done) {
+  hosts_.resize(cluster_->device_names().size());
+  for (const std::string& name : cluster_->device_names()) {
+    HostRuntime* host = cluster_->host(name);
+    StateOf(host).engine = std::make_unique<TransferEngine>(host->rdma_device(), options_.engine);
+  }
+
   // Pass 1: size the per-process RDMA arenas (§3.4: one large registration).
   std::map<HostRuntime*, uint64_t> need;
   for (const graph::TransferEdge& edge : edges) {
@@ -164,12 +143,13 @@ void ZeroCopyRdmaMechanism::Setup(const std::vector<graph::TransferEdge>& edges,
     state->edge = edge;
     state->src = cluster_->host(edge.src_device);
     state->dst = cluster_->host(edge.dst_device);
+    state->sender = &StateOf(state->src);
     Status s = SetupEdge(state.get());
     if (!s.ok()) {
       cluster_->simulator()->ScheduleAfter(0, [done = std::move(done), s]() { done(s); });
       return;
     }
-    if (options_.graph_analysis) tracers_[state->src].MarkHot(edge.producer_id);
+    if (options_.graph_analysis) state->sender->tracer.MarkHot(edge.producer_id);
     edges_.push_back(std::move(state));
   }
 
@@ -263,64 +243,51 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
   RDMADL_ASSIGN_OR_RETURN(RdmaArena * dst_meta, s->dst->meta_arena());
   RDMADL_ASSIGN_OR_RETURN(RdmaArena * src_meta, s->src->meta_arena());
 
-  if (s->protocol == Protocol::kStatic && s->device_route) {
+  if (s->protocol == Protocol::kStatic) {
     const uint64_t bytes = edge.shape.num_elements() * tensor::DTypeSize(edge.dtype);
-    RDMADL_ASSIGN_OR_RETURN(RdmaArena * dst_gpu, s->dst->gpu_arena());
-    uint8_t* buf = static_cast<uint8_t*>(dst_gpu->allocator->Allocate(bytes));
-    if (buf == nullptr) {
-      return ResourceExhausted(StrCat("receive GPU arena exhausted on ", edge.dst_device));
+    RDMADL_ASSIGN_OR_RETURN(RdmaArena * dst_arena,
+                            s->device_route ? s->dst->gpu_arena() : s->dst->rdma_arena());
+    // A host buffer has room for the tail completion flag (§3.2).
+    auto buffer = std::make_shared<tensor::Buffer>(dst_arena->allocator.get(),
+                                                   s->device_route ? bytes : bytes + 1);
+    if (!buffer->valid()) {
+      return ResourceExhausted(StrCat(s->device_route ? "receive GPU arena" : "receive arena",
+                                      " exhausted on ", edge.dst_device));
     }
-    auto buffer = std::make_shared<tensor::Buffer>(buf, bytes);
-    s->recv_tensor = Tensor(std::move(buffer), edge.dtype, edge.shape);
-    s->remote_data = RemoteRegion{reinterpret_cast<uint64_t>(buf), dst_gpu->region.rkey(), bytes};
-    // The flag cannot ride at the payload tail here: the tail is GPU memory
-    // the receiver's poll loop cannot touch. It lives in the always-real
-    // metadata arena instead, written after every payload extent completes.
-    s->flag_ptr = static_cast<uint8_t*>(dst_meta->allocator->Allocate(1));
-    if (s->flag_ptr == nullptr) return ResourceExhausted("meta arena exhausted");
-    s->remote_flag =
-        RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr), dst_meta->region.rkey(), 1};
-    *s->flag_ptr = 0;
-    s->dst_gpu_staging = false;  // Already device-resident on arrival.
-  } else if (s->protocol == Protocol::kStatic) {
-    const uint64_t bytes = edge.shape.num_elements() * tensor::DTypeSize(edge.dtype);
-    RDMADL_ASSIGN_OR_RETURN(RdmaArena * dst_arena, s->dst->rdma_arena());
-    // +1: room for the tail completion flag (§3.2).
-    uint8_t* buf = static_cast<uint8_t*>(dst_arena->allocator->Allocate(bytes + 1));
-    if (buf == nullptr) {
-      return ResourceExhausted(StrCat("receive arena exhausted on ", edge.dst_device));
-    }
-    auto buffer = std::make_shared<tensor::Buffer>(buf, bytes + 1);
+    uint8_t* buf = static_cast<uint8_t*>(buffer->data());
     s->recv_tensor = Tensor(std::move(buffer), edge.dtype, edge.shape);
     s->remote_data = RemoteRegion{reinterpret_cast<uint64_t>(buf), dst_arena->region.rkey(), bytes};
-    if (s->dst->real_memory()) {
+    if (s->dst->real_memory() && !s->device_route) {
       // Paper layout: flag byte at the tail of the tensor memory region.
       s->flag_ptr = buf + bytes;
       s->remote_flag = RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr),
                                     dst_arena->region.rkey(), 1};
-      *s->flag_ptr = 0;
     } else {
-      // Virtual-memory mode: the data buffer is a fake address, so the flag
-      // lives in the always-real metadata arena instead.
-      s->flag_ptr = static_cast<uint8_t*>(dst_meta->allocator->Allocate(1));
-      if (s->flag_ptr == nullptr) return ResourceExhausted("meta arena exhausted");
+      // The tail is a fake address (virtual-memory mode) or GPU memory the
+      // receiver's poll loop cannot touch, so the flag lives in the
+      // always-real metadata arena instead; a device route writes it after
+      // every payload extent completes.
+      s->meta_block = std::make_unique<tensor::Buffer>(dst_meta->allocator.get(), 1);
+      if (!s->meta_block->valid()) return ResourceExhausted("meta arena exhausted");
+      s->flag_ptr = static_cast<uint8_t*>(s->meta_block->data());
       s->remote_flag =
           RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr), dst_meta->region.rkey(), 1};
-      *s->flag_ptr = 0;
     }
+    *s->flag_ptr = 0;
+    // A device route's arrival is already device-resident (its dst is GDR).
     s->dst_gpu_staging =
         s->dst->options().tensors_on_gpu && !s->dst->options().gpudirect;
   } else {
     s->meta_bytes = MetadataBytes(edge.shape.num_dims());
-    s->meta_block = static_cast<uint8_t*>(dst_meta->allocator->Allocate(s->meta_bytes));
-    if (s->meta_block == nullptr) return ResourceExhausted("meta arena exhausted");
-    std::memset(s->meta_block, 0, s->meta_bytes);
-    s->flag_ptr = s->meta_block + s->meta_bytes - 1;
-    s->remote_meta = RemoteRegion{reinterpret_cast<uint64_t>(s->meta_block),
+    s->meta_block = std::make_unique<tensor::Buffer>(dst_meta->allocator.get(), s->meta_bytes);
+    if (!s->meta_block->valid()) return ResourceExhausted("meta arena exhausted");
+    std::memset(s->meta_block->data(), 0, s->meta_bytes);
+    s->flag_ptr = static_cast<uint8_t*>(s->meta_block->data()) + s->meta_bytes - 1;
+    s->remote_meta = RemoteRegion{reinterpret_cast<uint64_t>(s->meta_block->data()),
                                   dst_meta->region.rkey(), s->meta_bytes};
     s->src_meta_staging =
-        static_cast<uint8_t*>(src_meta->allocator->Allocate(s->meta_bytes));
-    if (s->src_meta_staging == nullptr) return ResourceExhausted("meta arena exhausted");
+        std::make_unique<tensor::Buffer>(src_meta->allocator.get(), s->meta_bytes);
+    if (!s->src_meta_staging->valid()) return ResourceExhausted("meta arena exhausted");
     s->src_meta_lkey = src_meta->region.lkey();
   }
 
@@ -334,7 +301,7 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
                         reinterpret_cast<const void*>(s->remote_data.addr),
                         s->remote_data.length);
   } else {
-    check::OnFlagGuards(s->dst->endpoint().host_id, s->flag_ptr, s->meta_block,
+    check::OnFlagGuards(s->dst->endpoint().host_id, s->flag_ptr, s->meta_block->data(),
                         s->meta_bytes - 1);
   }
 
@@ -349,34 +316,19 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
   return OkStatus();
 }
 
-TransferEngine* ZeroCopyRdmaMechanism::engine_for(HostRuntime* src) {
-  for (auto& [host, engine] : engines_) {
-    if (host == src) return engine.get();
-  }
-  auto engine = std::make_unique<TransferEngine>(src->rdma_device(), options_.engine);
-  engine->BeginEpoch(step_);
-  TransferEngine* raw = engine.get();
-  engines_.emplace_back(src, std::move(engine));
-  return raw;
-}
-
 void ZeroCopyRdmaMechanism::BeginStep(int64_t step) {
   step_ = step;
-  for (auto& [host, engine] : engines_) {
-    engine->BeginEpoch(step);
-  }
+  for (HostState& host : hosts_) host.engine->BeginEpoch(step);
   for (auto& state : edges_) {
     state->hold = Tensor();
-    FreeStepStaging(state.get());
+    state->hold_staging = nullptr;
   }
 }
 
 void ZeroCopyRdmaMechanism::ResetTransientState() {
   // Queued-but-unposted coalesced writes belong to the aborted step; drop
   // them before rearming the edges (mirrors DropPendingCallbacks).
-  for (auto& [host, engine] : engines_) {
-    engine->ResetTransientState();
-  }
+  for (HostState& host : hosts_) host.engine->ResetTransientState();
   for (auto& state : edges_) {
     EdgeState* s = state.get();
     s->phase = RecvPhase::kWaiting;
@@ -384,9 +336,7 @@ void ZeroCopyRdmaMechanism::ResetTransientState() {
       *s->flag_ptr = 0;
       check::OnFlagCleared(s->dst->endpoint().host_id, s->flag_ptr);
     }
-    if (s->meta_block != nullptr && s->meta_bytes > 0) {
-      std::memset(s->meta_block, 0, s->meta_bytes);
-    }
+    if (s->meta_bytes > 0) std::memset(s->meta_block->data(), 0, s->meta_bytes);
     if (s->protocol == Protocol::kDynamic) s->recv_tensor = Tensor();
     s->hold = Tensor();
   }
@@ -400,7 +350,9 @@ tensor::Allocator* ZeroCopyRdmaMechanism::AllocatorForNode(HostRuntime* host,
     CHECK(gpu.ok()) << gpu.status();
     return (*gpu)->allocator.get();
   }
-  if (!options_.graph_analysis || !tracers_[host].InHotSet(node.id())) return default_alloc;
+  if (!options_.graph_analysis || !StateOf(host).tracer.InHotSet(node.id())) {
+    return default_alloc;
+  }
   StatusOr<RdmaArena*> arena = host->rdma_arena();
   CHECK(arena.ok()) << arena.status();
   return (*arena)->allocator.get();
@@ -410,7 +362,7 @@ void ZeroCopyRdmaMechanism::OnAllocations(HostRuntime* host, const graph::Node& 
                                           std::span<const void* const> buffers) {
   // §3.4 traces the first mini-batch only.
   if (!options_.graph_analysis || step_ != 0) return;
-  tracers_[host].RecordAllocations(node.id(), buffers);
+  StateOf(host).tracer.RecordAllocations(node.id(), buffers);
 }
 
 int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tensor& tensor,
@@ -424,7 +376,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
 
   // §3.4 dynamic analysis: learn the allocation site of every transferred
   // buffer so later iterations allocate it RDMA-accessible directly.
-  if (options_.graph_analysis) tracers_[src].RecordTransfer(ptr);
+  if (options_.graph_analysis) s->sender->tracer.RecordTransfer(ptr);
 
   // Degradation ladder gate: a demoted edge stays on the staged TCP path
   // until its probation window opens, at which point one send re-probes the
@@ -460,7 +412,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
   // in place. Repeat sends of the same buffer hit the cache and skip the
   // pinning cost entirely.
   if (options_.use_mr_cache && !in_gpu) {
-    StatusOr<TransferEngine::MrHandle> cached = engine_for(src)->GetOrRegisterMr(ptr, bytes);
+    StatusOr<TransferEngine::MrHandle> cached = s->sender->engine->GetOrRegisterMr(ptr, bytes);
     if (cached.ok()) {
       ++stats_.mr_cache_sends;
       if (cached->hit) {
@@ -487,11 +439,12 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
     return SendDegraded(s, tensor, std::move(on_sent));
   }
   RdmaArena* arena = *arena_or;
-  void* staging = arena->allocator->Allocate(bytes);
-  if (staging == nullptr) {
+  auto staging = std::make_shared<tensor::Buffer>(arena->allocator.get(), bytes);
+  if (!staging->valid()) {
     LadderDemote(s, "sender RDMA arena exhausted");
     return SendDegraded(s, tensor, std::move(on_sent));
   }
+  void* staged = staging->data();
   on_sent = WrapLadder(s, std::move(on_sent));
 
   if (in_gpu) {
@@ -505,8 +458,8 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
     net::Host* machine =
         src->rdma_device()->nic()->fabric()->host(src->endpoint().host_id);
     const int64_t pcie_end = machine->pcie().Reserve(simulator->Now(), pcie_ns);
-    PostPayload(s, tensor, staging, arena->region.lkey(), /*data_rkey=*/0,
-                pcie_end - simulator->Now(), staging, std::move(on_sent));
+    PostPayload(s, tensor, staged, arena->region.lkey(), /*data_rkey=*/0,
+                pcie_end - simulator->Now(), std::move(staging), std::move(on_sent));
     return 0;  // DMA copy; the executor worker is not held.
   }
 
@@ -516,44 +469,38 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
   ++stats_.staged_sends;
   stats_.staged_bytes += bytes;
   if (src->real_memory()) {
-    std::memcpy(staging, ptr, bytes);
+    std::memcpy(staged, ptr, bytes);
   }
   const net::CostModel& cost = src->cost();
   const int64_t copy_ns =
       cost.arena_alloc_overhead_ns + net::CostNs(bytes, cost.staging_memcpy_bytes_per_sec);
-  PostPayload(s, tensor, staging, arena->region.lkey(), /*data_rkey=*/0, copy_ns, staging,
-              std::move(on_sent));
+  PostPayload(s, tensor, staged, arena->region.lkey(), /*data_rkey=*/0, copy_ns,
+              std::move(staging), std::move(on_sent));
   return copy_ns;
 }
 
 void ZeroCopyRdmaMechanism::PostPayload(EdgeState* s, const Tensor& tensor, const void* src_ptr,
                                         uint32_t lkey, uint32_t data_rkey, int64_t delay_ns,
-                                        void* staging, std::function<void(Status)> on_sent) {
+                                        std::shared_ptr<tensor::Buffer> staging,
+                                        std::function<void(Status)> on_sent) {
   s->src->simulator()->ScheduleAfter(
-      delay_ns, [this, s, tensor, src_ptr, lkey, data_rkey, staging,
+      delay_ns, [this, s, tensor, src_ptr, lkey, data_rkey, staging = std::move(staging),
                  on_sent = std::move(on_sent)]() mutable {
         const uint64_t bytes = tensor.TotalBytes();
         if (s->protocol == Protocol::kStatic) {
-          if (staging != nullptr) {
-            // Static staging can be freed as soon as the write completes.
-            on_sent = [s, staging, inner = std::move(on_sent)](Status status) {
-              StatusOr<RdmaArena*> arena = s->src->rdma_arena();
-              if (arena.ok()) (*arena)->allocator->Deallocate(staging);
-              inner(status);
-            };
-          }
-          PostWrites(s, src_ptr, lkey, bytes, std::move(on_sent));
+          PostWrites(s, src_ptr, lkey, bytes, std::move(staging), std::move(on_sent));
         } else {
           // Dynamic staging must survive until the receiver's RDMA read, i.e.
           // until the step boundary.
-          if (staging != nullptr) s->staging_to_free_at_step.push_back(staging);
+          s->hold_staging = std::move(staging);
           PostMetadataWrite(s, src_ptr, lkey, bytes, tensor, data_rkey, std::move(on_sent));
         }
       });
 }
 
 void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32_t lkey,
-                                       uint64_t bytes, std::function<void(Status)> on_sent) {
+                                       uint64_t bytes, std::shared_ptr<tensor::Buffer> staging,
+                                       std::function<void(Status)> on_sent) {
   // Payload then flag, routed through the transfer engine: small tensors may
   // share a doorbell batch with other edges to the same host, large ones are
   // striped across QP lanes, and everything else takes the classic two-WR
@@ -561,6 +508,17 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
   // §3.2 guarantee.
   StatusOr<RdmaArena*> src_meta = s->src->meta_arena();
   CHECK(src_meta.ok());
+  std::unique_ptr<tensor::Buffer>& flag_source = s->sender->flag_source;
+  if (flag_source == nullptr) {
+    flag_source = std::make_unique<tensor::Buffer>((*src_meta)->allocator.get(), 1);
+    CHECK(flag_source->valid());
+    *static_cast<uint8_t*>(flag_source->data()) = 1;
+  }
+  device::MemcpyCallback done = [staging = std::move(staging),
+                                 on_sent = std::move(on_sent)](const Status& status) mutable {
+    staging = nullptr;
+    on_sent(status);
+  };
   TransferEngine::WriteDesc payload;
   payload.local_addr = const_cast<void*>(src_ptr);
   payload.lkey = lkey;
@@ -569,7 +527,7 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
   payload.bytes = bytes;
   payload.copy_bytes = s->src->real_memory();
   TransferEngine::WriteDesc flag;
-  flag.local_addr = FlagSource(s->src);
+  flag.local_addr = flag_source->data();
   flag.lkey = (*src_meta)->region.lkey();
   flag.remote_addr = s->remote_flag.addr;
   flag.rkey = s->remote_flag.rkey;
@@ -590,17 +548,17 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
       e.bytes = std::min(chunk, bytes - off);
       extents.push_back(e);
     }
-    const TransferEngine::Route route = engine_for(s->src)->WriteGather(
-        s->dst->endpoint(), extents, flag, s->qp_index,
-        [cb = std::move(on_sent)](const Status& status) { cb(status); });
+    const TransferEngine::Route route =
+        s->sender->engine->WriteGather(s->dst->endpoint(), extents, flag, s->qp_index,
+                                       std::move(done));
     if (route == TransferEngine::Route::kScatterGather) ++stats_.sg_sends;
     if (route == TransferEngine::Route::kStriped) ++stats_.striped_sends;
     if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
     return;
   }
-  const TransferEngine::Route route = engine_for(s->src)->WriteWithFlag(
-      s->dst->endpoint(), payload, flag, s->qp_index,
-      [cb = std::move(on_sent)](const Status& status) { cb(status); });
+  const TransferEngine::Route route =
+      s->sender->engine->WriteWithFlag(s->dst->endpoint(), payload, flag, s->qp_index,
+                                       std::move(done));
   if (route == TransferEngine::Route::kStriped) ++stats_.striped_sends;
   if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
 }
@@ -611,7 +569,7 @@ void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr
                                               std::function<void(Status)> on_sent) {
   // Serialize the (small, fixed-size) metadata: dims, dtype, and where the
   // receiver should read the payload from.
-  uint8_t* m = s->src_meta_staging;
+  uint8_t* m = static_cast<uint8_t*>(s->src_meta_staging->data());
   const tensor::TensorShape& shape = tensor.shape();
   PutU32(m, static_cast<uint32_t>(tensor.dtype()));
   PutU32(m + 4, static_cast<uint32_t>(shape.num_dims()));
@@ -646,7 +604,7 @@ void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr
   flag.rkey = s->remote_meta.rkey;
   flag.bytes = 1;
   flag.copy_bytes = true;
-  const TransferEngine::Route route = engine_for(s->src)->WriteWithFlag(
+  const TransferEngine::Route route = s->sender->engine->WriteWithFlag(
       s->dst->endpoint(), body, flag, s->qp_index,
       [cb = std::move(on_sent)](const Status& status) { cb(status); });
   if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
@@ -718,7 +676,7 @@ bool ZeroCopyRdmaMechanism::TryRecv(const graph::TransferEdge& edge, Tensor* out
 
 void ZeroCopyRdmaMechanism::StartDynamicRead(EdgeState* s) {
   // Parse the metadata the sender just wrote (always real bytes).
-  const uint8_t* m = s->meta_block;
+  const uint8_t* m = static_cast<const uint8_t*>(s->meta_block->data());
   const auto dtype = static_cast<tensor::DType>(GetU32(m));
   const int rank = static_cast<int>(GetU32(m + 4));
   CHECK_EQ(rank, s->edge.shape.num_dims())
@@ -770,18 +728,14 @@ int64_t ZeroCopyRdmaMechanism::SendDegraded(EdgeState* s, const Tensor& tensor,
   // gRPC-style staged transfer: dispatch + serialize on the sender, TCP
   // stream on the wire, deserialize + staging copy on the receiver — the same
   // cost structure as the RPC mechanism this path falls back to.
-  const net::CostModel& cost = s->src->cost();
-  const int64_t sender_ns =
-      cost.rpc_dispatch_overhead_ns + net::CostNs(bytes, cost.serialize_bytes_per_sec);
-  const int64_t receiver_ns = net::CostNs(bytes, cost.deserialize_bytes_per_sec) +
-                              net::CostNs(bytes, cost.staging_memcpy_bytes_per_sec);
+  const net::StagedCopyNs staged = net::StagedCopyCost(s->src->cost(), bytes);
   sim::Simulator* simulator = s->src->simulator();
   auto on_sent_shared =
       std::make_shared<std::function<void(Status)>>(std::move(on_sent));
   cluster_->fabric()->Transfer(
       s->src->endpoint().host_id, s->dst->endpoint().host_id,
-      std::max<uint64_t>(bytes, 1), net::Plane::kTcp, sender_ns, nullptr,
-      [this, s, tensor, receiver_ns, simulator, on_sent_shared](Status status) {
+      std::max<uint64_t>(bytes, 1), net::Plane::kTcp, staged.sender, nullptr,
+      [this, s, tensor, receiver_ns = staged.receiver, simulator, on_sent_shared](Status status) {
         if (!status.ok()) {
           // The degraded path failed too (e.g. the peer crashed): the edge
           // stays demoted and its probation progress resets.
@@ -817,7 +771,7 @@ int64_t ZeroCopyRdmaMechanism::SendDegraded(EdgeState* s, const Tensor& tensor,
         });
         (*on_sent_shared)(OkStatus());
       });
-  return sender_ns;
+  return staged.sender;
 }
 
 void ZeroCopyRdmaMechanism::LadderDemote(EdgeState* s, const char* why) {
@@ -867,17 +821,8 @@ EdgePath ZeroCopyRdmaMechanism::edge_path(int edge_id) const {
 }
 
 size_t ZeroCopyRdmaMechanism::traced_addresses(HostRuntime* host) const {
-  auto it = tracers_.find(host);
-  return it == tracers_.end() ? 0 : it->second.traced_addresses();
-}
-
-void ZeroCopyRdmaMechanism::FreeStepStaging(EdgeState* s) {
-  if (s->staging_to_free_at_step.empty()) return;  // rdma_arena() would create one.
-  StatusOr<RdmaArena*> arena = s->src->rdma_arena();
-  if (arena.ok()) {
-    for (void* ptr : s->staging_to_free_at_step) (*arena)->allocator->Deallocate(ptr);
-  }
-  s->staging_to_free_at_step.clear();
+  const size_t index = static_cast<size_t>(host->index());
+  return index < hosts_.size() ? hosts_[index].tracer.traced_addresses() : 0;
 }
 
 ZeroCopyRdmaMechanism::EdgeState* ZeroCopyRdmaMechanism::StateOf(int edge_id) const {
@@ -886,17 +831,10 @@ ZeroCopyRdmaMechanism::EdgeState* ZeroCopyRdmaMechanism::StateOf(int edge_id) co
   return edges_[edge_id].get();
 }
 
-uint8_t* ZeroCopyRdmaMechanism::FlagSource(HostRuntime* host) {
-  auto it = flag_sources_.find(host);
-  if (it == flag_sources_.end()) {
-    StatusOr<RdmaArena*> meta = host->meta_arena();
-    CHECK(meta.ok()) << meta.status();
-    auto* flag = static_cast<uint8_t*>((*meta)->allocator->Allocate(1));
-    CHECK(flag != nullptr);
-    *flag = 1;
-    it = flag_sources_.emplace(host, flag).first;
-  }
-  return it->second;
+ZeroCopyRdmaMechanism::HostState& ZeroCopyRdmaMechanism::StateOf(const HostRuntime* host) {
+  CHECK(host->index() >= 0 && host->index() < static_cast<int>(hosts_.size()))
+      << "no state for " << host->device_name() << "; Setup first";
+  return hosts_[host->index()];
 }
 
 }  // namespace comm

@@ -39,12 +39,21 @@
 // back); with GDR the GPU arena is NIC-registered and every GPU-side edge
 // uses the dynamic protocol with metadata polled in host memory, as the
 // paper prescribes.
+//
+// Ownership (§3.4 "a memory allocator manages the preallocated memory"):
+// every block the mechanism carves from an arena is an owning
+// tensor::Buffer that returns itself to its allocator when the last
+// reference drops. An edge's receive buffer, meta-arena flag or metadata
+// block and sender metadata staging live as long as the edge, and a static
+// receive tensor handed to an executor shares its buffer; a failed Setup
+// drops the failed edge and with it everything it carved. A static send's
+// staging copy is released when its write completes, before on_sent runs; a
+// dynamic one is held, with the sent tensor, until the next step boundary.
+// Each host's "flag = 1" source byte lives as long as the mechanism.
 #ifndef RDMADL_SRC_COMM_ZEROCOPY_MECHANISM_H_
 #define RDMADL_SRC_COMM_ZEROCOPY_MECHANISM_H_
 
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/analyzer/allocation_tracer.h"
@@ -171,25 +180,39 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   enum class RecvPhase { kWaiting, kTransferring, kStaging, kReady };
 
   struct EdgeState;
+  // Per-host state, indexed by HostRuntime::index().
+  struct HostState {
+    // §3.4 analysis of the host's nodes; its hot set starts as the static
+    // producers of the host's sends.
+    analyzer::AllocationSiteTracer tracer;
+    // The host's sender-side transfer engine.
+    std::unique_ptr<TransferEngine> engine;
+    // The 1-byte "flag = 1" source of the host's flag writes, carved from
+    // its meta arena on first use.
+    std::unique_ptr<tensor::Buffer> flag_source;
+  };
 
   Status SetupEdge(EdgeState* state);
   EdgeState* StateOf(int edge_id) const;  // Bounds-CHECKed.
-  // Frees the dynamic-protocol staging copies held until the step boundary.
-  void FreeStepStaging(EdgeState* state);
+  HostState& StateOf(const runtime::HostRuntime* host);  // Bounds-CHECKed.
   // Posts |tensor|'s payload from |src_ptr| (covered by |lkey|) |delay_ns|
   // from now: PostWrites on a static edge, PostMetadataWrite (with
   // |data_rkey|) on a dynamic one. A non-null |staging| is the arena copy
-  // this send owns: static edges free it on completion, dynamic edges at
-  // the next step boundary (the receiver reads it until then).
+  // |src_ptr| points into: static edges release it on completion, dynamic
+  // edges hold it until the next step boundary (the receiver reads it until
+  // then).
   void PostPayload(EdgeState* state, const tensor::Tensor& tensor, const void* src_ptr,
-                   uint32_t lkey, uint32_t data_rkey, int64_t delay_ns, void* staging,
-                   std::function<void(Status)> on_sent);
+                   uint32_t lkey, uint32_t data_rkey, int64_t delay_ns,
+                   std::shared_ptr<tensor::Buffer> staging, std::function<void(Status)> on_sent);
   // Static protocol: payload write followed by the flag-byte write, on the
   // same QP. |src_ptr| must lie inside a registered arena covered by |lkey|.
   // Device-route edges carve the payload into SG extents and post through
   // TransferEngine::WriteGather instead (one doorbell per lane stripe).
+  // |staging| (may be null) is released once the write completes, before
+  // |on_sent| runs: on_sent can dispatch nodes that allocate from the same
+  // arena.
   void PostWrites(EdgeState* state, const void* src_ptr, uint32_t lkey, uint64_t bytes,
-                  std::function<void(Status)> on_sent);
+                  std::shared_ptr<tensor::Buffer> staging, std::function<void(Status)> on_sent);
   // Dynamic protocol: metadata write with the tail flag as its last byte.
   // |data_rkey| overrides the rkey advertised for the payload (cache-
   // registered MRs live outside the arenas); 0 derives it from ArenaFor.
@@ -197,8 +220,6 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
                          uint64_t bytes, const tensor::Tensor& tensor,
                          uint32_t data_rkey, std::function<void(Status)> on_sent);
   void StartDynamicRead(EdgeState* state);
-  // The 1-byte "flag = 1" source buffer in |host|'s meta arena.
-  uint8_t* FlagSource(runtime::HostRuntime* host);
 
   // ---- Degradation ladder ----
   // Serves one send over the staged TCP path (serialize -> TCP stream ->
@@ -215,19 +236,14 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   std::function<void(Status)> WrapLadder(EdgeState* state,
                                          std::function<void(Status)> on_sent);
 
-  // Per-sending-device transfer engine, created lazily. Kept in creation
-  // order (not keyed by pointer value) so iteration is run-to-run stable.
-  TransferEngine* engine_for(runtime::HostRuntime* src);
-
   runtime::Cluster* cluster_;
   ZeroCopyOptions options_;
   ZeroCopyStats stats_;
+  // By HostRuntime::index(), sized once by Setup. Declared before edges_:
+  // each EdgeState points at its sender's record.
+  std::vector<HostState> hosts_;
   // By TransferEdge::id. unique_ptr: scheduled closures hold EdgeState*.
   std::vector<std::unique_ptr<EdgeState>> edges_;
-  // Per-device §3.4 analysis; its hot set starts as the static producers.
-  std::map<runtime::HostRuntime*, analyzer::AllocationSiteTracer> tracers_;
-  std::map<runtime::HostRuntime*, uint8_t*> flag_sources_;
-  std::vector<std::pair<runtime::HostRuntime*, std::unique_ptr<TransferEngine>>> engines_;
   int64_t step_ = -1;
 };
 

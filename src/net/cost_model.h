@@ -144,6 +144,19 @@ inline int64_t CostNs(uint64_t bytes, double bytes_per_sec) {
   return static_cast<int64_t>(static_cast<double>(bytes) / bytes_per_sec * 1e9);
 }
 
+// CPU time of an RPC-style staged copy of |bytes| over the TCP plane, per
+// side: the sender dispatches and serializes, the receiver deserializes and
+// copies into the destination buffer.
+struct StagedCopyNs {
+  int64_t sender;
+  int64_t receiver;
+};
+inline StagedCopyNs StagedCopyCost(const CostModel& cost, uint64_t bytes) {
+  return {cost.rpc_dispatch_overhead_ns + CostNs(bytes, cost.serialize_bytes_per_sec),
+          CostNs(bytes, cost.deserialize_bytes_per_sec) +
+              CostNs(bytes, cost.staging_memcpy_bytes_per_sec)};
+}
+
 // Capped exponential backoff: min(base << attempt, cap), safe for any attempt
 // (the naive `base << attempt` overflows int64 past attempt ~40 and goes
 // negative, which would schedule events in the past). Shared by the RC

@@ -71,13 +71,12 @@ StatusOr<RdmaArena> HostRuntime::MakeArena(uint64_t size, uint64_t virtual_base,
 StatusOr<RdmaArena*> HostRuntime::rdma_arena() { return EnsureRdmaArena(0); }
 
 StatusOr<RdmaArena*> HostRuntime::EnsureRdmaArena(uint64_t min_bytes) {
-  if (!rdma_arena_init_) {
+  if (rdma_arena_.allocator == nullptr) {
     // Headroom over the planner's minimum: transient staging buffers and
     // fragmentation.
     const uint64_t size = std::max(options_.rdma_arena_bytes, min_bytes + min_bytes / 2);
     RDMADL_ASSIGN_OR_RETURN(
         rdma_arena_, MakeArena(size, VirtualWindowBase(index_) + kVirtualRdmaOffset, "rdma"));
-    rdma_arena_init_ = true;
   } else if (rdma_arena_.region.size() < min_bytes) {
     return FailedPrecondition(StrCat("RDMA arena of ", rdma_arena_.region.size(),
                                      " bytes already created; planner now needs ", min_bytes));
@@ -86,18 +85,17 @@ StatusOr<RdmaArena*> HostRuntime::EnsureRdmaArena(uint64_t min_bytes) {
 }
 
 StatusOr<RdmaArena*> HostRuntime::meta_arena() {
-  if (!meta_arena_init_) {
+  if (meta_arena_.allocator == nullptr) {
     constexpr uint64_t kMetaArenaBytes = 8ull << 20;
     RDMADL_ASSIGN_OR_RETURN(meta_arena_.region, rdma_device_->AllocateMemRegion(kMetaArenaBytes));
     meta_arena_.allocator = std::make_unique<tensor::ArenaAllocator>(
         meta_arena_.region.data(), kMetaArenaBytes, StrCat("meta:", options_.device_name));
-    meta_arena_init_ = true;
   }
   return &meta_arena_;
 }
 
 StatusOr<RdmaArena*> HostRuntime::gpu_arena() {
-  if (!gpu_arena_init_) {
+  if (gpu_arena_.allocator == nullptr) {
     // GPU memory is a tagged arena. Under GPUDirect it is registered with the
     // NIC exactly like host memory (§3.5: allocate in mapped pinned mode and
     // register); without GDR it stays unregistered and transfers stage
@@ -122,15 +120,14 @@ StatusOr<RdmaArena*> HostRuntime::gpu_arena() {
             tensor::MemorySpace::kGpu);
       }
     }
-    gpu_arena_init_ = true;
   }
   return &gpu_arena_;
 }
 
 StatusOr<const RdmaArena*> HostRuntime::ArenaFor(const void* ptr) const {
-  if (rdma_arena_init_ && rdma_arena_.Contains(ptr)) return &rdma_arena_;
-  if (gpu_arena_init_ && gpu_arena_.Contains(ptr) && gpu_arena_.region.valid()) return &gpu_arena_;
-  if (meta_arena_init_ && meta_arena_.Contains(ptr)) return &meta_arena_;
+  if (rdma_arena_.Contains(ptr)) return &rdma_arena_;
+  if (gpu_arena_.Contains(ptr) && gpu_arena_.region.valid()) return &gpu_arena_;
+  if (meta_arena_.Contains(ptr)) return &meta_arena_;
   return FailedPrecondition("pointer is not inside a registered RDMA arena");
 }
 

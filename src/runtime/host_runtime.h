@@ -30,6 +30,7 @@ namespace runtime {
 // memory buffer to register once" pattern, with key material for one-sided
 // access.
 struct RdmaArena {
+  // Null until the arena is created.
   std::unique_ptr<tensor::ArenaAllocator> allocator;
   // The registration: real storage, or in virtual mode a range that owns
   // none. Invalid (keys 0) for a GPU arena without GPUDirect, which the NIC
@@ -62,6 +63,8 @@ class HostRuntime {
   ~HostRuntime();
 
   const std::string& device_name() const { return options_.device_name; }
+  // This process's rank among all processes (0, 1, ... in creation order).
+  int index() const { return index_; }
   const Endpoint& endpoint() const { return options_.endpoint; }
   const HostRuntimeOptions& options() const { return options_; }
   ops::ComputeMode mode() const { return options_.mode; }
@@ -121,7 +124,10 @@ class HostRuntime {
   // NOTE: declaration order is destruction-critical. Members are destroyed
   // in reverse order, and tensor Buffers deallocate through their allocator
   // at destruction: resources_ (variable tensors) must die before the arenas
-  // they allocate from — hence arenas first, resources last. The arenas'
+  // they allocate from — hence arenas first, resources last. Whatever else
+  // holds an arena Buffer must be gone before this runtime is: executors
+  // (a static receive tensor they were handed shares the zero-copy
+  // mechanism's receive Buffer) and the mechanism itself. The arenas'
   // regions release their registrations, so they follow rdma_device_.
   device::DeviceDirectory* directory_;
   HostRuntimeOptions options_;
@@ -134,9 +140,6 @@ class HostRuntime {
   RdmaArena gpu_arena_;
   RdmaArena meta_arena_;
   device::ZeroedBytes gpu_storage_;  // Real-mode non-GDR GPU backing.
-  bool rdma_arena_init_ = false;
-  bool gpu_arena_init_ = false;
-  bool meta_arena_init_ = false;
   net::Link comm_cpu_[kCommCpuLanes] = {net::Link("comm-cpu0"), net::Link("comm-cpu1")};
   int next_comm_lane_ = 0;
   net::Link compute_unit_{"gpu"};

@@ -4,17 +4,19 @@
 // of a distributed graph (it holds per-edge state such as preallocated
 // receive buffers and distributed remote addresses, indexed by
 // TransferEdge::id so no step-time call looks an edge up by key).
-// Implementations:
+// Two implementations:
 //
-//   comm::RpcTcpMechanism        — gRPC-over-TCP baseline (serialize + ring
-//                                  buffer copies over the TCP plane).
-//   comm::RpcRdmaMechanism       — gRPC-over-RDMA baseline (same RPC stack,
-//                                  verbs transport; still copies+serializes).
+//   comm::RpcMechanism           — the gRPC baselines: one RPC stack
+//                                  (serialize + ring-buffer copies) over
+//                                  the plane it is built with, TCP
+//                                  (gRPC.TCP) or RDMA (gRPC.RDMA).
 //   comm::ZeroCopyRdmaMechanism  — the paper's mechanism: static placement
 //                                  (§3.2), dynamic allocation (§3.3), graph-
-//                                  analyzer integration (§3.4), optional
-//                                  sender-copy mode (RDMA.cp) and GPUDirect
-//                                  (§3.5).
+//                                  analyzer integration (§3.4) and GPUDirect
+//                                  (§3.5); its ZeroCopyOptions select the
+//                                  sender-copy baseline (RDMA.cp), the
+//                                  forced-dynamic protocol and the device
+//                                  routes.
 #ifndef RDMADL_SRC_RUNTIME_TRANSFER_H_
 #define RDMADL_SRC_RUNTIME_TRANSFER_H_
 

@@ -241,6 +241,28 @@ TEST(ZeroCopyProtocolTest, AddressQueryRejectsMalformedEdgeIds) {
   EXPECT_EQ(mech.stats().static_transfers, 1);
 }
 
+TEST(ZeroCopyProtocolTest, FailedSetupReturnsTheFailedEdgesBuffer) {
+  // Two MRs per NIC: worker:0's RDMA and meta arenas fill its table, so the
+  // edge's channel cannot register its RPC block and Setup fails after the
+  // receive buffer was carved. Dropping the failed edge gives it back.
+  ClusterOptions options;
+  options.num_machines = 2;
+  options.process_defaults.rdma_arena_bytes = 16ull << 20;
+  options.cost.max_memory_regions = 2;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.AddProcess("ps:0", 0).ok());
+  ASSERT_TRUE(cluster.AddProcess("worker:0", 1).ok());
+  auto graph = WeightConsumerGraph(1024);
+  {
+    ZeroCopyRdmaMechanism mech(&cluster, ZeroCopyOptions{});
+    DistributedSession session(&cluster, &mech, graph.get(), SessionOptions{});
+    EXPECT_EQ(session.Setup().code(), StatusCode::kResourceExhausted);
+  }
+  auto arena = cluster.host("worker:0")->rdma_arena();
+  ASSERT_TRUE(arena.ok());
+  EXPECT_EQ((*arena)->allocator->stats().bytes_in_use, 0);
+}
+
 TEST(RpcMechanismDetailTest, LargeMessagesFragmentOnRingBuffer) {
   ClusterOptions options;
   options.num_machines = 2;

@@ -20,6 +20,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/check/testing.h"
 #include "src/collective/collective.h"
 #include "src/comm/zerocopy_mechanism.h"
 #include "src/control/checkpoint.h"
@@ -27,6 +28,8 @@
 #include "src/ops/kernel.h"
 #include "src/sim/fault.h"
 #include "src/sim/trace.h"
+
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
 
 namespace rdmadl {
 namespace {
@@ -557,11 +560,16 @@ TEST_P(LadderProtocolTest, ArenaExhaustionDemotesImmediatelyAndServesDegraded) {
   // enough for the 800 KB payload) so the staging copy cannot be placed.
   // This happens before the first step: a dynamic edge keeps each step's
   // staging copy until the next step boundary, whose release would reopen
-  // a hole of exactly the payload's size.
+  // a hole of exactly the payload's size. The filler goes back to the arena
+  // when the test ends.
   runtime::HostRuntime* ps = world.cluster->host("ps:0");
   auto arena_or = ps->rdma_arena();
   ASSERT_TRUE(arena_or.ok()) << arena_or.status();
-  while ((*arena_or)->allocator->Allocate(64ull << 10) != nullptr) {
+  std::vector<std::unique_ptr<tensor::Buffer>> filler;
+  for (;;) {
+    auto block = std::make_unique<tensor::Buffer>((*arena_or)->allocator.get(), 64ull << 10);
+    if (!block->valid()) break;
+    filler.push_back(std::move(block));
   }
 
   const auto before = mechanism->stats().ladder_demotions;
